@@ -2,8 +2,8 @@
 
 One knob per failure class: eps_psd guards physicality checks, eps_feas
 guards solver-produced witnesses (looser, since those are optimizer
-outputs rather than closed forms), and the remaining constants fix the
-accuracy expected of eigenvalue and Pfaffian routines.
+outputs rather than closed forms), and EIG_TOL fixes the accuracy
+expected of eigenvalue routines.
 """
 
 from dataclasses import dataclass
@@ -16,9 +16,6 @@ EPS_FEAS = 1e-7
 
 #: Accuracy expected of eigenvalue computations.
 EIG_TOL = 1e-10
-
-#: Relative accuracy of Pfaffian vs determinant.
-PFAFFIAN_RTOL = 1e-8
 
 
 @dataclass(frozen=True)

@@ -276,12 +276,6 @@ def norms(mat: np.ndarray):
     return float(s[0]), float(np.sum(s))
 
 
-def spectral_radius(k) -> float:
-    """Largest |eigenvalue| of iK, i.e. the operator norm of antisymmetric K."""
-    spec = hermitian_spectrum(k)
-    return float(max(abs(spec[0]), abs(spec[-1])))
-
-
 def opnorm_antisym4(k: np.ndarray) -> float:
     """Operator norm of a 4x4 antisymmetric matrix in closed form.
 
@@ -292,13 +286,3 @@ def opnorm_antisym4(k: np.ndarray) -> float:
     pf = k[0, 1] * k[2, 3] - k[0, 2] * k[1, 3] + k[0, 3] * k[1, 2]
     disc = max((0.5 * s) ** 2 - pf * pf, 0.0)
     return float(np.sqrt(max(0.5 * s + np.sqrt(disc), 0.0)))
-
-
-def is_numerically_antisymmetric(mat: np.ndarray, atol: float = 1e-12) -> bool:
-    mat = np.asarray(mat)
-    return bool(np.all(np.abs(mat + mat.T) <= atol))
-
-
-def check_orthogonal(o: np.ndarray, atol: float = EIG_TOL * 100) -> bool:
-    d = o.shape[0]
-    return bool(np.linalg.norm(o @ o.T - np.eye(d), ord=2) <= atol)

@@ -1,4 +1,6 @@
+import functools
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -248,3 +250,162 @@ def test_state_from_cm_mode_cap(random_cm_factory):
     cm = random_cm_factory(2)
     with pytest.raises(TooManyModesError):
         oracle.state_from_cm(fgs.CovarianceMatrix(cm.body, 13))
+
+
+# -- dense reference ----------------------------------------------------------
+# The oracle works on Pauli strings (flip mask and phase); these are the dense
+# Jordan-Wigner kron products and matrix products it replaced, kept as the
+# reference the string arithmetic is pinned to.
+
+_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
+_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+
+
+@functools.cache
+def _ref_gammas(n):
+    gammas = []
+    for j in range(n):
+        for letter in (_X, _Y):
+            op = np.eye(1, dtype=complex)
+            for factor in [-_Z] * j + [letter] + [np.eye(2)] * (n - j - 1):
+                op = np.kron(op, factor)
+            gammas.append(op)
+    return tuple(gammas)
+
+
+def _ref_state(rotation, lambdas, n):
+    gammas = _ref_gammas(n)
+    dim = 2**n
+    rho = np.eye(dim, dtype=complex)
+    for j, lam in enumerate(lambdas):
+        g_a = sum(rotation[q, 2 * j] * gammas[q] for q in range(2 * n))
+        g_b = sum(rotation[q, 2 * j + 1] * gammas[q] for q in range(2 * n))
+        rho = rho @ (np.eye(dim) + 1j * lam * g_a @ g_b)
+    return rho / dim
+
+
+def _ref_moment(rho, n, idx):
+    """Re Tr(i^(|idx|/2) γ_idx[0] γ_idx[1] … ρ) from dense products."""
+    gammas = _ref_gammas(n)
+    op = np.eye(2**n, dtype=complex)
+    for i in idx:
+        op = op @ gammas[i]
+    return float(np.trace((1j) ** (len(idx) // 2) * op @ rho).real)
+
+
+def _ref_cm(rho, n):
+    d = 2 * n
+    m = np.zeros((d, d))
+    for p, q in itertools.combinations(range(d), 2):
+        m[p, q] = _ref_moment(rho, n, (p, q))
+        m[q, p] = -m[p, q]
+    return m
+
+
+def _random_even_state(rng, n):
+    """A random full-rank parity-even density matrix, in general not Gaussian."""
+    dim = 2**n
+    w = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    rho = w @ w.conj().T
+    signs = np.diag(oracle.parity_operator(n)).real
+    rho[np.not_equal.outer(signs, signs)] = 0.0
+    return rho / np.trace(rho).real
+
+
+class TestDenseReference:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_jordan_wigner_matches_kron(self, n):
+        for got, want in zip(oracle.jordan_wigner(n).gammas, _ref_gammas(n), strict=True):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_state_from_cm(self, n, rng, random_cm_factory):
+        for _ in range(4):
+            cm = random_cm_factory(n)
+            form = matalg.canonical_form(cm.body)
+            want = _ref_state(form.rotation, np.clip(form.lambdas, -1.0, 1.0), n)
+            assert np.max(np.abs(oracle.state_from_cm(cm).rho - want)) < 1e-12
+        # unphysical canonical values too, which the dense-PSD test relies on
+        q, _ = np.linalg.qr(rng.standard_normal((2 * n, 2 * n)))
+        lams = rng.uniform(-1.15, 1.15, size=n)
+        got = oracle._state_from_canonical(q, lams, n)
+        assert np.max(np.abs(got - _ref_state(q, lams, n))) < 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_cm_from_state(self, n, rng, random_cm_factory):
+        gaussian = [oracle.state_from_cm(random_cm_factory(n)).rho for _ in range(3)]
+        weights = rng.dirichlet(np.ones(3))
+        states = gaussian + [
+            sum(w * rho for w, rho in zip(weights, gaussian)),
+            _random_even_state(rng, n),
+        ]
+        for rho in states:
+            got = oracle.cm_from_state(oracle.DenseState(n, rho)).mat
+            assert np.max(np.abs(got - _ref_cm(rho, n))) < 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_wick_every_even_subset(self, n, rng, random_cm_factory):
+        cm = random_cm_factory(n)
+        for rho in (oracle.state_from_cm(cm).rho, _random_even_state(rng, n)):
+            state = oracle.DenseState(n, rho)
+            for size in range(0, min(6, 2 * n) + 1, 2):
+                for idx in itertools.combinations(range(2 * n), size):
+                    lhs, _ = oracle.wick_check(state, cm, idx)
+                    assert abs(lhs - _ref_moment(rho, n, idx)) < 1e-12
+
+
+class TestDenseState:
+    def test_rejects_small_parity_violation(self):
+        rho = np.eye(4, dtype=complex) / 4.0
+        rho[0, 3] = rho[3, 0] = 1e-9  # |00><11| keeps parity
+        oracle.DenseState(2, rho)
+        rho[0, 1] = rho[1, 0] = 1e-9  # |00><01| breaks it
+        with pytest.raises(ValueError, match="parity"):
+            oracle.DenseState(2, rho)
+
+    def test_frozen(self):
+        state = oracle.DenseState(1, np.diag([1.0, 0.0]))
+        assert repr(state) == "DenseState(n=1)"
+        with pytest.raises(AttributeError):
+            state.n = 2
+        with pytest.raises(AttributeError):
+            state.rho = np.eye(2)
+        with pytest.raises(ValueError):
+            state.rho[0, 0] = 0.5
+        with pytest.raises(AttributeError):
+            oracle.jordan_wigner(1).gammas = ()
+
+    def test_unchecked(self):
+        state = oracle.DenseState(1, np.eye(2), check=False)
+        assert np.trace(state.rho) == 2.0
+        with pytest.raises(ValueError, match="trace"):
+            oracle.DenseState(1, np.eye(2), True)
+
+
+class TestMemoryGuard:
+    def test_dense_jordan_wigner_refused_before_allocation(self):
+        # 24 matrices of 4096 x 4096 complex entries: about 6 GiB
+        start = time.perf_counter()
+        with pytest.raises(TooManyModesError, match="GiB"):
+            oracle.jordan_wigner(12)
+        assert time.perf_counter() - start < 1.0
+
+    def test_every_dense_allocation_checks_the_cap(self, monkeypatch, random_cm_factory):
+        monkeypatch.setattr(oracle, "DENSE_BYTES_CAP", 2**10)
+        with pytest.raises(TooManyModesError):
+            oracle.state_from_cm(random_cm_factory(3))
+        with pytest.raises(TooManyModesError):
+            oracle.parity_operator(11)
+        with pytest.raises(TooManyModesError):
+            oracle.jordan_wigner(3)
+
+
+@pytest.mark.slow
+def test_roundtrip_and_wick_pairs_at_ten_modes(random_cm_factory):
+    cm = random_cm_factory(10)
+    state = oracle.state_from_cm(cm)
+    assert np.max(np.abs(oracle.cm_from_state(state).mat - cm.mat)) < 1e-9
+    for idx in itertools.combinations(range(20), 2):
+        lhs, rhs = oracle.wick_check(state, cm, idx)
+        assert abs(lhs - rhs) < 1e-9
