@@ -20,7 +20,12 @@ EIG_TOL = 1e-10
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Tolerances and solver budget shared by all entry points."""
+    """Tolerances and solver budget shared by all entry points.
+
+    max_iters caps the interior-point iterations of one solver run (a
+    run usually takes fewer than 15). seed drives the randomized
+    oracle-verify suites; the solver is deterministic and ignores it.
+    """
 
     eps_psd: float = EPS_PSD
     eps_feas: float = EPS_FEAS

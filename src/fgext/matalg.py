@@ -4,8 +4,8 @@ Everything downstream reduces to three structural facts about a real
 antisymmetric matrix K:
 
 * iK is Hermitian with spectrum symmetric about zero, computable on the
-  real symmetric embedding [[A, -B], [B, A]] of A + iB (so the whole
-  package needs only real eigensolvers);
+  real symmetric embedding [[A, -B], [B, A]] of A + iB (so this module
+  needs only real eigensolvers);
 * K = O (⊕_j [[0, λ_j], [-λ_j, 0]]) O^T for some special orthogonal O;
 * Pf(K)^2 = det(K), with Pf evaluated stably by Parlett-Reid elimination.
 """
