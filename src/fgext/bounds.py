@@ -21,6 +21,7 @@ import numpy as np
 from . import matalg
 from .errors import OutOfRangeError, WrongSplitError
 from .fgs import BipartiteCM, validate_cm
+from .solver import minimize
 
 __all__ = [
     "DeFinettiReport",
@@ -94,9 +95,6 @@ def lower_bound_two_mode(b: BipartiteCM, grid: int = 201) -> float:
     set. Grid scan plus a simplex refinement of the closed-form 4x4
     eigenvalue expression; the objective is convex in (a, b).
     """
-    # imported here, its only user, so that importing fgext does not load it
-    from scipy.optimize import minimize
-
     if b.n_a != 1 or b.n_b != 1:
         raise WrongSplitError("closed-form lower bound needs one mode per side")
     m = b.mat

@@ -36,7 +36,7 @@ import numpy as np
 from .config import RunConfig, DEFAULT_CONFIG
 from .errors import SolverStalledError
 
-__all__ = ["MatrixConstraint", "SolverOutcome", "max_margin"]
+__all__ = ["MatrixConstraint", "SolverOutcome", "max_margin", "minimize"]
 
 #: Relative duality gaps accepted at convergence and at a breakdown.
 GAP_TOL = 1e-8
@@ -66,9 +66,15 @@ class SolverOutcome:
 
     margin: float
     deltas: tuple
-    converged: bool
     iterations: int
     bound: float
+
+
+def minimize(*args, **kwargs):
+    """scipy.optimize.minimize for bounds.lower_bound_two_mode; max_margin
+    does not use it. Imported on the first call, not with fgext."""
+    from scipy.optimize import minimize as scipy_minimize
+    return scipy_minimize(*args, **kwargs)
 
 
 def _hermitian(constraint, deltas):
@@ -142,10 +148,8 @@ def _newton_step(basis, xs, zs, rhs):
     dy, dxs, dzs = direction(rhs, 0.0, [0.0] * len(xs))
     a_p = _step_to_boundary(lx_inv, dxs, 1.0)
     a_d = _step_to_boundary(lz_inv, dzs, 1.0)
-    mu_aff = sum(
-        np.real(np.vdot(x + a_p * dx, z + a_d * dz))
-        for x, dx, z, dz in zip(xs, dxs, zs, dzs)
-    ) / size
+    pairs = zip(xs, dxs, zs, dzs)
+    mu_aff = sum(np.real(np.vdot(x + a_p * dx, z + a_d * dz)) for x, dx, z, dz in pairs) / size
     sigma_mu = min(1.0, (mu_aff / mu) ** 3) * mu
     # corrector: centring towards σμ plus Mehrotra's second-order term
     cross = [dx @ dz for dx, dz in zip(dxs, dzs)]
@@ -189,11 +193,11 @@ def max_margin(constraints, var_dims, warm_start, config: RunConfig = DEFAULT_CO
     eps = config.eps_feas
     margin = _objective(constraints, warm_start)
     if not var_dims:
-        return SolverOutcome(margin, (), True, 0, margin)
+        return SolverOutcome(margin, (), 0, margin)
     size = sum(c.dim for c in constraints)
     if margin >= 0.0:
         bound = sum(float(np.trace(c.sym_part)) for c in constraints) / size
-        return SolverOutcome(margin, tuple(warm_start), True, 0, bound)
+        return SolverOutcome(margin, tuple(warm_start), 0, bound)
 
     triu = [np.triu_indices(d, 1) for d in var_dims]
     basis = [_basis(c, var_dims) for c in constraints]
@@ -211,7 +215,7 @@ def max_margin(constraints, var_dims, warm_start, config: RunConfig = DEFAULT_CO
             deltas.append(upper - upper.T)
         margin = _objective(constraints, deltas)
         bound = sum(float(np.real(np.vdot(c, x))) for c, x in zip(const, xs))
-        outcome = SolverOutcome(margin, tuple(deltas), True, it, bound)
+        outcome = SolverOutcome(margin, tuple(deltas), it, bound)
         scale = max(1.0, abs(bound))
         if margin >= -min(eps, config.eps_psd) or (
             bound < -eps and bound - margin <= GAP_TOL * scale

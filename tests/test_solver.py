@@ -183,6 +183,16 @@ class TestProperties:
 
 
 def test_import_leaves_scipy_optimize_unloaded():
-    code = "import sys, fgext; print('scipy.optimize' in sys.modules)"
+    code = (
+        "import sys, fgext, fgext.bounds as bd; print('scipy.optimize' in sys.modules); "
+        "bd.lower_bound_two_mode(bd.family_cm(2, 2)); print('scipy.optimize' in sys.modules)"
+    )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["False", "True"]
+
+
+def test_minimize_is_scipy_minimize():
+    res = solver.minimize(lambda x: float((x[0] - 0.3) ** 2 + (x[1] + 0.2) ** 2),
+                          np.zeros(2), method="Nelder-Mead",
+                          options=dict(xatol=1e-10, fatol=1e-12))
+    assert np.allclose(res.x, [0.3, -0.2], atol=1e-8)
