@@ -20,7 +20,7 @@ import numpy as np
 
 from . import matalg
 from .errors import OutOfRangeError, WrongSplitError
-from .fgs import BipartiteCM, validate_cm
+from .fgs import BipartiteCM, binary_entropy, validate_cm
 from .solver import minimize
 
 __all__ = [
@@ -44,15 +44,6 @@ class DeFinettiReport:
     esq_upper: float
     trace_lower: Optional[float] = None
     family_params: Optional[tuple] = None
-
-
-def binary_entropy(x: float) -> float:
-    """h(x) = -x log2 x - (1-x) log2 (1-x), with h(0) = h(1) = 0 exactly."""
-    if not 0.0 <= x <= 1.0:
-        raise OutOfRangeError(f"binary entropy argument {x} outside [0, 1]")
-    if x == 0.0 or x == 1.0:
-        return 0.0
-    return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
 def definetti_bounds(n_a: int, n_b: int, k1: int, k2: int) -> DeFinettiReport:

@@ -19,6 +19,7 @@ from .errors import (
     InvalidParameterError,
     NegativeDeterminantError,
     NotBonaFideError,
+    OutOfRangeError,
     SingularStateError,
     WrongSplitError,
 )
@@ -35,11 +36,11 @@ __all__ = [
     "marginal",
     "product_cm",
     "overlap",
+    "binary_entropy",
     "gaussian_entropy",
     "mutual_information",
     "e_cq",
     "hamiltonian_from_cm",
-    "check_parity_superselection_cm",
 ]
 
 
@@ -238,16 +239,24 @@ def overlap(m1: CovarianceMatrix, m2: CovarianceMatrix) -> float:
     return math.sqrt(max(det, 0.0))
 
 
-def _binary_entropy(x: float) -> float:
-    if x <= 0.0 or x >= 1.0:
+def binary_entropy(x: float) -> float:
+    """h(x) = -x log2 x - (1-x) log2 (1-x), with h(0) = h(1) = 0 exactly."""
+    if not 0.0 <= x <= 1.0:
+        raise OutOfRangeError(f"binary entropy argument {x} outside [0, 1]")
+    if x == 0.0 or x == 1.0:
         return 0.0
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
 def gaussian_entropy(m: CovarianceMatrix) -> float:
-    """Von Neumann entropy in bits: S = Σ_j h((1 + λ_j)/2)."""
+    """Von Neumann entropy in bits: S = Σ_j h((1 + λ_j)/2).
+
+    Validation admits |λ_j| up to 1 + eps_psd, so (1 + λ_j)/2 is clipped
+    into [0, 1] first.
+    """
     lams = matalg.canonical_form(m.body).lambdas
-    return float(sum(_binary_entropy((1.0 + lam) / 2.0) for lam in lams))
+    probs = np.clip((1.0 + lams) / 2.0, 0.0, 1.0)
+    return float(sum(binary_entropy(float(p)) for p in probs))
 
 
 def mutual_information(b: BipartiteCM) -> float:
@@ -278,10 +287,3 @@ def hamiltonian_from_cm(m: CovarianceMatrix) -> matalg.AntisymmetricMatrix:
     h_form = matalg.CanonicalForm(form.rotation, 2.0 * np.arctanh(form.lambdas))
     return matalg.AntisymmetricMatrix(h_form.reconstruct())
 
-
-def check_parity_superselection_cm(m: CovarianceMatrix) -> bool:
-    """CM-level states always satisfy parity superselection.
-
-    Exists for interface symmetry with the dense oracle's parity check.
-    """
-    return isinstance(m, CovarianceMatrix)

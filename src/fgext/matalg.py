@@ -4,14 +4,18 @@ Everything downstream reduces to three structural facts about a real
 antisymmetric matrix K:
 
 * iK is Hermitian with spectrum symmetric about zero, computable on the
-  real symmetric embedding [[A, -B], [B, A]] of A + iB (so this module
-  needs only real eigensolvers);
-* K = O (⊕_j [[0, λ_j], [-λ_j, 0]]) O^T for some special orthogonal O;
+  real symmetric embedding [[A, -B], [B, A]] of A + iB;
+* K = O (⊕_j [[0, λ_j], [-λ_j, 0]]) O^T for some special orthogonal O,
+  whose rotation planes are the real and imaginary parts of the
+  eigenvectors of iK;
 * Pf(K)^2 = det(K), with Pf evaluated stably by Parlett-Reid elimination.
+
+numpy's eigensolvers cover all three, so the module needs no scipy.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
-from scipy.linalg import schur
 
 from .config import EIG_TOL, EPS_PSD
 from .errors import DimensionMismatchError, DimensionOddError, NotAntisymmetricError
@@ -66,26 +70,24 @@ class AntisymmetricMatrix:
         return f"AntisymmetricMatrix(dim={self.dim})"
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class CanonicalForm:
     """Block canonical form K = O (⊕_j [[0, λ_j], [-λ_j, 0]]) O^T.
 
     ``rotation`` is special orthogonal; ``lambdas`` are sorted in
     descending order, nonnegative except possibly the last one, whose
-    sign absorbs the orientation needed to keep det(O) = +1.
+    sign absorbs the orientation needed to keep det(O) = +1. Both arrays
+    are read-only.
     """
 
-    __slots__ = ("rotation", "lambdas")
+    rotation: np.ndarray
+    lambdas: np.ndarray
 
-    def __init__(self, rotation: np.ndarray, lambdas: np.ndarray):
-        rotation = np.array(rotation, dtype=float)
-        lambdas = np.array(lambdas, dtype=float)
-        rotation.setflags(write=False)
-        lambdas.setflags(write=False)
-        object.__setattr__(self, "rotation", rotation)
-        object.__setattr__(self, "lambdas", lambdas)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CanonicalForm is immutable")
+    def __post_init__(self):
+        for name in ("rotation", "lambdas"):
+            arr = np.array(getattr(self, name), dtype=float)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     def block_matrix(self) -> np.ndarray:
         """The direct sum ⊕_j [[0, λ_j], [-λ_j, 0]]."""
@@ -202,65 +204,39 @@ def pfaffian(k) -> float:
     return float(value)
 
 
-def _extract_blocks(t: np.ndarray, tol: float):
-    """Walk the quasi-triangular diagonal, yielding (index, lam) 2x2 blocks.
-
-    Isolated 1x1 (zero) blocks are paired up afterwards.
-    """
-    d = t.shape[0]
-    pairs = []
-    singles = []
-    i = 0
-    while i < d:
-        if i + 1 < d and abs(t[i + 1, i]) > tol:
-            pairs.append((i, i + 1, 0.5 * (t[i, i + 1] - t[i + 1, i])))
-            i += 2
-        else:
-            singles.append(i)
-            i += 1
-    for a, b in zip(singles[::2], singles[1::2]):
-        pairs.append((a, b, 0.0))
-    return pairs
-
-
 def canonical_form(k) -> CanonicalForm:
-    """Canonical form of an antisymmetric matrix via the real Schur decomposition.
+    """Canonical form of an antisymmetric matrix from the eigenvectors of iK.
 
-    Post-processing: λ signs are made nonnegative by swapping the two
-    columns of the offending block, blocks are sorted by descending |λ|,
-    and if the accumulated column operations leave det(O) = -1 the last
-    block's λ sign is flipped instead (so O stays special orthogonal).
+    An eigenvector a + ib of iK with eigenvalue λ >= 0 satisfies
+    K b = -λ a and K a = λ b, so (b, a) spans a rotation plane of the
+    block [[0, λ], [-λ, 0]]. The planes of the n largest eigenvalues are
+    re-orthonormalised by QR: the eigenvectors of a zero or near-zero ±λ
+    pair may mix the two signs, which leaves their real and imaginary
+    parts inside the pair's invariant subspace but not orthonormal. Each
+    λ_j is then read from O^T K O. A negative λ_j has its first column
+    negated, blocks are sorted by descending λ, and if det(O) = -1 the
+    last block's first column and λ sign are flipped (so O stays special
+    orthogonal).
     """
     mat = _as_mat(k)
     d = mat.shape[0]
-    if d == 0:
-        return CanonicalForm(np.eye(0), np.zeros(0))
-    t, q = schur(mat, output="real")
-    scale = max(np.max(np.abs(mat)), 1.0)
-    blocks = _extract_blocks(t, 1e-12 * scale)
-
-    cols = []
-    lams = []
-    for i, j, lam in blocks:
-        if lam >= 0:
-            cols.append((q[:, i], q[:, j]))
-            lams.append(lam)
-        else:
-            # swap the pair to flip the block orientation
-            cols.append((q[:, j], q[:, i]))
-            lams.append(-lam)
-    order = np.argsort(-np.array(lams), kind="stable")
-    lams = [lams[idx] for idx in order]
-    cols = [cols[idx] for idx in order]
-
-    o = np.empty((d, d))
-    for slot, (u, v) in enumerate(cols):
-        o[:, 2 * slot] = u
-        o[:, 2 * slot + 1] = v
+    n = d // 2
+    _, vecs = np.linalg.eigh(1j * mat)
+    top = vecs[:, ::-1][:, :n]
+    planes = np.empty((d, d))
+    planes[:, 0::2] = top.imag
+    planes[:, 1::2] = top.real
+    o, _ = np.linalg.qr(planes)
+    lams = np.einsum("ij,ik,kj->j", o[:, 0::2], mat, o[:, 1::2])
+    o[:, 0::2] *= np.where(lams < 0, -1.0, 1.0)
+    lams = np.abs(lams)
+    order = np.argsort(-lams, kind="stable")
+    lams = lams[order]
+    o = o.reshape(d, n, 2)[:, order].reshape(d, d)
     if np.linalg.det(o) < 0:
-        o[:, [d - 2, d - 1]] = o[:, [d - 1, d - 2]]
+        o[:, d - 2] = -o[:, d - 2]
         lams[-1] = -lams[-1]
-    return CanonicalForm(o, np.array(lams))
+    return CanonicalForm(o, lams)
 
 
 def norms(mat: np.ndarray):
@@ -274,15 +250,3 @@ def norms(mat: np.ndarray):
         return 0.0, 0.0
     s = np.linalg.svd(mat, compute_uv=False)
     return float(s[0]), float(np.sum(s))
-
-
-def opnorm_antisym4(k: np.ndarray) -> float:
-    """Operator norm of a 4x4 antisymmetric matrix in closed form.
-
-    With ±ir_1, ±ir_2 the eigenvalues, r² solves r⁴ - s r² + p = 0 where
-    s = ||K||_F²/2 and p = Pf(K)²; the largest root gives the norm.
-    """
-    s = 0.5 * float(np.sum(k * k))
-    pf = k[0, 1] * k[2, 3] - k[0, 2] * k[1, 3] + k[0, 3] * k[1, 2]
-    disc = max((0.5 * s) ** 2 - pf * pf, 0.0)
-    return float(np.sqrt(max(0.5 * s + np.sqrt(disc), 0.0)))

@@ -164,6 +164,12 @@ class TestEntropies:
     def test_vacuum_pure(self):
         assert fgs.gaussian_entropy(fgs.vacuum_cm(1)) == 0.0
 
+    def test_boundary_slack_is_pure(self):
+        # validation admits |λ| = 1 + 1e-12; (1 + λ)/2 is clipped, not rejected
+        for lam in (1.0 + 1e-12, -1.0 - 1e-12):
+            m = fgs.validate_cm(np.array([[0.0, lam], [-lam, 0.0]]))
+            assert fgs.gaussian_entropy(m) == 0.0
+
     def test_maximally_mixed(self):
         assert fgs.gaussian_entropy(fgs.single_mode_cm(0.0)) == pytest.approx(1.0)
 
@@ -250,10 +256,6 @@ class TestHamiltonian:
         rho = expm(0.5 * quad)
         rho = rho / np.trace(rho)
         assert_allclose(rho, oracle.state_from_cm(m).rho, atol=1e-9)
-
-
-def test_parity_superselection_flag(random_cm_factory):
-    assert fgs.check_parity_superselection_cm(random_cm_factory(2)) is True
 
 
 def test_validate_matches_dense_psd(rng):

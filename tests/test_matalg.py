@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from fgext import matalg
+from fgext.bounds import _opnorm_shifted
 from fgext.errors import (
     DimensionMismatchError,
     DimensionOddError,
@@ -190,6 +191,65 @@ class TestCanonicalForm:
         assert_allclose(sorted(np.abs(form.lambdas)), [0.0, 0.0, 0.9], atol=1e-10)
 
 
+def _special_orthogonal(rng, d):
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    return q
+
+
+def _signed_permutation(rng, d):
+    p = np.eye(d)[:, rng.permutation(d)] * rng.choice([-1.0, 1.0], d)
+    if np.linalg.det(p) < 0:
+        p[:, 0] = -p[:, 0]
+    return p
+
+
+# name -> (lambdas for n modes, rotation); every λ pair is checked against
+# hermitian_spectrum, so ordering within a case does not matter
+CANONICAL_CASES = {
+    "repeated": (lambda rng, n: np.r_[np.full(n - 1, 0.5), -0.5], _special_orthogonal),
+    "zeros": (lambda rng, n: np.where(np.arange(n) % 2 == 1, 0.0, rng.uniform(-1, 1, n)),
+              _special_orthogonal),
+    "zeros-axis-aligned": (lambda rng, n: np.where(np.arange(n) % 2 == 0, 0.0, rng.uniform(-1, 1, n)),
+                           _signed_permutation),
+    "tiny-pair": (lambda rng, n: np.r_[rng.uniform(-1, 1, n - 1), -1e-10], _special_orthogonal),
+    "pure": (lambda rng, n: rng.choice([-1.0, 1.0], n), _special_orthogonal),
+    "vacuum": (lambda rng, n: -np.ones(n), lambda rng, d: np.eye(d)),
+}
+
+
+class TestCanonicalFormCases:
+    @pytest.mark.parametrize("n", range(1, 10))
+    @pytest.mark.parametrize("case", sorted(CANONICAL_CASES))
+    def test_case(self, rng, case, n):
+        draw_lams, draw_rotation = CANONICAL_CASES[case]
+        lams = draw_lams(rng, n)
+        q = draw_rotation(rng, 2 * n)
+        k = matalg.antisymmetrize(q @ matalg.CanonicalForm(np.eye(2 * n), lams).block_matrix() @ q.T).mat
+        form = matalg.canonical_form(k)
+        o = form.rotation
+        assert np.max(np.abs(form.reconstruct() - k)) <= 1e-12 * max(1.0, np.max(np.abs(k)))
+        assert np.linalg.norm(o @ o.T - np.eye(2 * n), ord=2) <= 1e-12
+        assert np.linalg.det(o) == pytest.approx(1.0, abs=1e-12)
+        got = form.lambdas
+        assert all(got[i] >= got[i + 1] for i in range(n - 1))
+        assert np.all(got[:-1] >= 0)
+        assert_allclose(np.sort(np.abs(got)), matalg.hermitian_spectrum(k)[n:], rtol=0, atol=1e-12)
+        if case == "vacuum":
+            # Pf of the n-mode vacuum is (-1)^n, and det(O) = +1 puts that sign on the last λ
+            assert_allclose(got, np.r_[np.ones(n - 1), (-1.0) ** n], rtol=0, atol=1e-12)
+
+    def test_frozen(self):
+        form = matalg.canonical_form(VACUUM)
+        with pytest.raises(AttributeError):
+            form.lambdas = np.zeros(1)
+        with pytest.raises(ValueError):
+            form.rotation[0, 0] = 2.0
+        with pytest.raises(ValueError):
+            form.lambdas[0] = 2.0
+
+
 class TestRealifyPsdCheck:
     def test_vacuum_boundary(self):
         low, ok = matalg.realify_psd_check(np.eye(2), VACUUM)
@@ -250,11 +310,12 @@ class TestNorms:
 
 
 class TestOpnormAntisym4:
+    # the closed form lives in bounds, where lower_bound_two_mode shifts it
     def test_matches_eigensolver(self, rng):
         for _ in range(30):
             k = random_antisymmetric(rng, 4)
             spec = matalg.hermitian_spectrum(k)
-            assert matalg.opnorm_antisym4(k) == pytest.approx(
+            assert _opnorm_shifted(k, 0.0, 0.0) == pytest.approx(
                 max(abs(spec[0]), abs(spec[-1])), abs=1e-10
             )
 
@@ -264,4 +325,4 @@ class TestOpnormAntisym4:
             k = np.zeros((4, 4))
             k[perm[0], perm[1]] = 1.0
             k[perm[1], perm[0]] = -1.0
-            assert matalg.opnorm_antisym4(k) == pytest.approx(1.0)
+            assert _opnorm_shifted(k, 0.0, 0.0) == pytest.approx(1.0)

@@ -191,6 +191,12 @@ def test_import_leaves_scipy_optimize_unloaded():
     assert out.stdout.split() == ["False", "True"]
 
 
+def test_import_cli_loads_no_scipy():
+    code = "import sys, fgext.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 def test_minimize_is_scipy_minimize():
     res = solver.minimize(lambda x: float((x[0] - 0.3) ** 2 + (x[1] + 0.2) ** 2),
                           np.zeros(2), method="Nelder-Mead",
