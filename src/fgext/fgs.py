@@ -256,7 +256,7 @@ def gaussian_entropy(m: CovarianceMatrix) -> float:
     """
     lams = matalg.canonical_form(m.body).lambdas
     probs = np.clip((1.0 + lams) / 2.0, 0.0, 1.0)
-    return float(sum(binary_entropy(float(p)) for p in probs))
+    return float(sum(binary_entropy(p) for p in probs))
 
 
 def mutual_information(b: BipartiteCM) -> float:

@@ -10,7 +10,7 @@ antisymmetric matrix K:
   eigenvectors of iK;
 * Pf(K)^2 = det(K), with Pf evaluated stably by Parlett-Reid elimination.
 
-numpy's eigensolvers cover all three, so the module needs no scipy.
+All three need numpy alone; the module imports no scipy.
 """
 
 from dataclasses import dataclass

@@ -134,6 +134,34 @@ class TestPfaffian:
         assert matalg.pfaffian(k) == 0.0
 
 
+def _special_orthogonal(rng, d):
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    return q
+
+
+def _signed_permutation(rng, d):
+    p = np.eye(d)[:, rng.permutation(d)] * rng.choice([-1.0, 1.0], d)
+    if np.linalg.det(p) < 0:
+        p[:, 0] = -p[:, 0]
+    return p
+
+
+# name -> (lambdas for n modes, rotation); every λ pair is checked against
+# hermitian_spectrum, so ordering within a case does not matter
+CANONICAL_CASES = {
+    "repeated": (lambda rng, n: np.r_[np.full(n - 1, 0.5), -0.5], _special_orthogonal),
+    "zeros": (lambda rng, n: np.where(np.arange(n) % 2 == 1, 0.0, rng.uniform(-1, 1, n)),
+              _special_orthogonal),
+    "zeros-axis-aligned": (lambda rng, n: np.where(np.arange(n) % 2 == 0, 0.0, rng.uniform(-1, 1, n)),
+                           _signed_permutation),
+    "tiny-pair": (lambda rng, n: np.r_[rng.uniform(-1, 1, n - 1), -1e-10], _special_orthogonal),
+    "pure": (lambda rng, n: rng.choice([-1.0, 1.0], n), _special_orthogonal),
+    "vacuum": (lambda rng, n: -np.ones(n), lambda rng, d: np.eye(d)),
+}
+
+
 class TestCanonicalForm:
     def test_vacuum_sign_convention(self):
         form = matalg.canonical_form(VACUUM)
@@ -190,39 +218,9 @@ class TestCanonicalForm:
         assert np.linalg.norm(form.reconstruct() - k, ord=2) < 1e-9
         assert_allclose(sorted(np.abs(form.lambdas)), [0.0, 0.0, 0.9], atol=1e-10)
 
-
-def _special_orthogonal(rng, d):
-    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
-    if np.linalg.det(q) < 0:
-        q[:, 0] = -q[:, 0]
-    return q
-
-
-def _signed_permutation(rng, d):
-    p = np.eye(d)[:, rng.permutation(d)] * rng.choice([-1.0, 1.0], d)
-    if np.linalg.det(p) < 0:
-        p[:, 0] = -p[:, 0]
-    return p
-
-
-# name -> (lambdas for n modes, rotation); every λ pair is checked against
-# hermitian_spectrum, so ordering within a case does not matter
-CANONICAL_CASES = {
-    "repeated": (lambda rng, n: np.r_[np.full(n - 1, 0.5), -0.5], _special_orthogonal),
-    "zeros": (lambda rng, n: np.where(np.arange(n) % 2 == 1, 0.0, rng.uniform(-1, 1, n)),
-              _special_orthogonal),
-    "zeros-axis-aligned": (lambda rng, n: np.where(np.arange(n) % 2 == 0, 0.0, rng.uniform(-1, 1, n)),
-                           _signed_permutation),
-    "tiny-pair": (lambda rng, n: np.r_[rng.uniform(-1, 1, n - 1), -1e-10], _special_orthogonal),
-    "pure": (lambda rng, n: rng.choice([-1.0, 1.0], n), _special_orthogonal),
-    "vacuum": (lambda rng, n: -np.ones(n), lambda rng, d: np.eye(d)),
-}
-
-
-class TestCanonicalFormCases:
     @pytest.mark.parametrize("n", range(1, 10))
     @pytest.mark.parametrize("case", sorted(CANONICAL_CASES))
-    def test_case(self, rng, case, n):
+    def test_cases(self, rng, case, n):
         draw_lams, draw_rotation = CANONICAL_CASES[case]
         lams = draw_lams(rng, n)
         q = draw_rotation(rng, 2 * n)
