@@ -10,6 +10,11 @@ T = (2/sqrt(k1 k2)) min(n_A, n_B, sqrt(k1 k2)):
 The two-mode family M(k1, k2) built from a Bell pair through per-side
 transmissivity-1/k losses realizes the scaling: distance to the
 separable set is between 1/sqrt(k1 k2) and 2/sqrt(k1 k2).
+
+For a covariance matrix with cross block X both sides of that bracket
+are singular values of X: ||X||_op is the closed-form lower bound on a
+1 + 1 split (lower_bound_two_mode) and ||X||_1 bounds the distance to
+the marginal product from above (trace_upper_from_cm).
 """
 
 import math
@@ -21,7 +26,6 @@ import numpy as np
 from . import matalg
 from .errors import OutOfRangeError, WrongSplitError
 from .fgs import BipartiteCM, binary_entropy, validate_cm
-from .solver import minimize
 
 __all__ = [
     "DeFinettiReport",
@@ -67,45 +71,18 @@ def trace_upper_from_cm(b: BipartiteCM) -> float:
     return matalg.norms(b.block_x)[1]
 
 
-def _opnorm_shifted(m: np.ndarray, a: float, b: float):
-    """Closed-form operator norm of M - blockdiag(a J, b J) for a 2+2 split."""
-    k01 = m[0, 1] - a
-    k23 = m[2, 3] - b
-    k02, k03, k12, k13 = m[0, 2], m[0, 3], m[1, 2], m[1, 3]
-    s = k01 * k01 + k23 * k23 + k02 * k02 + k03 * k03 + k12 * k12 + k13 * k13
-    pf = k01 * k23 - k02 * k13 + k03 * k12
-    disc = np.maximum((0.5 * s) ** 2 - pf * pf, 0.0)
-    return np.sqrt(np.maximum(0.5 * s + np.sqrt(disc), 0.0))
-
-
-def lower_bound_two_mode(b: BipartiteCM, grid: int = 201) -> float:
+def lower_bound_two_mode(b: BipartiteCM) -> float:
     """inf over separable CMs diag(aJ, bJ), |a|,|b| <= 1 of ||M - M_sep||_op.
 
     Separable fermionic states have block-diagonal covariance matrices,
     so this infimum lower-bounds the trace distance to the separable
-    set. Grid scan plus a simplex refinement of the closed-form 4x4
-    eigenvalue expression; the objective is convex in (a, b).
+    set. It equals ||X||_op: X is the off-diagonal block of every
+    M - M_sep, and a block has no larger operator norm than the whole;
+    the marginal product diag(M_A, M_B), which is bona fide, attains it.
     """
     if b.n_a != 1 or b.n_b != 1:
         raise WrongSplitError("closed-form lower bound needs one mode per side")
-    m = b.mat
-    axis = np.linspace(-1.0, 1.0, grid)
-    aa, bb = np.meshgrid(axis, axis, indexing="ij")
-    values = _opnorm_shifted(m, aa, bb)
-    i, j = np.unravel_index(np.argmin(values), values.shape)
-    best_grid = float(values[i, j])
-
-    def objective(t):
-        return float(_opnorm_shifted(m, min(max(t[0], -1.0), 1.0),
-                                     min(max(t[1], -1.0), 1.0)))
-
-    res = minimize(
-        objective,
-        np.array([axis[i], axis[j]]),
-        method="Nelder-Mead",
-        options=dict(xatol=1e-13, fatol=1e-14, maxfev=4000),
-    )
-    return min(best_grid, float(res.fun))
+    return matalg.norms(b.block_x)[0]
 
 
 def family_cm(k1: int, k2: int) -> BipartiteCM:

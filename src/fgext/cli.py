@@ -7,7 +7,6 @@ oracle-verify. Output is JSON by default (stable key set, sorted keys);
 """
 
 import argparse
-import concurrent.futures
 import json
 import os
 import sys
@@ -176,11 +175,7 @@ def _cmd_family(args, config):
         if len(tuples) != 1:
             raise ParseError("--emit requires a single (k1, k2) tuple")
         io.save_cm(args.emit, bounds_mod.family_cm(*tuples[0]))
-    if args.jobs > 1 and len(tuples) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            records = list(pool.map(lambda t: _family_record(*t), tuples))
-    else:
-        records = [_family_record(*t) for t in tuples]
+    records = [_family_record(*t) for t in tuples]
     _emit(records if len(records) > 1 else records[0], config)
     return EXIT_OK
 
@@ -274,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k1-max", type=int, default=None)
     p.add_argument("--k2-max", type=int, default=None)
     p.add_argument("--emit", default=None, metavar="OUT.cm")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_family)
 
     p = sub.add_parser("channel", help="Gaussian channel classification")

@@ -1,9 +1,8 @@
 """Run configuration and centralized tolerances.
 
-One knob per failure class: eps_psd guards physicality checks, eps_feas
-guards solver-produced witnesses (looser, since those are optimizer
-outputs rather than closed forms), and EIG_TOL fixes the accuracy
-expected of eigenvalue routines.
+One knob per failure class: eps_psd guards physicality checks, and
+eps_feas guards solver-produced witnesses (looser, since those are
+optimizer outputs rather than closed forms).
 """
 
 from dataclasses import dataclass
@@ -13,9 +12,6 @@ EPS_PSD = 1e-9
 
 #: Margin accepted for solver-produced feasibility witnesses.
 EPS_FEAS = 1e-7
-
-#: Accuracy expected of eigenvalue computations.
-EIG_TOL = 1e-10
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ the canonical form.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,17 +45,12 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class CovarianceMatrix:
     """A bona fide covariance matrix plus its mode count."""
 
-    __slots__ = ("body", "modes")
-
-    def __init__(self, body: matalg.AntisymmetricMatrix, modes: int):
-        object.__setattr__(self, "body", body)
-        object.__setattr__(self, "modes", modes)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CovarianceMatrix is immutable")
+    body: matalg.AntisymmetricMatrix
+    modes: int
 
     @property
     def mat(self) -> np.ndarray:
@@ -64,6 +60,7 @@ class CovarianceMatrix:
         return f"CovarianceMatrix(modes={self.modes})"
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class BipartiteCM:
     """A covariance matrix with a declared (n_A, n_B) mode split.
 
@@ -71,21 +68,17 @@ class BipartiteCM:
     2 n_A Majorana indices.
     """
 
-    __slots__ = ("cm", "n_a", "n_b")
+    cm: CovarianceMatrix
+    n_a: int
+    n_b: int
 
-    def __init__(self, cm: CovarianceMatrix, n_a: int, n_b: int):
-        if n_a + n_b != cm.modes:
+    def __post_init__(self):
+        if self.n_a + self.n_b != self.cm.modes:
             raise WrongSplitError(
-                f"split ({n_a}, {n_b}) does not add up to {cm.modes} modes"
+                f"split ({self.n_a}, {self.n_b}) does not add up to {self.cm.modes} modes"
             )
-        if n_a < 1 or n_b < 1:
+        if self.n_a < 1 or self.n_b < 1:
             raise WrongSplitError("both sides of the split need at least one mode")
-        object.__setattr__(self, "cm", cm)
-        object.__setattr__(self, "n_a", n_a)
-        object.__setattr__(self, "n_b", n_b)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BipartiteCM is immutable")
 
     @property
     def mat(self) -> np.ndarray:

@@ -3,21 +3,22 @@
 Everything downstream reduces to three structural facts about a real
 antisymmetric matrix K:
 
-* iK is Hermitian with spectrum symmetric about zero, computable on the
-  real symmetric embedding [[A, -B], [B, A]] of A + iB;
+* iK is Hermitian with spectrum symmetric about zero, and every
+  constraint A + iB (A symmetric, B antisymmetric) is a complex
+  Hermitian matrix that numpy's eigvalsh takes directly;
 * K = O (⊕_j [[0, λ_j], [-λ_j, 0]]) O^T for some special orthogonal O,
   whose rotation planes are the real and imaginary parts of the
   eigenvectors of iK;
 * Pf(K)^2 = det(K), with Pf evaluated stably by Parlett-Reid elimination.
 
-All three need numpy alone; the module imports no scipy.
+All three need numpy alone.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import EIG_TOL, EPS_PSD
+from .config import EPS_PSD
 from .errors import DimensionMismatchError, DimensionOddError, NotAntisymmetricError
 
 __all__ = [
@@ -27,12 +28,12 @@ __all__ = [
     "hermitian_spectrum",
     "pfaffian",
     "canonical_form",
-    "realify",
     "realify_psd_check",
     "norms",
 ]
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class AntisymmetricMatrix:
     """A validated real antisymmetric matrix of even dimension.
 
@@ -41,10 +42,10 @@ class AntisymmetricMatrix:
     read-only; instances are safe to share.
     """
 
-    __slots__ = ("mat",)
+    mat: np.ndarray
 
-    def __init__(self, mat: np.ndarray):
-        mat = _require_even_square(mat)
+    def __post_init__(self):
+        mat = _require_even_square(self.mat)
         residue = np.max(np.abs(mat + mat.T))
         if residue > 1e-12:
             raise NotAntisymmetricError(
@@ -54,9 +55,6 @@ class AntisymmetricMatrix:
         np.fill_diagonal(mat, 0.0)
         mat.setflags(write=False)
         object.__setattr__(self, "mat", mat)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AntisymmetricMatrix is immutable")
 
     @property
     def dim(self) -> int:
@@ -136,42 +134,25 @@ def _as_mat(k) -> np.ndarray:
     return k.mat if isinstance(k, AntisymmetricMatrix) else _require_even_square(k)
 
 
-def realify(a_sym: np.ndarray, b_antisym: np.ndarray) -> np.ndarray:
-    """Real symmetric embedding [[A, -B], [B, A]] of the Hermitian A + iB."""
-    a_sym = np.asarray(a_sym, dtype=float)
-    b = np.asarray(b_antisym, dtype=float)
-    if a_sym.shape != b.shape:
-        raise DimensionMismatchError(
-            f"shape mismatch {a_sym.shape} vs {b.shape}"
-        )
-    return np.block([[a_sym, -b], [b, a_sym]])
-
-
 def hermitian_spectrum(k) -> np.ndarray:
-    """Eigenvalues of the Hermitian matrix iK, ascending.
-
-    They come in ±λ_j pairs. The embedding doubles every eigenvalue, so
-    the sorted doubled list is decimated by two.
-    """
-    mat = _as_mat(k)
-    d = mat.shape[0]
-    doubled = np.linalg.eigvalsh(realify(np.zeros((d, d)), mat))
-    return doubled[::2]
+    """Eigenvalues of the Hermitian matrix iK, ascending, in ±λ_j pairs."""
+    return np.linalg.eigvalsh(1j * _as_mat(k))
 
 
 def min_eigenvalue(a_sym: np.ndarray, b_antisym: np.ndarray) -> float:
     """Smallest eigenvalue of the Hermitian matrix A + iB."""
-    return float(np.linalg.eigvalsh(realify(a_sym, b_antisym))[0])
+    return float(np.linalg.eigvalsh(a_sym + 1j * np.asarray(b_antisym))[0])
 
 
 def realify_psd_check(a_sym: np.ndarray, b_antisym, eps_psd: float = EPS_PSD):
     """Minimum eigenvalue of A + iB and whether it clears -eps_psd.
 
+    B may be an array or an AntisymmetricMatrix.
+
     Returns:
         (min_eig, is_psd) with is_psd = (min_eig >= -eps_psd).
     """
-    mat = _as_mat(b_antisym) if not isinstance(b_antisym, np.ndarray) else b_antisym
-    low = min_eigenvalue(np.asarray(a_sym, dtype=float), np.asarray(mat, dtype=float))
+    low = min_eigenvalue(a_sym, _as_mat(b_antisym))
     return low, bool(low >= -eps_psd)
 
 

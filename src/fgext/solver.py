@@ -71,8 +71,12 @@ class SolverOutcome:
 
 
 def minimize(*args, **kwargs):
-    """scipy.optimize.minimize for bounds.lower_bound_two_mode; max_margin
-    does not use it. Imported on the first call, not with fgext."""
+    """scipy.optimize.minimize, imported on the first call, not with fgext.
+
+    No fgext routine calls it. It stays only because perfbench/spans.py
+    wraps ``solver.minimize`` by name for its solver.polish span; it goes
+    once the benchmark reads solver-reported counters instead.
+    """
     from scipy.optimize import minimize as scipy_minimize
     return scipy_minimize(*args, **kwargs)
 

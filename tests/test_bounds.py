@@ -80,11 +80,30 @@ class TestTraceUpper:
 
 
 class TestLowerBoundTwoMode:
-    @pytest.mark.parametrize("k1", range(1, 7))
-    @pytest.mark.parametrize("k2", range(1, 7))
+    @pytest.mark.parametrize("k1", range(1, 9))
+    @pytest.mark.parametrize("k2", range(1, 9))
     def test_family_tightness(self, k1, k2):
         got = bounds.lower_bound_two_mode(bounds.family_cm(k1, k2))
-        assert got == pytest.approx(1.0 / math.sqrt(k1 * k2), abs=1e-8)
+        assert got == pytest.approx(1.0 / math.sqrt(k1 * k2), abs=1e-12)
+
+    @pytest.mark.parametrize("lam_max", [1.0, 0.999, 0.9, 0.5, 0.1])
+    def test_is_minimum_over_separable_box(self, random_bipartite_factory, rng, lam_max):
+        # ||M - diag(aJ, bJ)||_op from a dense eigensolve never undercuts the
+        # bound on the box |a|, |b| <= 1, and the marginal product attains it
+        jmat = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+        def opnorm_shifted(m, a, c):
+            shift = np.zeros((4, 4))
+            shift[:2, :2], shift[2:, 2:] = a * jmat, c * jmat
+            return float(np.max(np.abs(np.linalg.eigvalsh(1j * (m - shift)))))
+
+        for _ in range(20):
+            b = random_bipartite_factory(1, 1, lam_max)
+            m = b.mat
+            low = bounds.lower_bound_two_mode(b)
+            for a, c in rng.uniform(-1.0, 1.0, size=(10, 2)):
+                assert opnorm_shifted(m, a, c) >= low - 1e-12
+            assert opnorm_shifted(m, m[0, 1], m[2, 3]) == pytest.approx(low, abs=1e-12)
 
     def test_epr(self):
         assert bounds.lower_bound_two_mode(bounds.family_cm(1, 1)) == pytest.approx(1.0)

@@ -136,10 +136,17 @@ class TestAntidegradable:
 
 
 class TestEntanglementBreaking:
-    def test_replacement(self):
-        ch = channels.validate_channel(np.zeros((2, 2)), OMEGA)
-        assert channels.is_entanglement_breaking(ch)
-        assert extend.is_separable_gaussian(channels.choi_cm(ch))
+    def test_replacement(self, random_cm_factory, rng):
+        # every entanglement-breaking verdict comes with a separable Choi state
+        cases = [(np.zeros((2, 2)), OMEGA)]
+        for n_out, n_in in ((1, 1), (2, 1), (1, 2), (2, 3)):
+            for scale in (0.0, 1e-12, 1e-11):
+                x = scale * rng.standard_normal((2 * n_out, 2 * n_in))
+                cases.append((x, random_cm_factory(n_out, 0.9).mat))
+        for x, n in cases:
+            ch = channels.validate_channel(x, n)
+            assert channels.is_entanglement_breaking(ch)
+            assert extend.is_separable_gaussian(channels.choi_cm(ch))
 
     def test_pure_loss_not_eb(self):
         assert not channels.is_entanglement_breaking(channels.pure_loss(0.99))

@@ -143,16 +143,43 @@ class TestFeasibility:
         assert "cross-correlation" in res.certificate
 
 
+def one_sided_matrix_min_eig(b, k, delta_b):
+    """Min eigenvalue of I_A ⊕ (1/k) I_B + i M - i (0 ⊕ (1 - 1/k) Δ_B)."""
+    da = 2 * b.n_a
+    db = 2 * b.n_b
+    sym = np.zeros((da + db, da + db))
+    sym[:da, :da] = np.eye(da)
+    sym[da:, da:] = np.eye(db) / k
+    skew = b.mat.copy()
+    skew[da:, da:] -= (1.0 - 1.0 / k) * delta_b
+    return float(np.linalg.eigvalsh(sym + 1j * skew)[0])
+
+
 class TestOneSided:
     def test_family_one_sided_feasible(self):
-        from fgext.extend import _one_sided_matrix_min_eig
-
         for k in (1, 2, 4, 6):
             b = family_cm(1, k)
             res = extend.one_sided_feasibility(b, k)
             assert res.feasible
             # the displayed one-sided matrix inequality holds for the witness
-            assert _one_sided_matrix_min_eig(b, k, res.delta_b.mat) >= -1e-8
+            assert one_sided_matrix_min_eig(b, k, res.delta_b.mat) >= -1e-8
+
+    def test_random_one_sided_inequality(self, random_bipartite_factory):
+        feasible = 0
+        for n_a, n_b in ((1, 1), (1, 2), (2, 1), (1, 3)):
+            for lam_max in (0.3, 0.7, 1.0):
+                b = random_bipartite_factory(n_a, n_b, lam_max)
+                for k in (1, 2, 3, 5):
+                    res = extend.one_sided_feasibility(b, k)
+                    if res.feasible:
+                        feasible += 1
+                        # the one-sided matrix is the (1, k) joint constraint
+                        # congruence-transformed by I ⊕ k^{-1/2} I, which scales a
+                        # positive margin down by at most k and cannot shrink a
+                        # negative one
+                        low = one_sided_matrix_min_eig(b, k, res.delta_b.mat)
+                        assert low >= min(res.margin / k, res.margin) - 1e-8
+        assert feasible >= 12
 
     def test_bell_at_two(self):
         res = extend.one_sided_feasibility(fgs.bell_cm("phi+"), 2)

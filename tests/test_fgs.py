@@ -11,6 +11,7 @@ from fgext.errors import (
     NegativeDeterminantError,
     NotBonaFideError,
     SingularStateError,
+    WrongSplitError,
 )
 
 VACUUM = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -114,6 +115,29 @@ class TestBlocksAndMarginals:
             b = random_bipartite_factory(n_a, n_b)
             fgs.marginal(b, "A")
             fgs.marginal(b, "B")
+
+
+class TestFrozenTypes:
+    def test_frozen_and_slotted(self):
+        b = family_cm(2, 2)
+        for obj, name, value in ((b, "n_a", 2), (b.cm, "modes", 3), (b.cm.body, "mat", VACUUM)):
+            with pytest.raises(AttributeError):
+                setattr(obj, name, value)
+            assert not hasattr(obj, "__dict__")
+
+    def test_repr(self):
+        b = family_cm(2, 2)
+        assert repr(b) == "BipartiteCM(n_a=1, n_b=1)"
+        assert repr(b.cm) == "CovarianceMatrix(modes=2)"
+        assert repr(b.cm.body) == "AntisymmetricMatrix(dim=4)"
+
+    def test_split_checked_on_construction(self):
+        cm = fgs.vacuum_cm(3)
+        assert (fgs.BipartiteCM(cm, 1, 2).n_a, fgs.BipartiteCM(cm, 2, 1).n_b) == (1, 1)
+        with pytest.raises(WrongSplitError):
+            fgs.BipartiteCM(cm, 1, 1)
+        with pytest.raises(WrongSplitError):
+            fgs.BipartiteCM(cm, 0, 3)
 
 
 class TestOverlap:

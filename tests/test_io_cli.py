@@ -197,13 +197,6 @@ class TestFamilyCmd:
         rows = json.loads(first)
         assert len(rows) == 4
 
-    def test_jobs_matches_serial(self, capsys):
-        run_cli("family", "1", "1", "--k1-max", "2", "--k2-max", "2")
-        serial = capsys.readouterr().out
-        run_cli("family", "1", "1", "--k1-max", "2", "--k2-max", "2", "--jobs", "4")
-        parallel = capsys.readouterr().out
-        assert serial == parallel
-
     def test_emit(self, tmp_path, capsys):
         out_path = str(tmp_path / "fam.cm")
         assert run_cli("family", "2", "2", "--emit", out_path) == 0

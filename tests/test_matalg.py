@@ -1,16 +1,9 @@
-import itertools
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from fgext import matalg
-from fgext.bounds import _opnorm_shifted
-from fgext.errors import (
-    DimensionMismatchError,
-    DimensionOddError,
-    NotAntisymmetricError,
-)
+from fgext.errors import DimensionOddError, NotAntisymmetricError
 
 from conftest import random_antisymmetric
 
@@ -264,10 +257,6 @@ class TestRealifyPsdCheck:
         assert low == pytest.approx(-0.5)
         assert not ok
 
-    def test_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            matalg.realify(np.eye(2), np.zeros((4, 4)))
-
     def test_against_complex_reference(self, rng):
         for n in (1, 2, 3, 4):
             sym = rng.standard_normal((2 * n, 2 * n))
@@ -305,22 +294,3 @@ class TestNorms:
             form = matalg.canonical_form(k)
             _, tr = matalg.norms(k)
             assert tr == pytest.approx(2.0 * np.sum(np.abs(form.lambdas)), rel=1e-9)
-
-
-class TestOpnormAntisym4:
-    # the closed form lives in bounds, where lower_bound_two_mode shifts it
-    def test_matches_eigensolver(self, rng):
-        for _ in range(30):
-            k = random_antisymmetric(rng, 4)
-            spec = matalg.hermitian_spectrum(k)
-            assert _opnorm_shifted(k, 0.0, 0.0) == pytest.approx(
-                max(abs(spec[0]), abs(spec[-1])), abs=1e-10
-            )
-
-    def test_pfaffian_identity_members(self):
-        for perm in itertools.permutations(range(4)):
-            # antisymmetric matrices supported on a single pairing
-            k = np.zeros((4, 4))
-            k[perm[0], perm[1]] = 1.0
-            k[perm[1], perm[0]] = -1.0
-            assert _opnorm_shifted(k, 0.0, 0.0) == pytest.approx(1.0)

@@ -188,7 +188,7 @@ def test_import_leaves_scipy_optimize_unloaded():
         "bd.lower_bound_two_mode(bd.family_cm(2, 2)); print('scipy.optimize' in sys.modules)"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["False", "True"]
+    assert out.stdout.split() == ["False", "False"]
 
 
 def test_import_cli_loads_no_scipy():
