@@ -3,7 +3,7 @@
 Layers:
 
 * matalg  — antisymmetric/Hermitian matrix algebra (spectra, Pfaffian,
-  canonical form, real symmetric embedding);
+  canonical form, norms);
 * fgs     — covariance matrices, standard states, entropies, overlap;
 * oracle  — dense Fock-space ground truth at small mode counts;
 * extend  — the (k1, k2)-extendibility feasibility problem, analytic
@@ -21,9 +21,9 @@ from .matalg import (
     antisymmetrize,
     canonical_form,
     hermitian_spectrum,
+    min_eigenvalue,
     norms,
     pfaffian,
-    realify_psd_check,
 )
 from .fgs import (
     BipartiteCM,
@@ -44,7 +44,6 @@ from .fgs import (
 )
 from .oracle import (
     DenseState,
-    MajoranaSet,
     cm_from_state,
     entropies,
     jordan_wigner,

@@ -19,7 +19,6 @@ the marginal product from above (trace_upper_from_cm).
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -43,11 +42,13 @@ __all__ = [
 @dataclass(frozen=True)
 class DeFinettiReport:
     t: float
-    trace_upper: float
     er_upper: float
     esq_upper: float
-    trace_lower: Optional[float] = None
-    family_params: Optional[tuple] = None
+
+    @property
+    def trace_upper(self) -> float:
+        """The trace-distance bound, which is T itself."""
+        return self.t
 
 
 def definetti_bounds(n_a: int, n_b: int, k1: int, k2: int) -> DeFinettiReport:
@@ -62,8 +63,7 @@ def definetti_bounds(n_a: int, n_b: int, k1: int, k2: int) -> DeFinettiReport:
     t = 2.0 * min(n_a, n_b, root) / root
     er = 0.5 * (n_a + n_b) * t + binary_entropy(t / 2.0)
     esq = 0.25 * (n_a + n_b) * t + 0.5 * binary_entropy(t / 2.0)
-    return DeFinettiReport(t=t, trace_upper=t, er_upper=er, esq_upper=esq,
-                           family_params=(k1, k2))
+    return DeFinettiReport(t=t, er_upper=er, esq_upper=esq)
 
 
 def trace_upper_from_cm(b: BipartiteCM) -> float:

@@ -15,8 +15,8 @@ import numpy as np
 from . import matalg
 from .config import RunConfig, DEFAULT_CONFIG
 from .errors import DimensionMismatchError, NotCPError, OutOfRangeError
-from .extend import ExtendQuery, FeasibilityResult, FeasibilityStatus, feasibility
-from .fgs import BipartiteCM, CovarianceMatrix, validate_cm
+from .extend import ExtendQuery, FeasibilityResult, feasibility, solver_verdict
+from .fgs import _VACUUM_BLOCK, BipartiteCM, CovarianceMatrix, validate_cm
 from .solver import MatrixConstraint, max_margin
 
 __all__ = [
@@ -30,16 +30,21 @@ __all__ = [
     "channel_k_extendible",
 ]
 
-#: Single-mode vacuum covariance block.
-OMEGA = np.array([[0.0, -1.0], [1.0, 0.0]])
-
 
 @dataclass(frozen=True)
 class GaussianChannel:
+    """M -> X M X^T + N; X is 2 n_out x 2 n_in, N is 2 n_out x 2 n_out."""
+
     x_mat: np.ndarray
     n_mat: matalg.AntisymmetricMatrix
-    n_in: int
-    n_out: int
+
+    @property
+    def n_in(self) -> int:
+        return self.x_mat.shape[1] // 2
+
+    @property
+    def n_out(self) -> int:
+        return self.n_mat.modes
 
 
 def validate_channel(x_mat: np.ndarray, n_mat, eps_psd: float = DEFAULT_CONFIG.eps_psd) -> GaussianChannel:
@@ -64,7 +69,7 @@ def validate_channel(x_mat: np.ndarray, n_mat, eps_psd: float = DEFAULT_CONFIG.e
             violating_eigenvalue=low,
         )
     x_mat.setflags(write=False)
-    return GaussianChannel(x_mat, n_mat, x_mat.shape[1] // 2, n_mat.dim // 2)
+    return GaussianChannel(x_mat, n_mat)
 
 
 def apply_channel(ch: GaussianChannel, m: CovarianceMatrix, eps_psd: float = DEFAULT_CONFIG.eps_psd) -> CovarianceMatrix:
@@ -99,25 +104,14 @@ def antidegradable(ch: GaussianChannel, config: RunConfig = DEFAULT_CONFIG) -> F
     of the Choi state on the output side.
     """
     d = ch.n_mat.dim
-    c1 = MatrixConstraint(d, np.eye(d), np.zeros((d, d)), ((-1.0, 0, 0),))
+    c1 = MatrixConstraint(np.eye(d), np.zeros((d, d)), ((-1.0, 0, 0),))
     c2 = MatrixConstraint(
-        d,
         np.eye(d) - 2.0 * ch.x_mat @ ch.x_mat.T,
         2.0 * ch.n_mat.mat,
         ((-1.0, 0, 0),),
     )
-    outcome = max_margin([c1, c2], [d], [ch.n_mat.mat.copy()], config)
-    if outcome.margin >= -config.eps_feas:
-        return FeasibilityResult(
-            FeasibilityStatus.FEASIBLE,
-            matalg.antisymmetrize(outcome.deltas[0]),
-            None,
-            outcome.margin,
-            None,
-        )
-    return FeasibilityResult(
-        FeasibilityStatus.INFEASIBLE_NUMERICAL, None, None, outcome.margin, None
-    )
+    outcome = max_margin([c1, c2], [ch.n_mat.mat], config)
+    return solver_verdict(outcome, outcome.deltas[0], None, config)
 
 
 def is_entanglement_breaking(ch: GaussianChannel, eps_psd: float = DEFAULT_CONFIG.eps_psd) -> bool:
@@ -137,7 +131,7 @@ def pure_loss(lam: float) -> GaussianChannel:
     """
     if not 0.0 <= lam <= 1.0:
         raise OutOfRangeError(f"transmissivity {lam} outside [0, 1]")
-    return validate_channel(math.sqrt(lam) * np.eye(2), (1.0 - lam) * OMEGA)
+    return validate_channel(math.sqrt(lam) * np.eye(2), (1.0 - lam) * _VACUUM_BLOCK)
 
 
 def channel_k_extendible(ch: GaussianChannel, k: int, config: RunConfig = DEFAULT_CONFIG) -> FeasibilityResult:

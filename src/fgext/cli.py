@@ -34,16 +34,23 @@ EXIT_STALLED = 4
 
 
 def _config_from_args(args) -> RunConfig:
+    """RunConfig from FGEXT_CONFIG and the global flags; ParseError if invalid."""
     defaults = {}
     override = os.environ.get("FGEXT_CONFIG")
     if override:
         with open(override, "r", encoding="utf-8") as handle:
-            defaults.update(json.load(handle))
+            try:
+                defaults.update(json.load(handle))
+            except (TypeError, ValueError) as exc:  # bad JSON, or not an object
+                raise ParseError(f"FGEXT_CONFIG {override}: {exc}") from None
     for key in ("eps_psd", "eps_feas", "max_iters", "seed", "output_format"):
         val = getattr(args, key, None)
         if val is not None:
             defaults[key] = val
-    return RunConfig(**defaults)
+    try:
+        return RunConfig(**defaults)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"run configuration: {exc}") from None
 
 
 def _emit(payload, config: RunConfig):
@@ -80,11 +87,10 @@ def _load_bipartite(path):
 def _cmd_check_cm(args, config):
     body, split = io.load_cm_raw(args.path)
     spectrum = matalg.hermitian_spectrum(body)
-    low, valid = matalg.realify_psd_check(
-        np.eye(body.dim), body.mat, config.eps_psd
-    )
+    low = matalg.min_eigenvalue(np.eye(body.dim), body.mat)
+    valid = low >= -config.eps_psd
     report = {
-        "valid": bool(valid),
+        "valid": valid,
         "modes": body.modes,
         "split": list(split) if split else None,
         "spectrum": [float(v) for v in spectrum],
@@ -168,6 +174,9 @@ def _family_record(k1, k2):
 
 
 def _cmd_family(args, config):
+    for name, low, high in (("k1", args.k1, args.k1_max), ("k2", args.k2, args.k2_max)):
+        if high is not None and high < low:
+            raise ParseError(f"--{name}-max {high} is below {name} = {low}")
     k1s = range(args.k1, (args.k1_max or args.k1) + 1)
     k2s = range(args.k2, (args.k2_max or args.k2) + 1)
     tuples = [(k1, k2) for k1 in k1s for k2 in k2s]
@@ -215,6 +224,9 @@ def _cmd_channel(args, config):
 
 
 def _cmd_oracle_verify(args, config):
+    for flag, value in (("--n-max", args.n_max), ("--trials", args.trials)):
+        if value < 1:
+            raise ParseError(f"{flag} {value} must be at least 1")
     report = verify.run_suite(args.suite, args.n_max, args.trials, config.seed)
     _emit(
         {

@@ -117,7 +117,7 @@ def precheck_columnsum(query: ExtendQuery, config: RunConfig = DEFAULT_CONFIG):
 
 
 def _theorem_constraints(query: ExtendQuery):
-    """Constraint list and the (possibly reduced) variable layout.
+    """Constraint list and warm start of the (possibly reduced) variables.
 
     Variables with vanishing coefficient (k = 1 on that side) are frozen
     at the marginal itself, matching the trivial choice Z = 0 / Y = 0.
@@ -132,28 +132,40 @@ def _theorem_constraints(query: ExtendQuery):
     s[:da, da:] = math.sqrt(k1 * k2) * x
     s[da:, :da] = -math.sqrt(k1 * k2) * x.T
 
-    var_dims = []
     warm = []
     terms3 = []
     constraints = []
-    if k1 > 1:
-        idx = len(var_dims)
-        var_dims.append(da)
-        warm.append(m_a.copy())
-        terms3.append((-(k1 - 1.0), idx, 0))
-        constraints.append(
-            MatrixConstraint(da, np.eye(da), np.zeros((da, da)), ((1.0, idx, 0),))
+    for k, marg, off in ((k1, m_a, 0), (k2, m_b, da)):
+        if k > 1:
+            idx = len(warm)
+            warm.append(marg.copy())
+            terms3.append((-(k - 1.0), idx, off))
+            dim = len(marg)
+            constraints.append(
+                MatrixConstraint(np.eye(dim), np.zeros((dim, dim)), ((1.0, idx, 0),))
+            )
+    constraints.append(MatrixConstraint(np.eye(d), s, tuple(terms3)))
+    return constraints, warm
+
+
+def solver_verdict(outcome, delta_a, delta_b, config: RunConfig) -> FeasibilityResult:
+    """The verdict on a max_margin outcome.
+
+    FEASIBLE, carrying the witnesses, iff the margin is at least
+    -eps_feas; INFEASIBLE_NUMERICAL otherwise. A channel's verdict has
+    delta_b None.
+    """
+    if outcome.margin >= -config.eps_feas:
+        return FeasibilityResult(
+            FeasibilityStatus.FEASIBLE,
+            matalg.antisymmetrize(delta_a),
+            None if delta_b is None else matalg.antisymmetrize(delta_b),
+            outcome.margin,
+            None,
         )
-    if k2 > 1:
-        idx = len(var_dims)
-        var_dims.append(db)
-        warm.append(m_b.copy())
-        terms3.append((-(k2 - 1.0), idx, da))
-        constraints.append(
-            MatrixConstraint(db, np.eye(db), np.zeros((db, db)), ((1.0, idx, 0),))
-        )
-    constraints.append(MatrixConstraint(d, np.eye(d), s, tuple(terms3)))
-    return constraints, var_dims, warm
+    return FeasibilityResult(
+        FeasibilityStatus.INFEASIBLE_NUMERICAL, None, None, outcome.margin, None
+    )
 
 
 def feasibility(query: ExtendQuery, config: RunConfig = DEFAULT_CONFIG) -> FeasibilityResult:
@@ -170,24 +182,12 @@ def feasibility(query: ExtendQuery, config: RunConfig = DEFAULT_CONFIG) -> Feasi
         return FeasibilityResult(
             FeasibilityStatus.INFEASIBLE_CERTIFIED, None, None, None, cert
         )
-    constraints, var_dims, warm = _theorem_constraints(query)
-    outcome = max_margin(constraints, var_dims, warm, config)
-
-    m_a, m_b = query.b.block_a, query.b.block_b
+    constraints, warm = _theorem_constraints(query)
+    outcome = max_margin(constraints, warm, config)
     deltas = list(outcome.deltas)
-    delta_a = deltas.pop(0) if query.k1 > 1 else m_a.copy()
-    delta_b = deltas.pop(0) if query.k2 > 1 else m_b.copy()
-    if outcome.margin >= -config.eps_feas:
-        return FeasibilityResult(
-            FeasibilityStatus.FEASIBLE,
-            matalg.antisymmetrize(delta_a),
-            matalg.antisymmetrize(delta_b),
-            outcome.margin,
-            None,
-        )
-    return FeasibilityResult(
-        FeasibilityStatus.INFEASIBLE_NUMERICAL, None, None, outcome.margin, None
-    )
+    delta_a = deltas.pop(0) if query.k1 > 1 else query.b.block_a
+    delta_b = deltas.pop(0) if query.k2 > 1 else query.b.block_b
+    return solver_verdict(outcome, delta_a, delta_b, config)
 
 
 def one_sided_feasibility(b: BipartiteCM, k: int, config: RunConfig = DEFAULT_CONFIG) -> FeasibilityResult:

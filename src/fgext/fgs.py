@@ -47,14 +47,17 @@ __all__ = [
 
 @dataclass(frozen=True, slots=True, eq=False)
 class CovarianceMatrix:
-    """A bona fide covariance matrix plus its mode count."""
+    """A bona fide covariance matrix; its mode count is half its dimension."""
 
     body: matalg.AntisymmetricMatrix
-    modes: int
 
     @property
     def mat(self) -> np.ndarray:
         return self.body.mat
+
+    @property
+    def modes(self) -> int:
+        return self.body.modes
 
     def __repr__(self):
         return f"CovarianceMatrix(modes={self.modes})"
@@ -111,15 +114,14 @@ def validate_cm(k, eps_psd: float = EPS_PSD) -> CovarianceMatrix:
     """
     if not isinstance(k, matalg.AntisymmetricMatrix):
         k = matalg.antisymmetrize(k)
-    d = k.dim
-    low, ok = matalg.realify_psd_check(np.eye(d), k.mat, eps_psd)
-    if not ok:
+    low = matalg.min_eigenvalue(np.eye(k.dim), k.mat)
+    if not low >= -eps_psd:  # a NaN spectrum fails too
         radius = 1.0 - low
         raise NotBonaFideError(
             f"spectrum of iM reaches {radius:.12g} > 1 (min eig of I+iM is {low:.3e})",
             violating_eigenvalue=radius,
         )
-    return CovarianceMatrix(k, d // 2)
+    return CovarianceMatrix(k)
 
 
 def _direct_sum(*mats: np.ndarray) -> np.ndarray:

@@ -28,7 +28,7 @@ import numpy as np
 from . import matalg
 from .channels import GaussianChannel, validate_channel
 from .errors import NotAntisymmetricError, ParseError
-from .fgs import BipartiteCM, CovarianceMatrix, validate_cm
+from .fgs import BipartiteCM, validate_cm
 
 __all__ = ["load_cm", "load_cm_raw", "save_cm", "load_channel", "save_channel"]
 
@@ -59,6 +59,17 @@ def _parse_rows(lines, count, width, what):
     return np.array(rows)
 
 
+def _header_ints(lineno, key, rest, count):
+    """The `count` integer values of a header line, or ParseError."""
+    if len(rest) == count:
+        try:
+            return [int(tok) for tok in rest]
+        except ValueError:
+            pass
+    words = {1: "one integer", 2: "two integers"}[count]
+    raise ParseError(f"line {lineno}: '{key}' takes {words}")
+
+
 def load_cm_raw(path):
     """Parse a covariance-matrix file without the physicality check.
 
@@ -74,13 +85,9 @@ def load_cm_raw(path):
     for lineno, line in lines:
         key, *rest = line.split()
         if key == "modes":
-            if len(rest) != 1:
-                raise ParseError(f"line {lineno}: 'modes' takes one integer")
-            modes = int(rest[0])
+            (modes,) = _header_ints(lineno, key, rest, 1)
         elif key == "split":
-            if len(rest) != 2:
-                raise ParseError(f"line {lineno}: 'split' takes two integers")
-            split = (int(rest[0]), int(rest[1]))
+            split = tuple(_header_ints(lineno, key, rest, 2))
         elif key == "matrix":
             if modes is None:
                 raise ParseError(f"line {lineno}: 'matrix' before 'modes'")
@@ -114,16 +121,11 @@ def _format_matrix(mat):
 
 
 def save_cm(path, cm):
-    """Write a CovarianceMatrix or BipartiteCM in the text format."""
+    """Write a CovarianceMatrix, a BipartiteCM or a bare matrix in the text format."""
+    mat = np.asarray(getattr(cm, "mat", cm))
+    header = f"modes {mat.shape[0] // 2}\n"
     if isinstance(cm, BipartiteCM):
-        header = f"modes {cm.cm.modes}\nsplit {cm.n_a} {cm.n_b}\n"
-        mat = cm.mat
-    elif isinstance(cm, CovarianceMatrix):
-        header = f"modes {cm.modes}\n"
-        mat = cm.mat
-    else:
-        header = f"modes {cm.shape[0] // 2}\n"
-        mat = np.asarray(cm)
+        header += f"split {cm.n_a} {cm.n_b}\n"
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(header + "matrix\n" + _format_matrix(mat) + "\n")
 
@@ -138,9 +140,9 @@ def load_channel(path) -> GaussianChannel:
     for lineno, line in lines:
         key, *rest = line.split()
         if key == "n_in":
-            n_in = int(rest[0])
+            (n_in,) = _header_ints(lineno, key, rest, 1)
         elif key == "n_out":
-            n_out = int(rest[0])
+            (n_out,) = _header_ints(lineno, key, rest, 1)
         elif key == "x_matrix":
             if n_in is None or n_out is None:
                 raise ParseError(f"line {lineno}: 'x_matrix' before mode counts")

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import EPS_PSD
 from .errors import DimensionMismatchError, DimensionOddError, NotAntisymmetricError
 
 __all__ = [
@@ -28,7 +27,7 @@ __all__ = [
     "hermitian_spectrum",
     "pfaffian",
     "canonical_form",
-    "realify_psd_check",
+    "min_eigenvalue",
     "norms",
 ]
 
@@ -142,18 +141,6 @@ def hermitian_spectrum(k) -> np.ndarray:
 def min_eigenvalue(a_sym: np.ndarray, b_antisym: np.ndarray) -> float:
     """Smallest eigenvalue of the Hermitian matrix A + iB."""
     return float(np.linalg.eigvalsh(a_sym + 1j * np.asarray(b_antisym))[0])
-
-
-def realify_psd_check(a_sym: np.ndarray, b_antisym, eps_psd: float = EPS_PSD):
-    """Minimum eigenvalue of A + iB and whether it clears -eps_psd.
-
-    B may be an array or an AntisymmetricMatrix.
-
-    Returns:
-        (min_eig, is_psd) with is_psd = (min_eig >= -eps_psd).
-    """
-    low = min_eigenvalue(a_sym, _as_mat(b_antisym))
-    return low, bool(low >= -eps_psd)
 
 
 def pfaffian(k) -> float:

@@ -26,8 +26,8 @@ multiplies dense Majorana matrices:
 * state_from_cm applies each multiplication by γ̃ = O^T γ as n
   bit-flipped views of ρ, each scaled by one phase per row, O(n² 4^n)
   in all;
-* jordan_wigner and parity_operator build their dense matrices only for
-  callers that ask for them.
+* jordan_wigner and parity_operator build their dense matrices anew for
+  each caller that asks for them and keep no copy.
 
 Before allocating dense 2^n x 2^n matrices, a routine checks an estimate
 of their bytes against DENSE_BYTES_CAP.
@@ -50,7 +50,6 @@ from .errors import (
 __all__ = [
     "MODE_CAP",
     "DENSE_BYTES_CAP",
-    "MajoranaSet",
     "DenseState",
     "jordan_wigner",
     "parity_operator",
@@ -75,17 +74,6 @@ DENSE_BYTES_CAP = 2 * 2**30
 #: the temporaries of its checks take no more. Peak RSS grew by 4.1 and 4.0
 #: matrices at 10 and 11 modes.
 _STATE_BUILD_MATRICES = 4
-
-
-@dataclass(frozen=True, slots=True, eq=False)
-class MajoranaSet:
-    """The 2n Jordan-Wigner Majorana operators for n modes (read-only)."""
-
-    n: int
-    gammas: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "gammas", tuple(self.gammas))
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -159,8 +147,10 @@ def _parity_signs(n: int) -> np.ndarray:
     return signs
 
 
-@functools.lru_cache(maxsize=None)
-def _jordan_wigner_cached(n: int):
+def jordan_wigner(n: int) -> tuple:
+    """The 2n Hermitian Majorana operators, {γ_p, γ_q} = 2 δ_pq, as
+    read-only dense matrices."""
+    _require_modes(n, matrices=2 * n)
     masks, phases = _majorana_strings(n)
     x = np.arange(2**n)
     gammas = []
@@ -172,13 +162,6 @@ def _jordan_wigner_cached(n: int):
     return tuple(gammas)
 
 
-def jordan_wigner(n: int) -> MajoranaSet:
-    """Hermitian Majorana operators with {γ_p, γ_q} = 2 δ_pq."""
-    _require_modes(n, matrices=2 * n)
-    return MajoranaSet(n, _jordan_wigner_cached(n))
-
-
-@functools.lru_cache(maxsize=None)
 def parity_operator(n: int) -> np.ndarray:
     """(-1)^N as a diagonal matrix in the occupation basis."""
     _require_modes(n, matrices=1)

@@ -54,10 +54,13 @@ class MatrixConstraint:
     added to K_c at the given diagonal offset.
     """
 
-    dim: int
     sym_part: np.ndarray
     skew_const: np.ndarray
     terms: tuple
+
+    @property
+    def dim(self) -> int:
+        return self.sym_part.shape[0]
 
 
 @dataclass(frozen=True)
@@ -179,13 +182,13 @@ def _checked(outcome, eps):
     return outcome
 
 
-def max_margin(constraints, var_dims, warm_start, config: RunConfig = DEFAULT_CONFIG):
+def max_margin(constraints, warm_start, config: RunConfig = DEFAULT_CONFIG):
     """Best achievable margin and witnesses for a list of matrix constraints.
 
     Args:
         constraints: MatrixConstraint list.
-        var_dims: dimensions of the antisymmetric variables.
-        warm_start: initial variable matrices (e.g. the state marginals).
+        warm_start: initial antisymmetric variable matrices (e.g. the
+            state marginals); their shapes fix the variable dimensions.
         config: eps_feas and eps_psd set the stopping rules, max_iters
             caps the interior-point iterations.
 
@@ -196,13 +199,14 @@ def max_margin(constraints, var_dims, warm_start, config: RunConfig = DEFAULT_CO
     """
     eps = config.eps_feas
     margin = _objective(constraints, warm_start)
-    if not var_dims:
+    if not warm_start:
         return SolverOutcome(margin, (), 0, margin)
     size = sum(c.dim for c in constraints)
     if margin >= 0.0:
         bound = sum(float(np.trace(c.sym_part)) for c in constraints) / size
         return SolverOutcome(margin, tuple(warm_start), 0, bound)
 
+    var_dims = [w.shape[0] for w in warm_start]
     triu = [np.triu_indices(d, 1) for d in var_dims]
     basis = [_basis(c, var_dims) for c in constraints]
     const = [c.sym_part + 1j * c.skew_const for c in constraints]

@@ -191,10 +191,10 @@ def test_criterion_9_channels():
             via_choi = channels.channel_k_extendible(ch, 2)
             assert via_choi.feasible == expected, lam
             assert channels.is_entanglement_breaking(ch) == (lam == 0.0)
-        repl = channels.validate_channel(np.zeros((2, 2)), channels.OMEGA)
+        repl = channels.validate_channel(np.zeros((2, 2)), fgs.vacuum_cm(1).mat)
         assert channels.is_entanglement_breaking(repl)
         assert extend.is_separable_gaussian(channels.choi_cm(repl))
-        tiny = channels.validate_channel(1e-10 * np.eye(2), 0.5 * channels.OMEGA)
+        tiny = channels.validate_channel(1e-10 * np.eye(2), 0.5 * fgs.vacuum_cm(1).mat)
         assert channels.is_entanglement_breaking(tiny)
         assert extend.is_separable_gaussian(channels.choi_cm(tiny))
 

@@ -6,9 +6,11 @@ from numpy.testing import assert_allclose
 
 from fgext import channels, extend, fgs, matalg
 from fgext.bounds import family_cm
-from fgext.channels import OMEGA
 from fgext.errors import DimensionMismatchError, NotCPError, OutOfRangeError
 from fgext.extend import FeasibilityStatus
+
+#: Single-mode vacuum covariance block.
+OMEGA = fgs.vacuum_cm(1).mat
 
 
 def antideg_analytic(lam):

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fgext import extend, fgs, matalg, oracle
+from fgext import extend, fgs, matalg, oracle, solver
 from fgext.bounds import epsilon_family, family_cm
 from fgext.errors import InvalidParameterError, NotFeasibleError
-from fgext.extend import ExtendQuery, FeasibilityStatus
+from fgext.extend import ExtendQuery, FeasibilityStatus, _theorem_constraints
 from fgext.verify import twirled_extendible_instance
 
 
@@ -52,8 +52,8 @@ class TestFeasibility:
         assert result.status is FeasibilityStatus.FEASIBLE
         assert result.margin >= -1e-7
         # witnesses satisfy all three constraint blocks
-        low_a, _ = matalg.realify_psd_check(np.eye(2), result.delta_a, 1e-6)
-        low_b, _ = matalg.realify_psd_check(np.eye(2), result.delta_b, 1e-6)
+        low_a = matalg.min_eigenvalue(np.eye(2), result.delta_a.mat)
+        low_b = matalg.min_eigenvalue(np.eye(2), result.delta_b.mat)
         assert min(low_a, low_b) >= -1e-6
 
     def test_epr_at_11(self):
@@ -81,13 +81,8 @@ class TestFeasibility:
         result = extend.feasibility(ExtendQuery(fgs.bell_cm("phi+"), 1, 2))
         assert result.status is FeasibilityStatus.INFEASIBLE_CERTIFIED
         # and the optimization itself converges to a clearly negative gap
-        from fgext.extend import _theorem_constraints
-        from fgext.solver import max_margin
-
-        cons, dims, warm = _theorem_constraints(
-            ExtendQuery(fgs.bell_cm("phi+"), 1, 2)
-        )
-        outcome = max_margin(cons, dims, warm)
+        cons, warm = _theorem_constraints(ExtendQuery(fgs.bell_cm("phi+"), 1, 2))
+        outcome = solver.max_margin(cons, warm)
         assert outcome.margin < -0.3
 
     def test_product_high_k(self, random_cm_factory):
@@ -114,6 +109,19 @@ class TestFeasibility:
         b, _ = twirled_extendible_instance(rng, 2, 1, 2, 2)
         result = extend.feasibility(ExtendQuery(b, 2, 2))
         assert result.feasible
+
+    @pytest.mark.parametrize(
+        "n_a, n_b, k1, k2",
+        [(1, 1, 2, 1), (1, 1, 1, 2), (1, 1, 2, 2), (2, 1, 2, 2), (1, 2, 3, 2),
+         (2, 2, 2, 2), (2, 2, 4, 2), (1, 1, 4, 4), (2, 1, 4, 1)],
+    )
+    def test_twirl_witness_satisfies_theorem(self, rng, n_a, n_b, k1, k2):
+        # the twirl's own (Δ_A, Δ_B) meets the theorem's constraints, no solver
+        for _ in range(5):
+            b, (delta_a, delta_b) = twirled_extendible_instance(rng, n_a, n_b, k1, k2)
+            constraints, _ = _theorem_constraints(ExtendQuery(b, k1, k2))
+            deltas = [d for k, d in ((k1, delta_a), (k2, delta_b)) if k > 1]
+            assert solver._objective(constraints, deltas) >= -1e-12
 
     def test_monotone_in_k(self, rng):
         # feasibility survives lowering either parameter

@@ -223,7 +223,7 @@ class TestChannelCmd:
     def test_eb(self, tmp_path, capsys):
         path = tmp_path / "repl.ch"
         io.save_channel(
-            path, channels.validate_channel(np.zeros((2, 2)), channels.OMEGA)
+            path, channels.validate_channel(np.zeros((2, 2)), fgs.vacuum_cm(1).mat)
         )
         assert run_cli("channel", str(path), "eb") == 0
         out = json.loads(capsys.readouterr().out)
@@ -260,6 +260,51 @@ class TestOracleVerifyCmd:
         first = capsys.readouterr().out
         run_cli("--seed", "7", "oracle-verify", "roundtrip", "--trials", "10")
         assert capsys.readouterr().out == first
+
+
+class TestBadInputsExit3:
+    """Malformed files and out-of-range values: exit 3, one stderr line, no traceback."""
+
+    @staticmethod
+    def assert_parse_error(capsys, *argv):
+        assert run_cli(*argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("parse error: ")
+        return lines[0]
+
+    def test_non_integer_modes(self, tmp_path, capsys):
+        path = tmp_path / "bad.cm"
+        path.write_text("modes abc\nmatrix\n0 -1\n1 0\n")
+        err = self.assert_parse_error(capsys, "check-cm", str(path))
+        assert "'modes' takes one integer" in err
+
+    @pytest.mark.parametrize("header", ["n_in\n", "n_in x\n"])
+    def test_malformed_channel_header(self, tmp_path, capsys, header):
+        path = tmp_path / "bad.ch"
+        path.write_text(header + "n_out 1\nx_matrix\n1 0\n0 1\nn_matrix\n0 0\n0 0\n")
+        err = self.assert_parse_error(capsys, "channel", str(path), "validate")
+        assert "'n_in' takes one integer" in err
+
+    def test_family_empty_range(self, capsys):
+        self.assert_parse_error(capsys, "family", "3", "3", "--k1-max", "2")
+
+    @pytest.mark.parametrize("flag", ["--n-max", "--trials"])
+    def test_oracle_verify_below_one(self, capsys, flag):
+        # zero trials would report an empty suite as passed
+        self.assert_parse_error(capsys, "oracle-verify", "roundtrip", flag, "0")
+
+    @pytest.mark.parametrize("flag, value", [("--eps-psd", "-1"), ("--max-iters", "0")])
+    def test_invalid_run_config(self, capsys, family_file, flag, value):
+        self.assert_parse_error(capsys, flag, value, "check-cm", family_file)
+
+    @pytest.mark.parametrize("text", ['{"no_such_key": 1}', "{not json", "[1, 2]"])
+    def test_invalid_config_file(self, tmp_path, monkeypatch, capsys, family_file, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        monkeypatch.setenv("FGEXT_CONFIG", str(cfg))
+        self.assert_parse_error(capsys, "check-cm", family_file)
 
 
 def test_config_env_override(tmp_path, monkeypatch, capsys, family_file):

@@ -241,28 +241,25 @@ class TestCanonicalForm:
             form.lambdas[0] = 2.0
 
 
-class TestRealifyPsdCheck:
+class TestMinEigenvalue:
     def test_vacuum_boundary(self):
-        low, ok = matalg.realify_psd_check(np.eye(2), VACUUM)
+        low = matalg.min_eigenvalue(np.eye(2), VACUUM)
         assert low == pytest.approx(0.0, abs=1e-12)
-        assert ok
 
     def test_identity(self):
-        low, ok = matalg.realify_psd_check(np.eye(2), np.zeros((2, 2)))
+        low = matalg.min_eigenvalue(np.eye(2), np.zeros((2, 2)))
         assert low == pytest.approx(1.0)
-        assert ok
 
     def test_scaled_violation(self):
-        low, ok = matalg.realify_psd_check(np.eye(2), 1.5 * J)
+        low = matalg.min_eigenvalue(np.eye(2), 1.5 * J)
         assert low == pytest.approx(-0.5)
-        assert not ok
 
     def test_against_complex_reference(self, rng):
         for n in (1, 2, 3, 4):
             sym = rng.standard_normal((2 * n, 2 * n))
             sym = (sym + sym.T) / 2.0
             k = random_antisymmetric(rng, 2 * n)
-            low, _ = matalg.realify_psd_check(sym, k)
+            low = matalg.min_eigenvalue(sym, k)
             ref = float(np.linalg.eigvalsh(sym + 1j * k)[0])
             assert low == pytest.approx(ref, abs=1e-9)
 

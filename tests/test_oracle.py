@@ -19,7 +19,7 @@ from fgext.errors import (
 class TestJordanWigner:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_clifford_algebra(self, n):
-        gammas = oracle.jordan_wigner(n).gammas
+        gammas = oracle.jordan_wigner(n)
         dim = 2**n
         assert len(gammas) == 2 * n
         for p, gp in enumerate(gammas):
@@ -37,7 +37,7 @@ class TestJordanWigner:
     def test_parity_relation(self):
         # i^n gamma_1 ... gamma_2n equals (-1)^n times (-1)^N
         for n in (1, 2, 3):
-            gammas = oracle.jordan_wigner(n).gammas
+            gammas = oracle.jordan_wigner(n)
             prod = np.eye(2**n, dtype=complex)
             for g in gammas:
                 prod = prod @ g
@@ -53,10 +53,14 @@ class TestJordanWigner:
             np.diag(oracle.parity_operator(n)).real, (-1.0) ** pops
         )
 
-    def test_memoized(self):
-        a = oracle.jordan_wigner(2).gammas
-        b = oracle.jordan_wigner(2).gammas
-        assert a[0] is b[0]
+    def test_built_per_call(self):
+        # nothing is cached: each call returns fresh read-only matrices
+        a = oracle.jordan_wigner(2)
+        b = oracle.jordan_wigner(2)
+        assert a[0] is not b[0] and np.array_equal(a[0], b[0])
+        p, q = oracle.parity_operator(2), oracle.parity_operator(2)
+        assert p is not q and np.array_equal(p, q)
+        assert not (a[0].flags.writeable or p.flags.writeable)
 
 
 class TestStateFromCm:
@@ -172,7 +176,7 @@ class TestWick:
     def test_odd_monomials_vanish(self, random_cm_factory):
         cm = random_cm_factory(2)
         state = oracle.state_from_cm(cm)
-        gammas = oracle.jordan_wigner(2).gammas
+        gammas = oracle.jordan_wigner(2)
         for idx in itertools.combinations(range(4), 3):
             op = np.eye(4, dtype=complex)
             for i in idx:
@@ -246,10 +250,10 @@ def test_dense_product_matches_cm_product(random_cm_factory):
     assert np.max(np.abs(via_kron.rho - via_cm.rho)) < 1e-10
 
 
-def test_state_from_cm_mode_cap(random_cm_factory):
-    cm = random_cm_factory(2)
+def test_state_from_cm_mode_cap():
+    # a real 13-mode state, one over MODE_CAP, refused before any allocation
     with pytest.raises(TooManyModesError):
-        oracle.state_from_cm(fgs.CovarianceMatrix(cm.body, 13))
+        oracle.state_from_cm(fgs.vacuum_cm(13))
 
 
 # -- dense reference ----------------------------------------------------------
@@ -316,7 +320,7 @@ def _random_even_state(rng, n):
 class TestDenseReference:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_jordan_wigner_matches_kron(self, n):
-        for got, want in zip(oracle.jordan_wigner(n).gammas, _ref_gammas(n), strict=True):
+        for got, want in zip(oracle.jordan_wigner(n), _ref_gammas(n), strict=True):
             assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -373,8 +377,8 @@ class TestDenseState:
             state.rho = np.eye(2)
         with pytest.raises(ValueError):
             state.rho[0, 0] = 0.5
-        with pytest.raises(AttributeError):
-            oracle.jordan_wigner(1).gammas = ()
+        with pytest.raises(ValueError):
+            oracle.jordan_wigner(1)[0][0, 0] = 2.0
 
     def test_unchecked(self):
         state = oracle.DenseState(1, np.eye(2), check=False)

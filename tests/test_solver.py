@@ -22,8 +22,8 @@ FAMILY_UP = (
 
 
 def solve(query, config=RunConfig()):
-    cons, dims, warm = _theorem_constraints(query)
-    return solver.max_margin(cons, dims, warm, config)
+    cons, warm = _theorem_constraints(query)
+    return solver.max_margin(cons, warm, config)
 
 
 def special_orthogonal(rng, d):
@@ -102,9 +102,9 @@ class TestDualBound:
 
     def test_interior_first_point_is_returned_unchanged(self, rng):
         b, _ = verify.twirled_extendible_instance(rng, 2, 1, 2, 2)
-        cons, dims, warm = _theorem_constraints(ExtendQuery(b, 2, 2))
+        cons, warm = _theorem_constraints(ExtendQuery(b, 2, 2))
         assert solver._objective(cons, warm) >= 0.0
-        outcome = solver.max_margin(cons, dims, warm)
+        outcome = solver.max_margin(cons, warm)
         assert outcome.iterations == 0
         assert all(got is given for got, given in zip(outcome.deltas, warm))
         assert outcome.margin <= outcome.bound
