@@ -45,7 +45,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, eq=False)
 class CovarianceMatrix:
     """A bona fide covariance matrix; its mode count is half its dimension."""
 
@@ -63,7 +63,7 @@ class CovarianceMatrix:
         return f"CovarianceMatrix(modes={self.modes})"
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, eq=False)
 class BipartiteCM:
     """A covariance matrix with a declared (n_A, n_B) mode split.
 

@@ -32,7 +32,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, eq=False)
 class AntisymmetricMatrix:
     """A validated real antisymmetric matrix of even dimension.
 
@@ -67,7 +67,7 @@ class AntisymmetricMatrix:
         return f"AntisymmetricMatrix(dim={self.dim})"
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, eq=False)
 class CanonicalForm:
     """Block canonical form K = O (⊕_j [[0, λ_j], [-λ_j, 0]]) O^T.
 

@@ -2,8 +2,7 @@
 
 Exact 2^n x 2^n density matrices built from covariance matrices through
 a Jordan-Wigner Majorana representation; used as ground truth for the
-Gaussian-formalism layer. This is the only module that touches complex
-arithmetic.
+Gaussian-formalism layer.
 
 The Majorana pair of mode j (j = 0 … n-1) carries a string of -Z on the
 preceding modes:
@@ -17,15 +16,26 @@ vacuum block is [[0, -1], [1, 0]]).
 Each γ_p is a Pauli string, a bit flip times a diagonal phase:
 γ_p[x ^ m_p, x] = ph_p[x]. Mode j is bit n-1-j of the occupation index
 x, both of its Majoranas flip that bit, and ph_p is the (-Z) string on
-the earlier modes, times i(-1)^{b_j} for the Y Majorana. No routine here
-multiplies dense Majorana matrices:
+the earlier modes, times i(-1)^{b_j} for the Y Majorana.
 
+Every physical state commutes with the parity (-1)^N, so a DenseState
+is block-diagonal: the even and the odd sector each hold a 2^(n-1) x
+2^(n-1) block, and every entry between them is exactly zero. Row l of a
+block is the basis state whose first n-1 modes hold the bits of l; the
+last mode's bit follows from the sector's parity. Each Majorana swaps
+the two sectors and flips one label bit (none for the last mode). The
+routines work on these blocks, or on Pauli strings, and multiply no
+dense Majorana matrices:
+
+* state_from_cm builds each sector block with the product formula,
+  applying γ̃ = O^T γ as n label-flipped views of the block, each scaled
+  by one phase per row: n² 4^n complex multiply-adds in all, half of
+  what the full matrix takes;
+* the DenseState checks, trace_distance and entropies diagonalise the
+  two sector blocks, a quarter of the work of one full eigvalsh;
 * cm_from_state and wick_check compose strings (XOR of the masks,
   product of the phases) and read one XOR diagonal ρ[x, x ^ m] per
   monomial, O(n² 2^n) for the whole covariance matrix;
-* state_from_cm applies each multiplication by γ̃ = O^T γ as n
-  bit-flipped views of ρ, each scaled by one phase per row, O(n² 4^n)
-  in all;
 * jordan_wigner and parity_operator build their dense matrices anew for
   each caller that asks for them and keep no copy.
 
@@ -65,48 +75,95 @@ __all__ = [
 MODE_CAP = 12
 
 #: Largest estimated size of the dense matrices one call may allocate: a
-#: state at MODE_CAP modes (about 1 GiB) fits, the 6 GiB of dense Majorana
-#: matrices at MODE_CAP modes do not.
+#: state at MODE_CAP modes (about 0.75 GiB) fits, the 6 GiB of dense
+#: Majorana matrices at MODE_CAP modes do not.
 DENSE_BYTES_CAP = 2 * 2**30
 
-#: Dense 2^n x 2^n complex matrices alive at once in state_from_cm: ρ, two
-#: products and a scratch buffer while building; the DenseState copy and
-#: the temporaries of its checks take no more. Peak RSS grew by 4.1 and 4.0
-#: matrices at 10 and 11 modes.
-_STATE_BUILD_MATRICES = 4
+#: Dense 2^n x 2^n complex matrices alive at once in state_from_cm: the
+#: built ρ, its DenseState copy and the one temporary of the Hermiticity
+#: check; the sector build itself peaks at 1.5. Peak RSS grew by 3.05,
+#: 3.02 and 3.01 matrices at 10, 11 and 12 modes.
+_STATE_BUILD_MATRICES = 3
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, eq=False)
 class DenseState:
-    """An exact density matrix on the 2^n-dimensional Fock space."""
+    """An exact density matrix on the 2^n-dimensional Fock space.
 
-    n: int
+    n is read from ρ's dimension. The stored ρ is read-only and exactly
+    parity-even: its entries between the even and odd sectors are zero.
+    With check (the default) ρ must first be Hermitian, of unit trace and
+    commute with (-1)^N to 1e-10, and the stored matrix must have no
+    eigenvalue below -1e-10.
+    """
+
     rho: np.ndarray = field(repr=False)
     check: InitVar[bool] = True
 
     def __post_init__(self, check):
         rho = np.array(self.rho, dtype=complex)
+        even, odd = _sector_rows(_modes_of(rho))
         if check:
-            _check_state(self.n, rho)
+            _check_state(rho, even, odd)
+        rho[np.ix_(even, odd)] = 0.0
+        rho[np.ix_(odd, even)] = 0.0
         rho.setflags(write=False)
         object.__setattr__(self, "rho", rho)
 
+    @property
+    def n(self) -> int:
+        return _modes_of(self.rho)
 
-def _check_state(n: int, rho: np.ndarray):
-    dim = 2**n
-    if rho.shape != (dim, dim):
-        raise DimensionMismatchError(f"expected shape {(dim, dim)}, got {rho.shape}")
-    if np.linalg.norm(rho - rho.conj().T) > 1e-10:
+    def __repr__(self):
+        return f"DenseState(n={self.n})"
+
+
+def _modes_of(rho: np.ndarray) -> int:
+    """n for a 2^n x 2^n matrix, n >= 1."""
+    dim = rho.shape[0] if rho.ndim == 2 else 0
+    if rho.shape != (dim, dim) or dim < 2 or dim & (dim - 1):
+        raise DimensionMismatchError(
+            f"expected a 2^n x 2^n matrix with n >= 1, got shape {rho.shape}"
+        )
+    return dim.bit_length() - 1
+
+
+def _check_state(rho: np.ndarray, even, odd):
+    """Require ρ Hermitian, of unit trace and parity-even to 1e-10, and
+    its sector blocks free of eigenvalues below -1e-10. The blocks are
+    all DenseState keeps, so the last test is exact for the stored ρ."""
+    herm = rho.conj()
+    herm -= rho.T  # ||conj(ρ) - ρ^T|| = ||ρ - ρ^†||, with one temporary
+    if np.linalg.norm(herm) > 1e-10:
         raise ValueError("density matrix is not Hermitian")
+    del herm
     if abs(np.trace(rho).real - 1.0) > 1e-10:
         raise ValueError(f"trace is {np.trace(rho).real!r}, expected 1")
-    low = float(np.linalg.eigvalsh(rho)[0])
+    # the largest entry of Pρ - ρP is twice the largest off-sector entry
+    off = max(np.max(np.abs(rho[np.ix_(a, b)])) for a, b in ((even, odd), (odd, even)))
+    if 2.0 * off > 1e-10:
+        raise ValueError("state does not commute with the parity operator")
+    low = float(np.min(_sector_eigvalsh(rho)))
     if low < -1e-10:
         raise ValueError(f"negative eigenvalue {low:.3e}")
-    # (Pρ - ρP)_xy = (s_x - s_y) ρ_xy for P = diag(s)
-    s = _parity_signs(n)
-    if np.max(np.abs(np.subtract.outer(s, s) * rho)) > 1e-10:
-        raise ValueError("state does not commute with the parity operator")
+
+
+def _sector_rows(n: int) -> tuple:
+    """Occupation indices of the even and of the odd parity sector.
+
+    Row l of a sector is the basis state whose first n-1 modes hold the
+    bits of l; the last mode's bit is whichever gives the sector's parity.
+    """
+    label_odd = _parity_signs(n - 1) < 0
+    twice = 2 * np.arange(2 ** (n - 1))
+    return twice + label_odd, twice + ~label_odd
+
+
+def _sector_eigvalsh(rho: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a parity-even Hermitian ρ, from its two sector blocks."""
+    return np.concatenate(
+        [np.linalg.eigvalsh(rho[np.ix_(rows, rows)]) for rows in _sector_rows(_modes_of(rho))]
+    )
 
 
 def _require_modes(n: int, matrices: int):
@@ -183,22 +240,26 @@ def _string_trace(rho: np.ndarray, n: int, idx) -> complex:
     return complex(np.sum(phase * rho[x, x ^ flip]))
 
 
-def _majorana_times(coeffs, rho, phases, out, scratch):
-    """out = γ̃ ρ for γ̃ = Σ_q coeffs[q] γ_q; scratch is a work buffer.
+def _majorana_times(coeffs, block, phases, out, scratch):
+    """out = γ̃ B for γ̃ = Σ_q coeffs[q] γ_q and B a block whose rows lie in
+    one parity sector; phases are the Majorana phases at that sector's
+    rows, and scratch is a work buffer.
 
-    (γ_q ρ)[y, c] = ph_q[y ^ m_q] ρ[y ^ m_q, c], and both Majoranas of
-    mode k flip the same bit, so γ̃ ρ is a sum of n row-flipped views of ρ
-    (a reversed axis of a 4-d reshape, no copy), each scaled by one phase
-    per row. That phase depends only on the bits of modes 0 … k.
+    γ_q takes the sector's row l to row l ^ (m_q >> 1) of the other sector,
+    so (γ_q B)[l, c] = ph_q[l ^ (m_q >> 1)] B[l ^ (m_q >> 1), c]. Both
+    Majoranas of mode k flip the same label bit, so γ̃ B is a sum of n
+    row-flipped views of B (a reversed axis of a 4-d reshape, no copy),
+    each scaled by one phase per row. That phase depends only on the bits
+    of modes 0 … k. The last mode flips no label bit.
     """
-    dim = rho.shape[0]
-    n = dim.bit_length() - 1
+    h = block.shape[0]
+    n = h.bit_length()  # h = 2^(n-1)
+    row_phases = coeffs[0::2, None] * phases[0::2] + coeffs[1::2, None] * phases[1::2]
     for k in range(n):
-        shape = (2**k, 2, 2 ** (n - 1 - k), dim)
-        row = coeffs[2 * k] * phases[2 * k] + coeffs[2 * k + 1] * phases[2 * k + 1]
-        row = row.reshape(shape[:3])[:, ::-1, :1, None]
+        shape = (2**k, 2, 2 ** (n - 2 - k), h) if k < n - 1 else (h, 1, 1, h)
+        row = row_phases[k].reshape(shape[:3])[:, ::-1, :1, None]
         target = out if k == 0 else scratch
-        np.multiply(rho.reshape(shape)[:, ::-1], row, out=target.reshape(shape))
+        np.multiply(block.reshape(shape)[:, ::-1], row, out=target.reshape(shape))
         if k:
             out += scratch
 
@@ -206,19 +267,31 @@ def _majorana_times(coeffs, rho, phases, out, scratch):
 def _state_from_canonical(rotation: np.ndarray, lambdas, n: int) -> np.ndarray:
     """Dense ρ = 2^-n Π_j (I + i λ_j γ̃_{2j} γ̃_{2j+1}), γ̃ = O^T γ.
 
-    The factors commute, so each is applied from the left to the product
-    so far: row flips keep the contiguous column axis innermost. No
-    physicality check; callers wanting a guaranteed state go through
-    state_from_cm.
+    Each factor is parity-even, so ρ is built one 2^(n-1) x 2^(n-1)
+    sector block at a time: γ̃_{2j+1} takes the block to the other
+    sector and γ̃_{2j} brings it back. The factors commute, so each is
+    applied from the left to the product so far: row flips keep the
+    contiguous column axis innermost. No physicality check; callers
+    wanting a guaranteed state go through state_from_cm.
     """
     _, phases = _majorana_strings(n)
-    rho = np.eye(2**n, dtype=complex)
-    half, full, scratch = (np.empty_like(rho) for _ in range(3))
-    for j, lam in enumerate(lambdas):
-        _majorana_times(rotation[:, 2 * j + 1], rho, phases, half, scratch)
-        _majorana_times(1j * lam * rotation[:, 2 * j], half, phases, full, scratch)
-        rho += full
-    rho /= 2**n
+    h = 2 ** (n - 1)
+    half, full, scratch = (np.empty((h, h), dtype=complex) for _ in range(3))
+    sectors = _sector_rows(n)
+    blocks = []
+    for own, other in (sectors, sectors[::-1]):
+        own_phases, other_phases = phases[:, own], phases[:, other]
+        block = np.eye(h, dtype=complex)
+        for j, lam in enumerate(lambdas):
+            _majorana_times(rotation[:, 2 * j + 1], block, own_phases, half, scratch)
+            _majorana_times(1j * lam * rotation[:, 2 * j], half, other_phases, full, scratch)
+            block += full
+        block /= 2**n
+        blocks.append(block)
+    del half, full, scratch  # freed before ρ: the build peaks at 1.5 full matrices
+    rho = np.zeros((2**n, 2**n), dtype=complex)
+    for rows, block in zip(sectors, blocks):
+        rho[np.ix_(rows, rows)] = block
     return rho
 
 
@@ -233,7 +306,7 @@ def state_from_cm(m: CovarianceMatrix) -> DenseState:
     form = matalg.canonical_form(m.body)
     lams = np.clip(form.lambdas, -1.0, 1.0)
     rho = _state_from_canonical(form.rotation, lams, m.modes)
-    return DenseState(m.modes, rho)
+    return DenseState(rho)
 
 
 def cm_from_state(state: DenseState) -> CovarianceMatrix:
@@ -252,7 +325,7 @@ def trace_distance(a: DenseState, b: DenseState) -> float:
     """||ρ_a - ρ_b||_1, the sum of absolute eigenvalues of the difference."""
     if a.n != b.n:
         raise DimensionMismatchError(f"mode mismatch: {a.n} vs {b.n}")
-    return float(np.sum(np.abs(np.linalg.eigvalsh(a.rho - b.rho))))
+    return float(np.sum(np.abs(_sector_eigvalsh(a.rho - b.rho))))
 
 
 def wick_check(state: DenseState, m: CovarianceMatrix, idx) -> tuple:
@@ -285,7 +358,7 @@ def _partial_trace_keep_suffix(rho: np.ndarray, n: int, keep: int) -> np.ndarray
 
 
 def _von_neumann_bits(rho: np.ndarray) -> float:
-    eigs = np.linalg.eigvalsh(rho)
+    eigs = _sector_eigvalsh(rho)
     eigs = eigs[eigs > 1e-14]
     return float(-np.sum(eigs * np.log2(eigs)))
 
@@ -316,7 +389,7 @@ def reduced_state(state: DenseState, n_keep: int, side: str = "A") -> DenseState
         rho = _partial_trace_keep_suffix(state.rho, state.n, n_keep)
     else:
         raise ValueError("side must be 'A' or 'B'")
-    return DenseState(n_keep, rho)
+    return DenseState(rho)
 
 
 def dense_product(a: DenseState, b: DenseState) -> DenseState:
@@ -325,4 +398,4 @@ def dense_product(a: DenseState, b: DenseState) -> DenseState:
     Valid fermionically because both factors commute with their parity
     operators (DenseState invariant).
     """
-    return DenseState(a.n + b.n, np.kron(a.rho, b.rho))
+    return DenseState(np.kron(a.rho, b.rho))

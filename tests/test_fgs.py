@@ -118,12 +118,20 @@ class TestBlocksAndMarginals:
 
 
 class TestFrozenTypes:
-    def test_frozen_and_slotted(self):
+    def test_assignment_refused(self):
+        # a field, a derived property or a typo: each raises AttributeError
         b = family_cm(2, 2)
-        for obj, name, value in ((b, "n_a", 2), (b.cm, "body", b.cm.body), (b.cm.body, "mat", VACUUM)):
-            with pytest.raises(AttributeError):
-                setattr(obj, name, value)
-            assert not hasattr(obj, "__dict__")
+        cases = [
+            (b, ("n_a", "block_x", "foo")),
+            (b.cm, ("body", "modes", "foo")),
+            (b.cm.body, ("mat", "modes", "foo")),
+            (matalg.canonical_form(b.cm.body), ("lambdas", "foo")),
+            (oracle.state_from_cm(b.cm), ("rho", "n", "foo")),
+        ]
+        for obj, names in cases:
+            for name in names:
+                with pytest.raises(AttributeError, match=name):
+                    setattr(obj, name, 3)
 
     def test_repr(self):
         b = family_cm(2, 2)

@@ -89,10 +89,12 @@ class TestStateFromCm:
         assert_allclose(state.rho, expected, atol=1e-12)
 
     def test_parity_commutes(self, random_cm_factory):
-        for n in (1, 2, 3):
+        # exactly: every entry between the even and the odd sector is zero
+        for n in (1, 2, 3, 4, 5, 6):
             state = oracle.state_from_cm(random_cm_factory(n))
-            p = oracle.parity_operator(n)
-            assert np.max(np.abs(p @ state.rho - state.rho @ p)) < 1e-10
+            signs = np.diag(oracle.parity_operator(n)).real
+            off_sector = np.not_equal.outer(signs, signs)
+            assert np.array_equal(state.rho[off_sector], np.zeros(2 ** (2 * n - 1)))
 
 
 class TestCmFromState:
@@ -104,14 +106,13 @@ class TestCmFromState:
                 assert np.max(np.abs(back.mat - cm.mat)) < 1e-9
 
     def test_maximally_mixed(self):
-        n = 2
-        state = oracle.DenseState(n, np.eye(4) / 4.0)
+        state = oracle.DenseState(np.eye(4) / 4.0)
         assert_allclose(oracle.cm_from_state(state).mat, np.zeros((4, 4)), atol=1e-12)
 
     def test_occupied_modes_flip_lambda(self):
         rho = np.zeros((4, 4), dtype=complex)
         rho[3, 3] = 1.0  # |11><11|
-        got = oracle.cm_from_state(oracle.DenseState(2, rho))
+        got = oracle.cm_from_state(oracle.DenseState(rho))
         expected = np.zeros((4, 4))
         expected[0, 1], expected[1, 0] = 1.0, -1.0
         expected[2, 3], expected[3, 2] = 1.0, -1.0
@@ -125,8 +126,8 @@ class TestTraceDistance:
         assert oracle.trace_distance(s, s) == 0.0
 
     def test_orthogonal_pure(self):
-        a = oracle.DenseState(1, np.diag([1.0, 0.0]))
-        b = oracle.DenseState(1, np.diag([0.0, 1.0]))
+        a = oracle.DenseState(np.diag([1.0, 0.0]))
+        b = oracle.DenseState(np.diag([0.0, 1.0]))
         assert oracle.trace_distance(a, b) == pytest.approx(2.0)
 
     def test_family_to_product_bracket(self):
@@ -138,8 +139,8 @@ class TestTraceDistance:
         assert 0.5 <= dist <= 1.0
 
     def test_mismatch(self):
-        a = oracle.DenseState(1, np.diag([1.0, 0.0]))
-        b = oracle.DenseState(2, np.diag([1.0, 0.0, 0.0, 0.0]))
+        a = oracle.DenseState(np.diag([1.0, 0.0]))
+        b = oracle.DenseState(np.diag([1.0, 0.0, 0.0, 0.0]))
         with pytest.raises(DimensionMismatchError):
             oracle.trace_distance(a, b)
 
@@ -234,7 +235,7 @@ class TestSeparableCrossCorrelations:
             rho_a = oracle.state_from_cm(random_cm_factory(n_a)).rho
             rho_b = oracle.state_from_cm(random_cm_factory(n_b)).rho
             terms.append(w * np.kron(rho_a, rho_b))
-        mixture = oracle.DenseState(n_a + n_b, sum(terms))
+        mixture = oracle.DenseState(sum(terms))
         cm = oracle.cm_from_state(mixture)
         cross = cm.mat[: 2 * n_a, 2 * n_a :]
         assert np.max(np.abs(cross)) < 1e-10
@@ -345,14 +346,14 @@ class TestDenseReference:
             _random_even_state(rng, n),
         ]
         for rho in states:
-            got = oracle.cm_from_state(oracle.DenseState(n, rho)).mat
+            got = oracle.cm_from_state(oracle.DenseState(rho)).mat
             assert np.max(np.abs(got - _ref_cm(rho, n))) < 1e-12
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_wick_every_even_subset(self, n, rng, random_cm_factory):
         cm = random_cm_factory(n)
         for rho in (oracle.state_from_cm(cm).rho, _random_even_state(rng, n)):
-            state = oracle.DenseState(n, rho)
+            state = oracle.DenseState(rho)
             for size in range(0, min(6, 2 * n) + 1, 2):
                 for idx in itertools.combinations(range(2 * n), size):
                     lhs, _ = oracle.wick_check(state, cm, idx)
@@ -363,13 +364,13 @@ class TestDenseState:
     def test_rejects_small_parity_violation(self):
         rho = np.eye(4, dtype=complex) / 4.0
         rho[0, 3] = rho[3, 0] = 1e-9  # |00><11| keeps parity
-        oracle.DenseState(2, rho)
+        oracle.DenseState(rho)
         rho[0, 1] = rho[1, 0] = 1e-9  # |00><01| breaks it
         with pytest.raises(ValueError, match="parity"):
-            oracle.DenseState(2, rho)
+            oracle.DenseState(rho)
 
     def test_frozen(self):
-        state = oracle.DenseState(1, np.diag([1.0, 0.0]))
+        state = oracle.DenseState(np.diag([1.0, 0.0]))
         assert repr(state) == "DenseState(n=1)"
         with pytest.raises(AttributeError):
             state.n = 2
@@ -381,10 +382,63 @@ class TestDenseState:
             oracle.jordan_wigner(1)[0][0, 0] = 2.0
 
     def test_unchecked(self):
-        state = oracle.DenseState(1, np.eye(2), check=False)
+        state = oracle.DenseState(np.eye(2), check=False)
         assert np.trace(state.rho) == 2.0
         with pytest.raises(ValueError, match="trace"):
-            oracle.DenseState(1, np.eye(2), True)
+            oracle.DenseState(np.eye(2), True)
+
+    def test_modes_read_from_rho(self):
+        state = oracle.DenseState(np.eye(2) / 2.0, check=False)
+        assert state.n == 1
+        assert_allclose(oracle.cm_from_state(state).mat, np.zeros((2, 2)), atol=1e-15)
+        assert oracle.DenseState(np.eye(8) / 8.0).n == 3
+        not_2n_by_2n = (np.eye(3) / 3, np.eye(6) / 6, np.ones((2, 4)), np.ones(4), np.ones((1, 1)))
+        for bad in not_2n_by_2n:
+            for check in (True, False):
+                with pytest.raises(DimensionMismatchError):
+                    oracle.DenseState(bad, check=check)
+
+
+def _ref_entropy(rho):
+    eigs = np.linalg.eigvalsh(rho)
+    eigs = eigs[eigs > 1e-14]
+    return float(-np.sum(eigs * np.log2(eigs)))
+
+
+class TestParitySectors:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_spectra_match_full_eigvalsh(self, n, rng, random_cm_factory):
+        states = [oracle.state_from_cm(random_cm_factory(n)) for _ in range(2)]
+        states.append(oracle.DenseState(_random_even_state(rng, n)))
+        for a, b in itertools.combinations(states, 2):
+            want = np.sum(np.abs(np.linalg.eigvalsh(a.rho - b.rho)))
+            assert abs(oracle.trace_distance(a, b) - want) < 1e-12
+        for state in states:
+            for n_a in range(1, n):
+                da, db = 2**n_a, 2 ** (n - n_a)
+                blocks = state.rho.reshape(da, db, da, db)
+                rho_a = np.trace(blocks, axis1=1, axis2=3)
+                rho_b = np.trace(blocks, axis1=0, axis2=2)
+                s_a, s_b, s_ab = (_ref_entropy(r) for r in (rho_a, rho_b, state.rho))
+                want = (s_a, s_b, s_ab, s_a + s_b - s_ab)
+                assert_allclose(oracle.entropies(state, (n_a, n - n_a)), want, rtol=0, atol=1e-12)
+
+    def test_small_off_sector_entries_stored_as_zero(self):
+        rho = np.eye(4, dtype=complex) / 4.0
+        rho[0, 1] = rho[1, 0] = 1e-11  # |00><01| is off-sector, under the 1e-10 tolerance
+        rho[0, 3] = rho[3, 0] = 1e-11  # |00><11| is in the even sector and kept
+        want = rho.copy()
+        want[0, 1] = want[1, 0] = 0.0
+        assert np.array_equal(oracle.DenseState(rho).rho, want)
+
+    @pytest.mark.parametrize("sector", ["even", "odd"])
+    def test_negative_eigenvalue_in_either_sector_rejected(self, sector):
+        # in each sector a block with eigenvalues 0.7 and -0.1, in the other 0.2 and 0.2
+        rows = {"even": [0, 3], "odd": [1, 2]}
+        rho = np.diag([0.2, 0.2, 0.2, 0.2]).astype(complex)
+        rho[np.ix_(rows[sector], rows[sector])] = [[0.3, 0.4], [0.4, 0.3]]
+        with pytest.raises(ValueError, match="negative eigenvalue -1.000e-01"):
+            oracle.DenseState(rho)
 
 
 class TestMemoryGuard:
@@ -405,7 +459,6 @@ class TestMemoryGuard:
             oracle.jordan_wigner(3)
 
 
-@pytest.mark.slow
 def test_roundtrip_and_wick_pairs_at_ten_modes(random_cm_factory):
     cm = random_cm_factory(10)
     state = oracle.state_from_cm(cm)
