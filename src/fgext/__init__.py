@@ -38,7 +38,6 @@ from .fgs import (
     overlap,
     product_cm,
     single_mode_cm,
-    standard_state,
     vacuum_cm,
     validate_cm,
 )

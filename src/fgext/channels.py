@@ -33,10 +33,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GaussianChannel:
-    """M -> X M X^T + N; X is 2 n_out x 2 n_in, N is 2 n_out x 2 n_out."""
+    """M -> X M X^T + N; X is 2 n_out x 2 n_in, N is 2 n_out x 2 n_out.
+
+    X is kept as a read-only float copy, so the channel never shares it
+    with the caller.
+    """
 
     x_mat: np.ndarray
     n_mat: matalg.AntisymmetricMatrix
+
+    def __post_init__(self):
+        x_mat = np.array(self.x_mat, dtype=float)
+        x_mat.setflags(write=False)
+        object.__setattr__(self, "x_mat", x_mat)
 
     @property
     def n_in(self) -> int:
@@ -53,7 +62,7 @@ def validate_channel(x_mat: np.ndarray, n_mat, eps_psd: float = DEFAULT_CONFIG.e
     Raises:
         NotCPError: reporting the violating eigenvalue.
     """
-    x_mat = np.array(x_mat, dtype=float)
+    x_mat = np.asarray(x_mat, dtype=float)
     if not isinstance(n_mat, matalg.AntisymmetricMatrix):
         n_mat = matalg.antisymmetrize(n_mat)
     if x_mat.ndim != 2 or x_mat.shape[0] != n_mat.dim:
@@ -68,7 +77,6 @@ def validate_channel(x_mat: np.ndarray, n_mat, eps_psd: float = DEFAULT_CONFIG.e
             f"I + iN - XX^T has eigenvalue {low:.6e} < -{eps_psd:.1e}",
             violating_eigenvalue=low,
         )
-    x_mat.setflags(write=False)
     return GaussianChannel(x_mat, n_mat)
 
 

@@ -77,8 +77,8 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _load_bipartite(path):
-    loaded = io.load_cm(path)
+def _load_bipartite(path, config):
+    loaded = io.load_cm(path, config.eps_psd)
     if not isinstance(loaded, fgs.BipartiteCM):
         raise ParseError(f"{path} declares no split; 'split nA nB' is required here")
     return loaded
@@ -115,7 +115,7 @@ def _result_payload(result):
 
 
 def _cmd_extendible(args, config):
-    b = _load_bipartite(args.path)
+    b = _load_bipartite(args.path, config)
     query = extend_mod.ExtendQuery(b, args.k1, args.k2)
     result = extend_mod.feasibility(query, config)
     payload = _result_payload(result)
@@ -157,7 +157,7 @@ def _bounds_record(n_a, n_b, k1, k2, cm=None):
 
 def _cmd_bounds(args, config):
     if args.cm:
-        b = _load_bipartite(args.cm)
+        b = _load_bipartite(args.cm, config)
         record = _bounds_record(b.n_a, b.n_b, args.k1, args.k2, cm=b)
     else:
         record = _bounds_record(args.na, args.nb, args.k1, args.k2)
@@ -190,7 +190,7 @@ def _cmd_family(args, config):
 
 
 def _cmd_channel(args, config):
-    ch = io.load_channel(args.path)
+    ch = io.load_channel(args.path, config.eps_psd)
     if args.action == "validate":
         _emit({"valid": True, "n_in": ch.n_in, "n_out": ch.n_out}, config)
         return EXIT_OK
@@ -214,10 +214,8 @@ def _cmd_channel(args, config):
         return EXIT_OK
     if args.action == "antidegradable":
         result = channels_mod.antidegradable(ch, config)
-    elif args.action == "k-ext":
-        result = channels_mod.channel_k_extendible(ch, args.k, config)
     else:
-        raise ParseError(f"unknown action {args.action!r}")
+        result = channels_mod.channel_k_extendible(ch, args.k, config)
     payload = _result_payload(result)
     _emit(payload, config)
     return EXIT_OK if result.feasible else EXIT_INFEASIBLE

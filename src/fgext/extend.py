@@ -88,30 +88,31 @@ def precheck_lemma3(query: ExtendQuery, config: RunConfig = DEFAULT_CONFIG):
 
 
 def precheck_columnsum(query: ExtendQuery, config: RunConfig = DEFAULT_CONFIG):
-    """Row-square-sum bound on extension rows that contain no unknown blocks.
+    """Row-square-sum bound on the rows of the first A (or B) copy.
 
-    With k1 = 1 the A-rows of the extended matrix read [M_A, X, ..., X]
-    (k2 copies), so sum_j (M_A)_ij^2 + k2 sum_j X_ij^2 <= 1 is necessary;
-    k2 = 1 gives the symmetric statement on B-rows. Rows containing the
-    unknown Y or Z blocks are not usable here.
+    A bona fide extension Γ has ΓΓ^T <= I, so each row has square sum at
+    most 1. A row of the first A copy reads [M_A, Z, ..., Z, X, ..., X]
+    (k1 - 1 copies of Z, k2 of X), so sum_j (M_A)_ij^2 + k2 sum_j X_ij^2 <= 1
+    is necessary at every k1: Z only adds (k1 - 1) sum_j Z_ij^2 >= 0. B-rows
+    give the symmetric statement with Y and X^T. The check runs only at
+    k1 = 1 (A-rows) and k2 = 1 (B-rows) by choice: at larger k it would
+    turn some numerical verdicts into certified ones, a change left to the
+    Gram-block precheck of ROADMAP item 3, which subsumes this bound.
     """
-    m_a, m_b, x = query.b.block_a, query.b.block_b, query.b.block_x
-    eps = config.eps_feas
-    if query.k1 == 1:
-        sums = np.sum(m_a * m_a, axis=1) + query.k2 * np.sum(x * x, axis=1)
+    x2 = np.square(query.b.block_x)
+    sides = (
+        (query.k1, query.k2, query.b.block_a, 1, "A", "X"),
+        (query.k2, query.k1, query.b.block_b, 0, "B", "X^T"),
+    )
+    for k, copies, marg, x_axis, side, cross in sides:
+        if k != 1:
+            continue
+        sums = np.sum(marg * marg, axis=1) + copies * np.sum(x2, axis=x_axis)
         worst = int(np.argmax(sums))
-        if sums[worst] > 1.0 + eps:
+        if sums[worst] > 1.0 + config.eps_feas:
             return (
                 f"column-sum row {worst + 1}: {sums[worst]:.10g} > 1 "
-                f"(A-row square sum with {query.k2} copies of X)"
-            )
-    if query.k2 == 1:
-        sums = np.sum(m_b * m_b, axis=1) + query.k1 * np.sum(x * x, axis=0)
-        worst = int(np.argmax(sums))
-        if sums[worst] > 1.0 + eps:
-            return (
-                f"column-sum row {worst + 1}: {sums[worst]:.10g} > 1 "
-                f"(B-row square sum with {query.k1} copies of X^T)"
+                f"({side}-row square sum with {copies} copies of {cross})"
             )
     return None
 

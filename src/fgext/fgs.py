@@ -33,7 +33,6 @@ __all__ = [
     "bell_cm",
     "epr_cm",
     "single_mode_cm",
-    "standard_state",
     "marginal",
     "product_cm",
     "overlap",
@@ -180,25 +179,6 @@ def epr_cm(m: int) -> BipartiteCM:
     d = 2 * m
     body = np.block([[np.zeros((d, d)), np.eye(d)], [-np.eye(d), np.zeros((d, d))]])
     return BipartiteCM(validate_cm(matalg.AntisymmetricMatrix(body)), m, m)
-
-
-def standard_state(kind: str, param=None):
-    """Dispatch by name: vacuum(n), bell_*, epr(m), single_mode(λ)."""
-    if kind == "vacuum":
-        return vacuum_cm(int(param if param is not None else 1))
-    if kind.startswith("bell_"):
-        names = {"bell_phi_plus": "phi+", "bell_phi_minus": "phi-",
-                 "bell_psi_plus": "psi+", "bell_psi_minus": "psi-"}
-        if kind not in names:
-            raise InvalidParameterError(f"unknown standard state {kind!r}")
-        return bell_cm(names[kind])
-    if kind == "epr":
-        return epr_cm(int(param if param is not None else 1))
-    if kind == "single_mode":
-        if param is None:
-            raise InvalidParameterError("single_mode requires a parameter")
-        return single_mode_cm(float(param))
-    raise InvalidParameterError(f"unknown standard state {kind!r}")
 
 
 def marginal(b: BipartiteCM, side: str) -> CovarianceMatrix:

@@ -27,6 +27,7 @@ import numpy as np
 
 from . import matalg
 from .channels import GaussianChannel, validate_channel
+from .config import EPS_PSD
 from .errors import NotAntisymmetricError, ParseError
 from .fgs import BipartiteCM, validate_cm
 
@@ -103,14 +104,15 @@ def load_cm_raw(path):
     return body, split
 
 
-def load_cm(path):
+def load_cm(path, eps_psd: float = EPS_PSD):
     """Read a covariance-matrix file.
 
     Returns a BipartiteCM when the file declares a split, else a
-    CovarianceMatrix. Raises NotBonaFideError for unphysical matrices.
+    CovarianceMatrix. Raises NotBonaFideError for matrices that
+    validate_cm rejects at eps_psd.
     """
     body, split = load_cm_raw(path)
-    cm = validate_cm(body)
+    cm = validate_cm(body, eps_psd)
     if split is not None:
         return BipartiteCM(cm, *split)
     return cm
@@ -130,8 +132,8 @@ def save_cm(path, cm):
         handle.write(header + "matrix\n" + _format_matrix(mat) + "\n")
 
 
-def load_channel(path) -> GaussianChannel:
-    """Read a channel file; validity (complete positivity) is checked."""
+def load_channel(path, eps_psd: float = EPS_PSD) -> GaussianChannel:
+    """Read a channel file; complete positivity is checked at eps_psd."""
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
     lines = _tokenize(text)
@@ -159,7 +161,7 @@ def load_channel(path) -> GaussianChannel:
         n_anti = matalg.antisymmetrize(n_mat)
     except NotAntisymmetricError as exc:
         raise ParseError(f"n_matrix is not antisymmetric: {exc}") from exc
-    return validate_channel(x_mat, n_anti)
+    return validate_channel(x_mat, n_anti, eps_psd)
 
 
 def save_channel(path, ch: GaussianChannel):

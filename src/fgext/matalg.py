@@ -31,6 +31,9 @@ __all__ = [
     "norms",
 ]
 
+#: Symmetric residue, relative to max(‖raw‖_F, 1), that antisymmetrize accepts.
+ANTISYM_RTOL = 1e-8
+
 
 @dataclass(frozen=True, eq=False)
 class AntisymmetricMatrix:
@@ -109,20 +112,20 @@ def _require_even_square(mat: np.ndarray) -> np.ndarray:
     return mat
 
 
-def antisymmetrize(raw: np.ndarray, rtol: float = 1e-8) -> AntisymmetricMatrix:
+def antisymmetrize(raw: np.ndarray) -> AntisymmetricMatrix:
     """Project a nearly antisymmetric matrix onto (raw - raw^T)/2.
 
-    Rejects input whose symmetric residue exceeds ``rtol`` relative to
-    the input norm; the diagonal of the result is exactly zero.
+    Rejects input whose symmetric residue exceeds ANTISYM_RTOL relative
+    to the input norm; the diagonal of the result is exactly zero.
     """
     raw = _require_even_square(raw)
     sym = (raw + raw.T) / 2.0
     scale = np.linalg.norm(raw)
     residue = np.linalg.norm(sym)
-    if residue > rtol * max(scale, 1.0):
+    if residue > ANTISYM_RTOL * max(scale, 1.0):
         raise NotAntisymmetricError(
-            f"symmetric residue {residue:.3e} exceeds {rtol:.1e} * max(norm, 1) = "
-            f"{rtol * max(scale, 1.0):.3e}"
+            f"symmetric residue {residue:.3e} exceeds {ANTISYM_RTOL:.1e} * max(norm, 1) = "
+            f"{ANTISYM_RTOL * max(scale, 1.0):.3e}"
         )
     out = (raw - raw.T) / 2.0
     np.fill_diagonal(out, 0.0)

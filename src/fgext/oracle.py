@@ -44,7 +44,7 @@ of their bytes against DENSE_BYTES_CAP.
 """
 
 import functools
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -90,21 +90,19 @@ _STATE_BUILD_MATRICES = 3
 class DenseState:
     """An exact density matrix on the 2^n-dimensional Fock space.
 
-    n is read from ρ's dimension. The stored ρ is read-only and exactly
-    parity-even: its entries between the even and odd sectors are zero.
-    With check (the default) ρ must first be Hermitian, of unit trace and
-    commute with (-1)^N to 1e-10, and the stored matrix must have no
-    eigenvalue below -1e-10.
+    n is read from ρ's dimension. Every ρ is checked: it must be
+    Hermitian, of unit trace and commute with (-1)^N to 1e-10, and the
+    stored matrix must have no eigenvalue below -1e-10. The stored ρ is
+    read-only and exactly parity-even: its entries between the even and
+    odd sectors are zero.
     """
 
     rho: np.ndarray = field(repr=False)
-    check: InitVar[bool] = True
 
-    def __post_init__(self, check):
+    def __post_init__(self):
         rho = np.array(self.rho, dtype=complex)
         even, odd = _sector_rows(_modes_of(rho))
-        if check:
-            _check_state(rho, even, odd)
+        _check_state(rho, even, odd)
         rho[np.ix_(even, odd)] = 0.0
         rho[np.ix_(odd, even)] = 0.0
         rho.setflags(write=False)

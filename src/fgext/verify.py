@@ -61,30 +61,21 @@ def twirled_extendible_instance(rng, n_a: int, n_b: int, k1: int, k2: int):
     da, db = 2 * n_a, 2 * n_b
     off = k1 * da
 
-    def block(i, j, rows, cols, base_r, base_c):
-        return grand[base_r + i * rows : base_r + (i + 1) * rows,
-                     base_c + j * cols : base_c + (j + 1) * cols]
+    # [i, j] is the (i, j) block among the A copies, the B copies, and across
+    aa = grand[:off, :off].reshape(k1, da, k1, da).swapaxes(1, 2)
+    bb = grand[off:, off:].reshape(k2, db, k2, db).swapaxes(1, 2)
+    ab = grand[:off, off:].reshape(k1, da, k2, db).swapaxes(1, 2)
 
-    m_a = sum(block(i, i, da, da, 0, 0) for i in range(k1)) / k1
-    m_b = sum(block(i, i, db, db, off, off) for i in range(k2)) / k2
-    z = np.zeros((da, da))
-    if k1 > 1:
-        z = sum(
-            block(i, j, da, da, 0, 0) for i in range(k1) for j in range(k1) if i != j
-        ) / (k1 * (k1 - 1))
-    y = np.zeros((db, db))
-    if k2 > 1:
-        y = sum(
-            block(i, j, db, db, off, off)
-            for i in range(k2)
-            for j in range(k2)
-            if i != j
-        ) / (k2 * (k2 - 1))
-    x = sum(
-        grand[i * da : (i + 1) * da, off + j * db : off + (j + 1) * db]
-        for i in range(k1)
-        for j in range(k2)
-    ) / (k1 * k2)
+    def means(blocks):
+        """Mean of the diagonal blocks, and of the off-diagonal ones (0 if k = 1)."""
+        k = len(blocks)
+        pairs = [blocks[i, j] for i in range(k) for j in range(k) if i != j]
+        diag = sum(blocks[i, i] for i in range(k)) / k
+        return diag, sum(pairs) / len(pairs) if pairs else np.zeros_like(diag)
+
+    m_a, z = means(aa)
+    m_b, y = means(bb)
+    x = sum(ab[i, j] for i in range(k1) for j in range(k2)) / (k1 * k2)
     m_a, m_b = (m_a - m_a.T) / 2, (m_b - m_b.T) / 2
     z, y = (z - z.T) / 2, (y - y.T) / 2
     body = np.block([[m_a, x], [-x.T, m_b]])

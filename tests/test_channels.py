@@ -44,6 +44,14 @@ class TestValidateChannel:
         ch = channels.validate_channel(x, OMEGA)
         assert (ch.n_in, ch.n_out) == (2, 1)
 
+    def test_direct_construction_freezes_a_copy_of_x(self):
+        x = np.eye(2)
+        ch = channels.GaussianChannel(x, matalg.AntisymmetricMatrix(np.zeros((2, 2))))
+        with pytest.raises(ValueError):
+            ch.x_mat[0, 0] = 5.0
+        x[0, 0] = 5.0
+        assert ch.x_mat[0, 0] == 1.0
+
 
 class TestApply:
     def test_identity(self, random_cm_factory):

@@ -72,6 +72,10 @@ class TestStandardStates:
         with pytest.raises(InvalidParameterError):
             fgs.single_mode_cm(1.5)
 
+    def test_bell_unknown_kind(self):
+        with pytest.raises(InvalidParameterError):
+            fgs.bell_cm("sigma+")
+
     def test_epr(self):
         b = fgs.epr_cm(2)
         d = 4
@@ -79,13 +83,6 @@ class TestStandardStates:
         assert_allclose(b.block_a, np.zeros((d, d)))
         spec = matalg.hermitian_spectrum(b.cm.body)
         assert_allclose(np.abs(spec), np.ones(2 * d), atol=1e-12)
-
-    def test_dispatch(self):
-        assert fgs.standard_state("vacuum", 2).modes == 2
-        assert fgs.standard_state("bell_psi_minus").mat[0, 3] == 1.0
-        assert fgs.standard_state("epr", 1).n_a == 1
-        with pytest.raises(InvalidParameterError):
-            fgs.standard_state("bell_sigma_plus")
 
 
 class TestBlocksAndMarginals:

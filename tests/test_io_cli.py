@@ -241,6 +241,40 @@ class TestChannelCmd:
         capsys.readouterr()
 
 
+class TestEpsPsdFlag:
+    """--eps-psd sets the tolerance of every file a command loads."""
+
+    @pytest.fixture
+    def near_files(self, tmp_path):
+        # 1 + 2e-8 times a valid matrix: rejected at eps_psd = 1e-9, accepted at 1e-6
+        scale = 1.0 + 2e-8
+        cm = fgs.validate_cm(family_cm(1, 1).mat * scale, eps_psd=1e-6)
+        loss = channels.pure_loss(0.4)
+        paths = {"cm": str(tmp_path / "near.cm"), "ch": str(tmp_path / "near.ch")}
+        io.save_cm(paths["cm"], fgs.BipartiteCM(cm, 1, 1))
+        io.save_channel(
+            paths["ch"], channels.validate_channel(loss.x_mat * scale, loss.n_mat, eps_psd=1e-6)
+        )
+        return paths
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("check-cm", "{cm}"),
+            ("extendible", "{cm}", "1", "1"),
+            ("bounds", "2", "2", "--cm", "{cm}"),
+            ("channel", "{ch}", "validate"),
+            ("channel", "{ch}", "antidegradable"),
+        ],
+    )
+    def test_loose_flag_reaches_loader(self, near_files, capsys, argv):
+        argv = [arg.format(**near_files) for arg in argv]
+        assert run_cli(*argv) == 2
+        capsys.readouterr()
+        assert run_cli("--eps-psd", "1e-6", *argv) == 0
+        assert "not physical" not in capsys.readouterr().out
+
+
 class TestOracleVerifyCmd:
     @pytest.mark.parametrize("suite", ["roundtrip", "wick", "sandwich"])
     def test_suites_pass(self, suite, capsys):

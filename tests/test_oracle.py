@@ -381,22 +381,21 @@ class TestDenseState:
         with pytest.raises(ValueError):
             oracle.jordan_wigner(1)[0][0, 0] = 2.0
 
-    def test_unchecked(self):
-        state = oracle.DenseState(np.eye(2), check=False)
-        assert np.trace(state.rho) == 2.0
+    def test_rejects_wrong_trace(self):
         with pytest.raises(ValueError, match="trace"):
-            oracle.DenseState(np.eye(2), True)
+            oracle.DenseState(np.eye(2))
+        with pytest.raises(TypeError):
+            oracle.DenseState(np.eye(2), check=False)  # every state is checked
 
     def test_modes_read_from_rho(self):
-        state = oracle.DenseState(np.eye(2) / 2.0, check=False)
+        state = oracle.DenseState(np.eye(2) / 2.0)
         assert state.n == 1
         assert_allclose(oracle.cm_from_state(state).mat, np.zeros((2, 2)), atol=1e-15)
         assert oracle.DenseState(np.eye(8) / 8.0).n == 3
         not_2n_by_2n = (np.eye(3) / 3, np.eye(6) / 6, np.ones((2, 4)), np.ones(4), np.ones((1, 1)))
         for bad in not_2n_by_2n:
-            for check in (True, False):
-                with pytest.raises(DimensionMismatchError):
-                    oracle.DenseState(bad, check=check)
+            with pytest.raises(DimensionMismatchError):
+                oracle.DenseState(bad)
 
 
 def _ref_entropy(rho):

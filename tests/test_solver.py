@@ -114,6 +114,34 @@ class TestDualBound:
             solve(ExtendQuery(family_cm(2, 2), 3, 3), RunConfig(max_iters=1))
 
 
+def family22_x_scaled(scale):
+    """family_cm(2, 2) with X scaled; at (2, 2) its optimum is just below 0."""
+    m = family_cm(2, 2).mat.copy()
+    m[:2, 2:] *= scale
+    m[2:, :2] *= scale
+    return bipartite(m, 1, 1)
+
+
+class TestStallExits:
+    def test_margin_in_ambiguous_band_raises(self):
+        # the closed form 1 - sqrt(9/4) = -0.5 lies in [-100 eps_feas, -eps_feas)
+        with pytest.raises(SolverStalledError, match="^converged margin -5.000e-01 lies in the ambiguous band"):
+            solve(ExtendQuery(family_cm(2, 2), 3, 3), RunConfig(eps_feas=0.01))
+
+    def test_breakdown_within_eps_feas_returns_the_witness(self):
+        b = family22_x_scaled(1.0 + 1e-8)
+        outcome = solve(ExtendQuery(b, 2, 2))
+        # margin < -eps_psd and bound >= -eps_feas meet neither stopping rule,
+        # so only the breakdown exit can return this outcome
+        assert outcome.margin == pytest.approx(-1e-8, rel=1e-3)
+        assert outcome.bound >= -1e-7
+        assert decide(b, 2, 2).status is FeasibilityStatus.FEASIBLE
+
+    def test_breakdown_beyond_eps_feas_raises(self):
+        with pytest.raises(SolverStalledError, match="^factorization broke down"):
+            solve(ExtendQuery(family22_x_scaled(1.0 + 1e-7), 2, 2))
+
+
 class TestFormerNonConvergence:
     @pytest.mark.parametrize("split", [(2, 2), (1, 3)])
     @pytest.mark.parametrize("seed", range(5))
