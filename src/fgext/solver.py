@@ -15,9 +15,16 @@ Method: one primal-dual path-following run with the HKM direction and
 Mehrotra's predictor-corrector (Helmberg, Rendl, Vanderbei & Wolkowicz,
 SIAM J. Optim. 6, 1996; Vandenberghe & Boyd, SIAM Rev. 38, 1996). Each
 step solves one Schur system, M_ij = Re Σ_c tr(B_ci X_c B_cj Z_c⁻¹), of
-size at most 57 at 4+4 modes. It starts strictly feasible on both sides,
-from θ₀ = warm start, t₀ = f(θ₀) - 1 and X₀ = I/N (N the summed block
-size); a warm start with f(θ₀) >= 0 is returned unchanged after 0 steps.
+size at most 57 at 4+4 modes. At these sizes a numpy call costs more than
+its flops, so the constraints are grouped once per solve by block size (at
+most three groups for an extendibility query, one for a channel) and every
+eigensolve, Cholesky factorisation and inverse runs once per group on a
+(g, d, d) stack. The Cholesky factor of M is inverted once per step and
+reused by the predictor and the corrector.
+
+The run starts strictly feasible on both sides, from θ₀ = warm start,
+t₀ = f(θ₀) - 1 and X₀ = I/N (N the summed block size); a warm start with
+f(θ₀) >= 0 is returned unchanged after 0 steps.
 
 The reported margin is always the true f(θ) = min_c λ_min(F_c(θ)), never
 t. The run stops when f(θ_k) >= -min(eps_feas, eps_psd), so the witness
@@ -96,55 +103,78 @@ def _objective(constraints, deltas):
     return min(float(np.linalg.eigvalsh(_hermitian(c, deltas))[0]) for c in constraints)
 
 
-def _basis(constraint, var_dims):
-    """B_i with F_c(θ) - t I = F_c(0) - Σ_i y_i B_i, for y = (θ, t)."""
-    offsets = np.cumsum([0] + [d * (d - 1) // 2 for d in var_dims])
-    d = constraint.dim
-    basis = np.zeros((offsets[-1] + 1, d, d), dtype=complex)
-    for coeff, var, off in constraint.terms:
-        rows, cols = np.triu_indices(var_dims[var], 1)
-        idx = offsets[var] + np.arange(rows.size)
-        basis[idx, off + rows, off + cols] -= 1j * coeff
-        basis[idx, off + cols, off + rows] += 1j * coeff
-    basis[-1] = np.eye(d)
-    return basis
+def _stacks(constraints, triu, offsets):
+    """Per block size d: F(0) as a (g, d, d) stack and the basis as (m+1, g, d, d).
+
+    B_ci with F_c(θ) - t I = F_c(0) - Σ_i y_i B_ci, for y = (θ, t) of size
+    m + 1. The basis is stored variable-major, so B @ X reshapes into a row
+    of the Schur system without a transposed copy.
+    """
+    by_dim = {}
+    for c in constraints:
+        by_dim.setdefault(c.dim, []).append(c)
+    consts, bases = [], []
+    for d, members in sorted(by_dim.items()):
+        basis = np.zeros((offsets[-1] + 1, len(members), d, d), dtype=complex)
+        for k, c in enumerate(members):
+            for coeff, var, off in c.terms:
+                rows, cols = triu[var]
+                idx = offsets[var] + np.arange(rows.size)
+                basis[idx, k, off + rows, off + cols] -= 1j * coeff
+                basis[idx, k, off + cols, off + rows] += 1j * coeff
+        basis[-1] = np.eye(d)
+        consts.append(np.stack([c.sym_part + 1j * c.skew_const for c in members]))
+        bases.append(basis)
+    return consts, bases
 
 
 def _trace_with(basis, mats):
-    """Re Σ_c tr(B_ci W_c) for every i."""
-    return sum(np.real(np.einsum("iab,ba->i", b, w)) for b, w in zip(basis, mats))
+    """Re Σ_c tr(B_ci W_c) for every i, from per-group stacks of W_c."""
+    return sum(np.real(b.reshape(len(b), -1) @ w.swapaxes(-1, -2).ravel()) for b, w in zip(basis, mats))
 
 
-def _step_to_boundary(inv_factors, steps, fraction):
-    """Largest α <= 1, times fraction, with every L L^H + α step >= 0."""
-    alpha = 1.0
-    for l_inv, step in zip(inv_factors, steps):
-        low = np.linalg.eigvalsh(l_inv @ step @ l_inv.conj().T)[0]
-        if low < 0:
-            alpha = min(alpha, -fraction / low)
-    return alpha
+def _step_to_boundary(inv_factors, dxs, dzs, fraction):
+    """Largest α_p, α_d <= 1, times fraction, with L L^H + α step >= 0 for X and Z.
+
+    inv_factors holds, per group, the inverse Cholesky factors of X and Z
+    concatenated, so one eigensolve per group covers both directions.
+    """
+    low_p = low_d = 0.0
+    for l_inv, dx, dz in zip(inv_factors, dxs, dzs):
+        low = np.linalg.eigvalsh(l_inv @ np.concatenate([dx, dz]) @ _adjoint(l_inv))[:, 0]
+        low_p = min(low_p, low[: len(dx)].min())
+        low_d = min(low_d, low[len(dx) :].min())
+    return tuple(min(1.0, -fraction / low) if low < 0 else 1.0 for low in (low_p, low_d))
 
 
 def _newton_step(basis, xs, zs, rhs):
     """HKM predictor-corrector step: (Δy, ΔX, α_primal, α_dual).
 
+    Every argument but rhs is a list with one entry per group of equal-size
+    blocks: basis (m+1, g, d, d), xs and zs (g, d, d). Each group makes one
+    Cholesky factorisation and one inverse of X and Z stacked together, and
+    one eigensolve per phase for the step to the boundary. The Schur matrix
+    is factorised and its Cholesky factor L inverted once; the predictor and
+    the corrector both solve with Δy = L⁻ᵀ (L⁻¹ r).
+
     Raises LinAlgError when X, Z or the Schur matrix is no longer
     numerically positive definite.
     """
-    lx_inv = [np.linalg.inv(np.linalg.cholesky(x)) for x in xs]
-    lz_inv = [np.linalg.inv(np.linalg.cholesky(z)) for z in zs]
-    z_invs = [l.conj().T @ l for l in lz_inv]
-    n, size = rhs.size, sum(len(x) for x in xs)
+    n = rhs.size
+    size = sum(x.shape[0] * x.shape[1] for x in xs)
+    l_invs = [np.linalg.inv(np.linalg.cholesky(np.concatenate([x, z]))) for x, z in zip(xs, zs)]
+    z_invs = [_adjoint(l[len(x) :]) @ l[len(x) :] for l, x in zip(l_invs, xs)]
     schur = sum(
-        np.real((b @ x).reshape(n, -1) @ (b @ zi).transpose(0, 2, 1).reshape(n, -1).T)
+        np.real((b @ x).reshape(n, -1) @ (b @ zi).transpose(0, 1, 3, 2).reshape(n, -1).T)
         for b, x, zi in zip(basis, xs, z_invs)
     )
-    chol = np.linalg.cholesky(schur)
-    mu = sum(np.real(np.vdot(x, z)) for x, z in zip(xs, zs)) / size
+    # M is symmetric only up to rounding, and cholesky reads one triangle
+    schur_l_inv = np.linalg.inv(np.linalg.cholesky((schur + schur.T) / 2.0))
+    mu = sum(np.vdot(x, z).real for x, z in zip(xs, zs)) / size
 
     def direction(r, sigma_mu, cross):
-        dy = np.linalg.solve(chol.T, np.linalg.solve(chol, r))
-        dzs = [-np.einsum("i,iab->ab", dy, b) for b in basis]
+        dy = schur_l_inv.T @ (schur_l_inv @ r)
+        dzs = [-(dy @ b.reshape(n, -1)).reshape(x.shape) for b, x in zip(basis, xs)]
         dxs = [
             sigma_mu * zi - x - _herm((x @ dz + w) @ zi)
             for x, dz, zi, w in zip(xs, dzs, z_invs, cross)
@@ -153,10 +183,9 @@ def _newton_step(basis, xs, zs, rhs):
 
     # predictor: the affine-scaling step, aiming at μ = 0
     dy, dxs, dzs = direction(rhs, 0.0, [0.0] * len(xs))
-    a_p = _step_to_boundary(lx_inv, dxs, 1.0)
-    a_d = _step_to_boundary(lz_inv, dzs, 1.0)
+    a_p, a_d = _step_to_boundary(l_invs, dxs, dzs, 1.0)
     pairs = zip(xs, dxs, zs, dzs)
-    mu_aff = sum(np.real(np.vdot(x + a_p * dx, z + a_d * dz)) for x, dx, z, dz in pairs) / size
+    mu_aff = sum(np.vdot(x + a_p * dx, z + a_d * dz).real for x, dx, z, dz in pairs) / size
     sigma_mu = min(1.0, (mu_aff / mu) ** 3) * mu
     # corrector: centring towards σμ plus Mehrotra's second-order term
     cross = [dx @ dz for dx, dz in zip(dxs, dzs)]
@@ -164,12 +193,16 @@ def _newton_step(basis, xs, zs, rhs):
         basis, [w @ zi for w, zi in zip(cross, z_invs)]
     )
     dy, dxs, dzs = direction(r, sigma_mu, cross)
-    a_p = _step_to_boundary(lx_inv, dxs, STEP_FRACTION)
-    return dy, dxs, a_p, _step_to_boundary(lz_inv, dzs, STEP_FRACTION)
+    a_p, a_d = _step_to_boundary(l_invs, dxs, dzs, STEP_FRACTION)
+    return dy, dxs, a_p, a_d
+
+
+def _adjoint(m):
+    return m.conj().swapaxes(-1, -2)
 
 
 def _herm(m):
-    return (m + m.conj().T) / 2.0
+    return (m + _adjoint(m)) / 2.0
 
 
 def _checked(outcome, eps):
@@ -208,21 +241,22 @@ def max_margin(constraints, warm_start, config: RunConfig = DEFAULT_CONFIG):
 
     var_dims = [w.shape[0] for w in warm_start]
     triu = [np.triu_indices(d, 1) for d in var_dims]
-    basis = [_basis(c, var_dims) for c in constraints]
-    const = [c.sym_part + 1j * c.skew_const for c in constraints]
+    offsets = np.cumsum([0] + [iu[0].size for iu in triu])
+    consts, basis = _stacks(constraints, triu, offsets)
+    flats = [b.reshape(b.shape[0], -1) for b in basis]
     y = np.concatenate([m[iu] for m, iu in zip(warm_start, triu)] + [[margin - 1.0]])
-    xs = [np.eye(c.dim, dtype=complex) / size for c in constraints]
+    xs = [np.tile(np.eye(c.shape[-1], dtype=complex) / size, (len(c), 1, 1)) for c in consts]
     rhs = np.eye(y.size)[-1]
-    splits = np.cumsum([iu[0].size for iu in triu])[:-1]
 
     for it in range(config.max_iters + 1):
         deltas = []
-        for d, iu, theta in zip(var_dims, triu, np.split(y[:-1], splits)):
+        for d, iu, lo, hi in zip(var_dims, triu, offsets[:-1], offsets[1:]):
             upper = np.zeros((d, d))
-            upper[iu] = theta
+            upper[iu] = y[lo:hi]
             deltas.append(upper - upper.T)
-        margin = _objective(constraints, deltas)
-        bound = sum(float(np.real(np.vdot(c, x))) for c, x in zip(const, xs))
+        fs = [c - (y[:-1] @ f[:-1]).reshape(c.shape) for c, f in zip(consts, flats)]
+        margin = min(float(np.linalg.eigvalsh(f)[:, 0].min()) for f in fs)
+        bound = sum(float(np.vdot(c, x).real) for c, x in zip(consts, xs))
         outcome = SolverOutcome(margin, tuple(deltas), it, bound)
         scale = max(1.0, abs(bound))
         if margin >= -min(eps, config.eps_psd) or (
@@ -231,7 +265,7 @@ def max_margin(constraints, warm_start, config: RunConfig = DEFAULT_CONFIG):
             return _checked(outcome, eps)
         if it == config.max_iters:
             break
-        zs = [c - np.einsum("i,iab->ab", y, b) for c, b in zip(const, basis)]
+        zs = [f - y[-1] * np.eye(f.shape[-1]) for f in fs]
         try:
             dy, dxs, a_p, a_d = _newton_step(basis, xs, zs, rhs)
         except np.linalg.LinAlgError:
