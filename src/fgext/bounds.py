@@ -67,8 +67,12 @@ def definetti_bounds(n_a: int, n_b: int, k1: int, k2: int) -> DeFinettiReport:
 
 
 def trace_upper_from_cm(b: BipartiteCM) -> float:
-    """||X||_1: the trace-norm bound on the distance to the marginal product."""
-    return matalg.norms(b.block_x)[1]
+    """||X||_1: the trace-norm bound on the distance to the marginal product.
+
+    Clamped at 2, the largest trace distance: a state admitted at a loose
+    eps_psd can have ||X||_1 just above it.
+    """
+    return min(2.0, matalg.norms(b.block_x)[1])
 
 
 def lower_bound_two_mode(b: BipartiteCM) -> float:

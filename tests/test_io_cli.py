@@ -274,6 +274,11 @@ class TestEpsPsdFlag:
         assert run_cli("--eps-psd", "1e-6", *argv) == 0
         assert "not physical" not in capsys.readouterr().out
 
+    def test_trace_upper_cm_clamped_at_two(self, near_files, capsys):
+        # ||X||_1 of the loose file is 2 (1 + 2e-8), above any trace distance
+        assert run_cli("--eps-psd", "1e-6", "bounds", "2", "2", "--cm", near_files["cm"]) == 0
+        assert json.loads(capsys.readouterr().out)["trace_upper_cm"] == 2.0
+
 
 class TestOracleVerifyCmd:
     @pytest.mark.parametrize("suite", ["roundtrip", "wick", "sandwich"])
