@@ -108,7 +108,9 @@ def _stacks(constraints, triu, offsets):
 
     B_ci with F_c(θ) - t I = F_c(0) - Σ_i y_i B_ci, for y = (θ, t) of size
     m + 1. The basis is stored variable-major, so B @ X reshapes into a row
-    of the Schur system without a transposed copy.
+    of the Schur system without a transposed copy. Groups come in increasing
+    d, so of the constraint order only the order within a group reaches the
+    sums.
     """
     by_dim = {}
     for c in constraints:
@@ -130,7 +132,9 @@ def _stacks(constraints, triu, offsets):
 
 def _trace_with(basis, mats):
     """Re Σ_c tr(B_ci W_c) for every i, from per-group stacks of W_c."""
-    return sum(np.real(b.reshape(len(b), -1) @ w.swapaxes(-1, -2).ravel()) for b, w in zip(basis, mats))
+    return sum(
+        np.real(b.reshape(len(b), -1) @ w.swapaxes(-1, -2).ravel()) for b, w in zip(basis, mats)
+    )
 
 
 def _step_to_boundary(inv_factors, dxs, dzs, fraction):
@@ -170,7 +174,7 @@ def _newton_step(basis, xs, zs, rhs):
     )
     # M is symmetric only up to rounding, and cholesky reads one triangle
     schur_l_inv = np.linalg.inv(np.linalg.cholesky((schur + schur.T) / 2.0))
-    mu = sum(np.vdot(x, z).real for x, z in zip(xs, zs)) / size
+    mu = sum(np.real(np.vdot(x, z)) for x, z in zip(xs, zs)) / size
 
     def direction(r, sigma_mu, cross):
         dy = schur_l_inv.T @ (schur_l_inv @ r)
@@ -185,7 +189,7 @@ def _newton_step(basis, xs, zs, rhs):
     dy, dxs, dzs = direction(rhs, 0.0, [0.0] * len(xs))
     a_p, a_d = _step_to_boundary(l_invs, dxs, dzs, 1.0)
     pairs = zip(xs, dxs, zs, dzs)
-    mu_aff = sum(np.vdot(x + a_p * dx, z + a_d * dz).real for x, dx, z, dz in pairs) / size
+    mu_aff = sum(np.real(np.vdot(x + a_p * dx, z + a_d * dz)) for x, dx, z, dz in pairs) / size
     sigma_mu = min(1.0, (mu_aff / mu) ** 3) * mu
     # corrector: centring towards σμ plus Mehrotra's second-order term
     cross = [dx @ dz for dx, dz in zip(dxs, dzs)]
@@ -256,7 +260,7 @@ def max_margin(constraints, warm_start, config: RunConfig = DEFAULT_CONFIG):
             deltas.append(upper - upper.T)
         fs = [c - (y[:-1] @ f[:-1]).reshape(c.shape) for c, f in zip(consts, flats)]
         margin = min(float(np.linalg.eigvalsh(f)[:, 0].min()) for f in fs)
-        bound = sum(float(np.vdot(c, x).real) for c, x in zip(consts, xs))
+        bound = sum(float(np.real(np.vdot(c, x))) for c, x in zip(consts, xs))
         outcome = SolverOutcome(margin, tuple(deltas), it, bound)
         scale = max(1.0, abs(bound))
         if margin >= -min(eps, config.eps_psd) or (

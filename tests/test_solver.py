@@ -1,5 +1,6 @@
 """The interior-point max-margin solver: closed forms, dual bounds, invariances."""
 
+import itertools
 import math
 import subprocess
 import sys
@@ -112,6 +113,75 @@ class TestDualBound:
     def test_iteration_cap_raises_stalled(self):
         with pytest.raises(SolverStalledError):
             solve(ExtendQuery(family_cm(2, 2), 3, 3), RunConfig(max_iters=1))
+
+
+def loss_constraints(lam, monkeypatch):
+    """The constraint list and warm start channels.antidegradable solves."""
+    seen = []
+
+    def spy(constraints, warm, config):
+        seen.append((constraints, warm))
+        return solver.max_margin(constraints, warm, config)
+
+    monkeypatch.setattr(channels, "max_margin", spy)
+    channels.antidegradable(channels.pure_loss(lam))
+    return seen[0]
+
+
+#: Queries whose blocks fall into one, two and three groups of equal size.
+STACKED = {
+    "pure loss 0.7": ([2, 2], lambda mp: loss_constraints(0.7, mp)),
+    "2+2 at (2, 2)": ([4, 4, 8], lambda mp: _theorem_constraints(
+        ExtendQuery(random_pure(np.random.default_rng(0), 2, 2), 2, 2))),
+    "1+2 at (2, 2)": ([2, 4, 6], lambda mp: _theorem_constraints(
+        ExtendQuery(random_pure(np.random.default_rng(0), 1, 2), 2, 2))),
+}
+
+
+class TestStackedSolve:
+    @pytest.mark.parametrize("case", STACKED)
+    def test_margin_is_the_objective_and_the_gap_closes(self, case, monkeypatch):
+        dims, build = STACKED[case]
+        cons, warm = build(monkeypatch)
+        assert [c.dim for c in cons] == dims
+        outcome = solver.max_margin(cons, warm)
+        assert outcome.iterations > 0
+        assert outcome.margin == pytest.approx(solver._objective(cons, outcome.deltas), abs=1e-12)
+        assert 0.0 <= outcome.bound - outcome.margin <= solver.GAP_TOL * max(1.0, abs(outcome.bound))
+
+    @pytest.mark.parametrize("case", STACKED)
+    def test_constraint_order_is_immaterial(self, case, monkeypatch):
+        cons, warm = STACKED[case][1](monkeypatch)
+        base = solver.max_margin(cons, warm)
+        for perm in itertools.permutations(cons):
+            outcome = solver.max_margin(list(perm), warm)
+            assert outcome.margin == pytest.approx(base.margin, abs=1e-12)
+            # the dual bound is fixed only to the closed gap: reordering the
+            # blocks of one group reorders sums and moves it by up to ~1e-11
+            assert outcome.bound == pytest.approx(base.bound, abs=solver.GAP_TOL)
+
+
+def family22_direct_sum(n, rng):
+    """n copies of family_cm(2, 2), A mode j paired with B mode j, under a random O_A ⊕ O_B."""
+    m = np.zeros((4 * n, 4 * n))
+    for j in range(n):
+        idx = [2 * j, 2 * j + 1, 2 * n + 2 * j, 2 * n + 2 * j + 1]
+        m[np.ix_(idx, idx)] = family_cm(2, 2).mat
+    return copies(bipartite(m, n, n), rng)[0]
+
+
+class TestPastFourModes:
+    @pytest.mark.parametrize("n", [3, 6])
+    @pytest.mark.parametrize("k1, k2", [(3, 3), (2, 3)])
+    def test_rotated_direct_sum_meets_closed_form(self, n, k1, k2):
+        rng = np.random.default_rng(n)
+        b = family22_direct_sum(n, rng)
+        rotated, swapped = copies(b, rng)
+        closed = 1.0 - math.sqrt(k1 * k2 / 4.0)
+        margins = [solve(ExtendQuery(q, *ks)).margin
+                   for q, ks in ((b, (k1, k2)), (rotated, (k1, k2)), (swapped, (k2, k1)))]
+        assert margins == pytest.approx([closed] * 3, abs=1e-9)
+        assert max(margins) - min(margins) <= 1e-9
 
 
 def family22_x_scaled(scale):
