@@ -38,7 +38,8 @@ class SingularStateError(FgextError, ValueError):
 
 
 class TooManyModesError(FgextError, ValueError):
-    """Dense Fock-space representation requested beyond the hard mode cap."""
+    """A dense Fock-space representation beyond the hard mode cap, or a
+    solver run whose estimated memory exceeds its byte cap."""
 
 
 class OddSubsetError(FgextError, ValueError):

@@ -15,12 +15,29 @@ Method: one primal-dual path-following run with the HKM direction and
 Mehrotra's predictor-corrector (Helmberg, Rendl, Vanderbei & Wolkowicz,
 SIAM J. Optim. 6, 1996; Vandenberghe & Boyd, SIAM Rev. 38, 1996). Each
 step solves one Schur system, M_ij = Re Σ_c tr(B_ci X_c B_cj Z_c⁻¹), of
-size at most 57 at 4+4 modes. At these sizes a numpy call costs more than
-its flops, so the constraints are grouped once per solve by block size (at
-most three groups for an extendibility query, one for a channel) and every
-eigensolve, Cholesky factorisation and inverse runs once per group on a
-(g, d, d) stack. The Cholesky factor of M is inverted once per step and
-reused by the predictor and the corrector.
+size m + 1; its Cholesky factor is inverted once and reused by the
+predictor and the corrector.
+
+The C blocks are kept as one (C, D, D) stack, each padded to D, the
+largest block size, with an inert identity: on the pad F(0) = I, every
+B_i is 0 and the steps of X are masked to 0, so X and Z stay exactly I
+there and the pad adds only its size to the traces behind μ and the dual
+bound, which subtract it. Every eigensolve, Cholesky factorisation and
+inverse of a phase is one numpy call on that stack.
+
+No B_i is stored as a matrix. A θ variable has two nonzeros in each block
+it enters, -i·coeff at (R, S) and i·coeff at (S, R), and B_t is the
+identity on the unpadded diagonal; F(θ) and ΔZ are scattered from these
+index lists, and Re tr(B_i W) is gathered from them. M is built from
+entries of X and W = Z⁻¹ alone (Fujisawa, Kojima & Nakata, Math.
+Program. 79, 1997): over the pairs p, q of θ nonzeros in one block,
+
+    Re tr(B_p X B_q W) = -c_p c_q (P1_pq + P1_qp - P2_pq - P3_pq),
+    P1 = Re X_{S_p R_q} W_{S_q R_p},  P2 = Re X_{S_p S_q} W_{R_q R_p},
+    P3 = Re X_{R_p R_q} W_{S_q S_p},
+
+where P2 and P3 are symmetric, so M restricted to θ is U + Uᵀ with U
+summed from -c_p c_q (P1 - (P2 + P3)/2); the t row is Re tr(B_i X W).
 
 The run starts strictly feasible on both sides, from θ₀ = warm start,
 t₀ = f(θ₀) - 1 and X₀ = I/N (N the summed block size); a warm start with
@@ -33,7 +50,9 @@ below -eps_feas within 1e-8 · max(1, |bound|) of f(θ_k). A breakdown (X,
 Z or the Schur matrix no longer numerically definite) returns only if
 f(θ_k) >= -eps_feas or that gap is within 1e-6 · max(1, |bound|). A
 margin in the ambiguous band [-100 eps_feas, -eps_feas), any other
-breakdown and max_iters iterations raise SolverStalledError.
+breakdown and max_iters iterations raise SolverStalledError. Before
+allocating its stack, a run estimates its bytes and refuses, with
+TooManyModesError, a problem over SOLVER_BYTES_CAP.
 """
 
 from dataclasses import dataclass
@@ -41,9 +60,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RunConfig, DEFAULT_CONFIG
-from .errors import SolverStalledError
+from .errors import SolverStalledError, TooManyModesError
 
-__all__ = ["MatrixConstraint", "SolverOutcome", "max_margin", "minimize"]
+__all__ = ["MatrixConstraint", "SolverOutcome", "SOLVER_BYTES_CAP", "max_margin", "minimize"]
 
 #: Relative duality gaps accepted at convergence and at a breakdown.
 GAP_TOL = 1e-8
@@ -51,6 +70,12 @@ BREAKDOWN_GAP_TOL = 1e-6
 
 #: Fraction of the step to the boundary of the PSD cone taken by the corrector.
 STEP_FRACTION = 0.95
+
+#: Largest estimated size of the index lists, gathers and Schur matrices of
+#: one run. At (3, 3), 23+23 modes is the largest extendibility query under
+#: it (estimated 0.94 GiB; peak RSS 0.9 GB, 8-10 s on one core); 24+24
+#: (1.12 GiB) and 40+40 (8.8 GiB) are refused.
+SOLVER_BYTES_CAP = 2**30
 
 
 @dataclass(frozen=True)
@@ -103,102 +128,181 @@ def _objective(constraints, deltas):
     return min(float(np.linalg.eigvalsh(_hermitian(c, deltas))[0]) for c in constraints)
 
 
-def _stacks(constraints, triu, offsets):
-    """Per block size d: F(0) as a (g, d, d) stack and the basis as (m+1, g, d, d).
+def _estimated_bytes(counts, dim, m):
+    """Bytes of one run with counts[c] θ nonzeros in block c: 136 per pair of
+    nonzeros in one block (gather indices, the two complex gathers of the
+    three products, weights and targets), four (m+1)² Schur matrices and the
+    (C, D, D) stacks. From 8+8 to 23+23 modes at (3, 3) this exceeded the
+    measured growth of peak RSS by 5-13%."""
+    pairs = sum(n * n for n in counts)
+    return pairs * (3 * 2 * 4 + 3 * 2 * 16 + 8 + 8) + 4 * 8 * (m + 1) ** 2 + 64 * len(counts) * dim**2
 
-    B_ci with F_c(θ) - t I = F_c(0) - Σ_i y_i B_ci, for y = (θ, t) of size
-    m + 1. The basis is stored variable-major, so B @ X reshapes into a row
-    of the Schur system without a transposed copy. Groups come in increasing
-    d, so of the constraint order only the order within a group reaches the
-    sums.
+
+class _BlockStack:
+    """The constraints as one padded (C, D, D) stack, and the nonzeros of
+    every B_i as index lists into it (see the module docstring).
+
+    Scatters and gathers address a complex stack through its float64 view:
+    entry (k, a, b) has its real part at 2((k D + a) D + b), its imaginary
+    part one after.
     """
-    by_dim = {}
-    for c in constraints:
-        by_dim.setdefault(c.dim, []).append(c)
-    consts, bases = [], []
-    for d, members in sorted(by_dim.items()):
-        basis = np.zeros((offsets[-1] + 1, len(members), d, d), dtype=complex)
-        for k, c in enumerate(members):
-            for coeff, var, off in c.terms:
-                rows, cols = triu[var]
-                idx = offsets[var] + np.arange(rows.size)
-                basis[idx, k, off + rows, off + cols] -= 1j * coeff
-                basis[idx, k, off + cols, off + rows] += 1j * coeff
-        basis[-1] = np.eye(d)
-        consts.append(np.stack([c.sym_part + 1j * c.skew_const for c in members]))
-        bases.append(basis)
-    return consts, bases
+
+    def __init__(self, constraints, var_dims):
+        dims = [c.dim for c in constraints]
+        n, d = len(dims), max(dims)
+        self.var_dims = var_dims
+        self.triu = [np.triu_indices(v, 1) for v in var_dims]
+        offsets = np.cumsum([0] + [r.size for r, _ in self.triu])
+        self.m = m = int(offsets[-1])
+        self.size = sum(dims)
+        self.pad = n * d - self.size
+        counts = [sum(self.triu[var][0].size for _, var, _ in c.terms) for c in constraints]
+        nbytes = _estimated_bytes(counts, d, m)
+        if nbytes > SOLVER_BYTES_CAP:
+            raise TooManyModesError(
+                f"{m} variables on blocks of size up to {d} need about "
+                f"{nbytes / 2**30:.2f} GiB, over the {SOLVER_BYTES_CAP / 2**30:.2f} GiB cap"
+            )
+
+        self.consts = np.tile(np.eye(d, dtype=complex), (n, 1, 1))
+        self.real = np.zeros((n, d, d))
+        for j, con in enumerate(constraints):
+            self.consts[j, : con.dim, : con.dim] = con.sym_part + 1j * con.skew_const
+            self.real[j, : con.dim, : con.dim] = 1.0
+        self.identity = self.real * np.eye(d)
+
+        # one record per θ nonzero pair (R, S), (S, R): block k, coefficient c, variable v
+        terms = [(j, coeff, var, off) for j, con in enumerate(constraints) for coeff, var, off in con.terms]
+        sizes = [self.triu[var][0].size for _, _, var, _ in terms]
+        k, c = (np.repeat([t[i] for t in terms], sizes) for i in (0, 1))
+        r = np.concatenate([off + self.triu[var][0] for _, _, var, off in terms])
+        s = np.concatenate([off + self.triu[var][1] for _, _, var, off in terms])
+        v = np.concatenate([offsets[var] + np.arange(size) for size, (_, _, var, _) in zip(sizes, terms)])
+
+        def at(k, a, b):
+            return (k * d + a) * d + b
+
+        # the θ nonzeros at (R, S) and (S, R), imaginary; B_t on the unpadded diagonal, real
+        theta = slice(0, 2 * r.size)
+        where = np.concatenate([2 * at(k, r, s) + 1, 2 * at(k, s, r) + 1, 2 * np.flatnonzero(self.identity)])
+        weight = np.concatenate([c, -c, -np.ones(self.size)])
+        var = np.concatenate([v, v, np.full(self.size, m)])
+        self.gather = where, weight, var
+        self.scatter_lists = where[theta], weight[theta], var[theta]
+        self.flat = 2 * n * d * d
+
+        # ordered pairs p, q of θ nonzeros in one block (the records of a block
+        # are contiguous); P1, P2 and P3 in turn
+        starts = np.cumsum(counts) - counts
+        run = np.asarray(counts)[k]
+        p = np.repeat(np.arange(k.size), run)
+        kp = k[p]
+        q = starts[kp] + np.arange(p.size) - np.repeat(np.cumsum(run) - run, run)
+        self.x_at = np.concatenate(
+            [at(kp, s[p], r[q]), at(kp, s[p], s[q]), at(kp, r[p], r[q])]
+        ).astype(np.int32)
+        self.w_at = np.concatenate(
+            [at(kp, s[q], r[p]), at(kp, r[q], r[p]), at(kp, s[q], s[p])]
+        ).astype(np.int32)
+        self.pair_weight = -c[p] * c[q]
+        self.pair_var = (v[p] * (m + 1) + v[q]).astype(np.int32)
+
+    def scatter(self, y):
+        """-Σ_i y_i B_i over θ, as a (C, D, D) complex stack."""
+        where, weight, var = self.scatter_lists
+        out = np.bincount(where, weight * y[var], self.flat)
+        return out.view(complex).reshape(self.consts.shape)
+
+    def trace_with(self, w):
+        """Re Σ_c tr(B_ci W_c) for every i, t last, from a (C, D, D) stack W."""
+        where, weight, var = self.gather
+        floats = w.reshape(-1).view(np.float64)
+        return -np.bincount(var, weight * floats[where], self.m + 1)
+
+    def schur(self, x, w):
+        """M_ij = Re Σ_c tr(B_ci X_c B_cj W_c) for Hermitian stacks X and W."""
+        m, pairs = self.m + 1, self.pair_weight.size
+        prod = x.reshape(-1)[self.x_at]
+        prod *= w.reshape(-1)[self.w_at]
+        prod = prod.real
+        terms = prod[:pairs] - 0.5 * (prod[pairs : 2 * pairs] + prod[2 * pairs :])
+        u = np.bincount(self.pair_var, self.pair_weight * terms, m * m).reshape(m, m)
+        schur = u + u.T
+        schur[-1] = schur[:, -1] = self.trace_with(x @ w)
+        return schur
+
+    def deltas(self, y):
+        """The antisymmetric Δ_j whose upper triangles are θ."""
+        out, start = [], 0
+        for d, iu in zip(self.var_dims, self.triu):
+            upper = np.zeros((d, d))
+            upper[iu] = y[start : start + iu[0].size]
+            start += iu[0].size
+            out.append(upper - upper.T)
+        return tuple(out)
 
 
-def _trace_with(basis, mats):
-    """Re Σ_c tr(B_ci W_c) for every i, from per-group stacks of W_c."""
-    return sum(
-        np.real(b.reshape(len(b), -1) @ w.swapaxes(-1, -2).ravel()) for b, w in zip(basis, mats)
-    )
+def _lower_inverse(l):
+    """Inverse of a lower-triangular l: by halves, so that above 128 rows the
+    flops are n³/3 in matrix products, not the 8n³/3 of a general inverse."""
+    n = len(l)
+    if n <= 128:
+        return np.linalg.inv(l)
+    h = n // 2
+    top, bottom = _lower_inverse(l[:h, :h]), _lower_inverse(l[h:, h:])
+    out = np.zeros_like(l)
+    out[:h, :h] = top
+    out[h:, h:] = bottom
+    out[h:, :h] = -bottom @ (l[h:, :h] @ top)
+    return out
 
 
-def _step_to_boundary(inv_factors, dxs, dzs, fraction):
+def _step_to_boundary(inv_factors, dx, dz, fraction):
     """Largest α_p, α_d <= 1, times fraction, with L L^H + α step >= 0 for X and Z.
 
-    inv_factors holds, per group, the inverse Cholesky factors of X and Z
-    concatenated, so one eigensolve per group covers both directions.
+    inv_factors holds the inverse Cholesky factors of X and Z stacked, so
+    one eigensolve covers both directions.
     """
-    low_p = low_d = 0.0
-    for l_inv, dx, dz in zip(inv_factors, dxs, dzs):
-        low = np.linalg.eigvalsh(l_inv @ np.concatenate([dx, dz]) @ _adjoint(l_inv))[:, 0]
-        low_p = min(low_p, low[: len(dx)].min())
-        low_d = min(low_d, low[len(dx) :].min())
-    return tuple(min(1.0, -fraction / low) if low < 0 else 1.0 for low in (low_p, low_d))
+    low = np.linalg.eigvalsh(inv_factors @ np.concatenate([dx, dz]) @ _adjoint(inv_factors))[:, 0]
+    lows = (low[: len(dx)].min(), low[len(dx) :].min())
+    return tuple(min(1.0, -fraction / low) if low < 0 else 1.0 for low in lows)
 
 
-def _newton_step(basis, xs, zs, rhs):
+def _newton_step(stack, x, z, rhs):
     """HKM predictor-corrector step: (Δy, ΔX, α_primal, α_dual).
 
-    Every argument but rhs is a list with one entry per group of equal-size
-    blocks: basis (m+1, g, d, d), xs and zs (g, d, d). Each group makes one
-    Cholesky factorisation and one inverse of X and Z stacked together, and
-    one eigensolve per phase for the step to the boundary. The Schur matrix
-    is factorised and its Cholesky factor L inverted once; the predictor and
-    the corrector both solve with Δy = L⁻ᵀ (L⁻¹ r).
+    x and z are (C, D, D) stacks. One Cholesky factorisation and one
+    inverse cover X and Z together, and one eigensolve per phase gives the
+    step to the boundary. The Schur matrix is factorised and its Cholesky
+    factor L inverted once; the predictor and the corrector both solve
+    with Δy = L⁻ᵀ (L⁻¹ r). ΔX is masked to 0 on the pad.
 
     Raises LinAlgError when X, Z or the Schur matrix is no longer
     numerically positive definite.
     """
-    n = rhs.size
-    size = sum(x.shape[0] * x.shape[1] for x in xs)
-    l_invs = [np.linalg.inv(np.linalg.cholesky(np.concatenate([x, z]))) for x, z in zip(xs, zs)]
-    z_invs = [_adjoint(l[len(x) :]) @ l[len(x) :] for l, x in zip(l_invs, xs)]
-    schur = sum(
-        np.real((b @ x).reshape(n, -1) @ (b @ zi).transpose(0, 1, 3, 2).reshape(n, -1).T)
-        for b, x, zi in zip(basis, xs, z_invs)
-    )
-    # M is symmetric only up to rounding, and cholesky reads one triangle
-    schur_l_inv = np.linalg.inv(np.linalg.cholesky((schur + schur.T) / 2.0))
-    mu = sum(np.real(np.vdot(x, z)) for x, z in zip(xs, zs)) / size
+    n = len(x)
+    l_inv = np.linalg.inv(np.linalg.cholesky(np.concatenate([x, z])))
+    z_inv = _adjoint(l_inv[n:]) @ l_inv[n:]
+    schur_l_inv = _lower_inverse(np.linalg.cholesky(stack.schur(x, z_inv)))
+    mu = (np.real(np.vdot(x, z)) - stack.pad) / stack.size
 
     def direction(r, sigma_mu, cross):
         dy = schur_l_inv.T @ (schur_l_inv @ r)
-        dzs = [-(dy @ b.reshape(n, -1)).reshape(x.shape) for b, x in zip(basis, xs)]
-        dxs = [
-            sigma_mu * zi - x - _herm((x @ dz + w) @ zi)
-            for x, dz, zi, w in zip(xs, dzs, z_invs, cross)
-        ]
-        return dy, dxs, dzs
+        dz = stack.scatter(dy) - dy[-1] * stack.identity
+        dx = stack.real * (sigma_mu * z_inv - x - _herm((x @ dz + cross) @ z_inv))
+        return dy, dx, dz
 
     # predictor: the affine-scaling step, aiming at μ = 0
-    dy, dxs, dzs = direction(rhs, 0.0, [0.0] * len(xs))
-    a_p, a_d = _step_to_boundary(l_invs, dxs, dzs, 1.0)
-    pairs = zip(xs, dxs, zs, dzs)
-    mu_aff = sum(np.real(np.vdot(x + a_p * dx, z + a_d * dz)) for x, dx, z, dz in pairs) / size
+    dy, dx, dz = direction(rhs, 0.0, 0.0)
+    a_p, a_d = _step_to_boundary(l_inv, dx, dz, 1.0)
+    mu_aff = (np.real(np.vdot(x + a_p * dx, z + a_d * dz)) - stack.pad) / stack.size
     sigma_mu = min(1.0, (mu_aff / mu) ** 3) * mu
     # corrector: centring towards σμ plus Mehrotra's second-order term
-    cross = [dx @ dz for dx, dz in zip(dxs, dzs)]
-    r = rhs - sigma_mu * _trace_with(basis, z_invs) + _trace_with(
-        basis, [w @ zi for w, zi in zip(cross, z_invs)]
-    )
-    dy, dxs, dzs = direction(r, sigma_mu, cross)
-    a_p, a_d = _step_to_boundary(l_invs, dxs, dzs, STEP_FRACTION)
-    return dy, dxs, a_p, a_d
+    cross = dx @ dz
+    r = rhs + stack.trace_with(cross @ z_inv - sigma_mu * z_inv)
+    dy, dx, dz = direction(r, sigma_mu, cross)
+    a_p, a_d = _step_to_boundary(l_inv, dx, dz, STEP_FRACTION)
+    return dy, dx, a_p, a_d
 
 
 def _adjoint(m):
@@ -207,6 +311,13 @@ def _adjoint(m):
 
 def _herm(m):
     return (m + _adjoint(m)) / 2.0
+
+
+def _gap_closed(bound, margin, eps, tol):
+    """A dual bound below -eps_feas within tol · max(1, |bound|) of the margin,
+    on either side: a bound below the margin is no closed gap but an
+    inaccurate dual, and fails this test once it is off by more than tol."""
+    return bound < -eps and abs(bound - margin) <= tol * max(1.0, abs(bound))
 
 
 def _checked(outcome, eps):
@@ -233,6 +344,8 @@ def max_margin(constraints, warm_start, config: RunConfig = DEFAULT_CONFIG):
         SolverStalledError: a converged margin inside the ambiguous band
             [-100 eps_feas, -eps_feas), a breakdown before convergence, or
             max_iters iterations without meeting a stopping rule.
+        TooManyModesError: the run's estimated bytes exceed
+            SOLVER_BYTES_CAP; nothing large has been allocated.
     """
     eps = config.eps_feas
     margin = _objective(constraints, warm_start)
@@ -243,42 +356,37 @@ def max_margin(constraints, warm_start, config: RunConfig = DEFAULT_CONFIG):
         bound = sum(float(np.trace(c.sym_part)) for c in constraints) / size
         return SolverOutcome(margin, tuple(warm_start), 0, bound)
 
-    var_dims = [w.shape[0] for w in warm_start]
-    triu = [np.triu_indices(d, 1) for d in var_dims]
-    offsets = np.cumsum([0] + [iu[0].size for iu in triu])
-    consts, basis = _stacks(constraints, triu, offsets)
-    flats = [b.reshape(b.shape[0], -1) for b in basis]
-    y = np.concatenate([m[iu] for m, iu in zip(warm_start, triu)] + [[margin - 1.0]])
-    xs = [np.tile(np.eye(c.shape[-1], dtype=complex) / size, (len(c), 1, 1)) for c in consts]
+    stack = _BlockStack(constraints, [w.shape[0] for w in warm_start])
+    y = np.concatenate([w[iu] for w, iu in zip(warm_start, stack.triu)] + [[margin - 1.0]])
+    # I/N on the blocks, I on the pad
+    x = (np.eye(stack.consts.shape[-1]) - stack.identity + stack.identity / size).astype(complex)
     rhs = np.eye(y.size)[-1]
 
+    def outcome(it):
+        deltas = stack.deltas(y)
+        # the pad's eigenvalues are 1, so a padded minimum below 1 is the true
+        # one; since λ_min(F_c) <= λ_min(A_c), 1 or more needs every A_c > I
+        exact = margin if margin < 1.0 else _objective(constraints, deltas)
+        return SolverOutcome(exact, deltas, it, bound)
+
     for it in range(config.max_iters + 1):
-        deltas = []
-        for d, iu, lo, hi in zip(var_dims, triu, offsets[:-1], offsets[1:]):
-            upper = np.zeros((d, d))
-            upper[iu] = y[lo:hi]
-            deltas.append(upper - upper.T)
-        fs = [c - (y[:-1] @ f[:-1]).reshape(c.shape) for c, f in zip(consts, flats)]
-        margin = min(float(np.linalg.eigvalsh(f)[:, 0].min()) for f in fs)
-        bound = sum(float(np.real(np.vdot(c, x))) for c, x in zip(consts, xs))
-        outcome = SolverOutcome(margin, tuple(deltas), it, bound)
-        scale = max(1.0, abs(bound))
-        if margin >= -min(eps, config.eps_psd) or (
-            bound < -eps and bound - margin <= GAP_TOL * scale
-        ):
-            return _checked(outcome, eps)
+        f = stack.consts + stack.scatter(y)
+        margin = float(np.linalg.eigvalsh(f)[:, 0].min())
+        bound = float(np.real(np.vdot(stack.consts, x))) - stack.pad
+        if margin >= -min(eps, config.eps_psd) or _gap_closed(bound, margin, eps, GAP_TOL):
+            return _checked(outcome(it), eps)
         if it == config.max_iters:
             break
-        zs = [f - y[-1] * np.eye(f.shape[-1]) for f in fs]
+        z = f - y[-1] * stack.identity
         try:
-            dy, dxs, a_p, a_d = _newton_step(basis, xs, zs, rhs)
+            dy, dx, a_p, a_d = _newton_step(stack, x, z, rhs)
         except np.linalg.LinAlgError:
-            if margin >= -eps or (bound < -eps and bound - margin <= BREAKDOWN_GAP_TOL * scale):
-                return _checked(outcome, eps)
+            if margin >= -eps or _gap_closed(bound, margin, eps, BREAKDOWN_GAP_TOL):
+                return _checked(outcome(it), eps)
             raise SolverStalledError(
                 f"factorization broke down at iteration {it} with margin "
                 f"{margin:.3e} and dual bound {bound:.3e}"
             ) from None
-        xs = [x + a_p * dx for x, dx in zip(xs, dxs)]
+        x = x + a_p * dx
         y = y + a_d * dy
     raise SolverStalledError(f"no stopping rule met after {config.max_iters} iterations")

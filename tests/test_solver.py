@@ -4,6 +4,7 @@ import itertools
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from fgext import channels, extend, fgs, matalg, solver, verify
 from fgext.bounds import family_cm
 from fgext.config import RunConfig
-from fgext.errors import SolverStalledError
+from fgext.errors import SolverStalledError, TooManyModesError
 from fgext.extend import ExtendQuery, FeasibilityStatus, _theorem_constraints
 
 #: M(k1, k2) queried above its own order; the optimum is 1 - sqrt(q1 q2 / (k1 k2)).
@@ -161,6 +162,91 @@ class TestStackedSolve:
             assert outcome.bound == pytest.approx(base.bound, abs=solver.GAP_TOL)
 
 
+def dense_basis(constraints, var_dims):
+    """Per constraint, every B_ci of F_c(θ) - t I = F_c(0) - Σ_i y_i B_ci as a
+    dense (m+1, d, d) array, written out from the constraint terms."""
+    triu = [np.triu_indices(d, 1) for d in var_dims]
+    offsets = np.cumsum([0] + [r.size for r, _ in triu])
+    out = []
+    for c in constraints:
+        b = np.zeros((offsets[-1] + 1, c.dim, c.dim), dtype=complex)
+        for coeff, var, off in c.terms:
+            for i, (r, s) in enumerate(zip(*triu[var])):
+                b[offsets[var] + i, off + r, off + s] -= 1j * coeff
+                b[offsets[var] + i, off + s, off + r] += 1j * coeff
+        b[-1] = np.eye(c.dim)
+        out.append(b)
+    return out
+
+
+def random_definite(rng, d):
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return g @ g.conj().T / d + 0.1 * np.eye(d)
+
+
+def padded(blocks):
+    """The blocks as one (C, D, D) stack, each padded with the identity."""
+    dim = max(len(b) for b in blocks)
+    out = np.tile(np.eye(dim, dtype=complex), (len(blocks), 1, 1))
+    for k, b in enumerate(blocks):
+        out[k, : len(b), : len(b)] = b
+    return out
+
+
+class TestSparseAssembly:
+    @pytest.mark.parametrize("case", STACKED)
+    def test_matches_the_dense_basis(self, case, monkeypatch):
+        cons, warm = STACKED[case][1](monkeypatch)
+        var_dims = [w.shape[0] for w in warm]
+        stack = solver._BlockStack(cons, var_dims)
+        basis = dense_basis(cons, var_dims)
+        rng = np.random.default_rng(14)
+        xs = [random_definite(rng, c.dim) for c in cons]
+        ws = [random_definite(rng, c.dim) for c in cons]
+        schur = sum(np.real(np.einsum("iab,bc,jcd,da->ij", b, x, b, w))
+                    for b, x, w in zip(basis, xs, ws))
+        trace = sum(np.real(np.einsum("iab,ba->i", b, w)) for b, w in zip(basis, ws))
+        assert np.allclose(stack.schur(padded(xs), padded(ws)), schur, rtol=0, atol=1e-12)
+        assert np.allclose(stack.trace_with(padded(ws)), trace, rtol=0, atol=1e-12)
+        theta = rng.standard_normal(stack.m + 1)
+        f = [c.sym_part + 1j * c.skew_const - np.tensordot(theta[:-1], b[:-1], 1)
+             for c, b in zip(cons, basis)]
+        assert np.array_equal(stack.consts + stack.scatter(theta), padded(f))
+
+    @pytest.mark.parametrize("case", ["2+2 at (2, 2)", "1+2 at (2, 2)"])
+    def test_x_and_z_stay_identity_on_the_pad(self, case, monkeypatch):
+        cons, warm = STACKED[case][1](monkeypatch)
+        seen = []
+        step = solver._newton_step
+
+        def spy(stack, x, z, rhs):
+            seen.append((x, z))
+            return step(stack, x, z, rhs)
+
+        monkeypatch.setattr(solver, "_newton_step", spy)
+        solver.max_margin(cons, warm)
+        assert len(seen) > 1
+        dim = max(c.dim for c in cons)
+        for x, z in seen[1:]:
+            for k, c in enumerate(cons):
+                for m in (x[k], z[k]):
+                    pad = np.eye(dim)[c.dim :]
+                    assert np.array_equal(m[c.dim :], pad)
+                    assert np.array_equal(m[:, c.dim :], pad.T)
+
+    def test_margin_above_one_is_read_without_the_pad(self):
+        # blocks of size 2 and 4 with A = 5 I: the first step reaches f = 1.28,
+        # above the pad's eigenvalue 1
+        skew = np.zeros((4, 4))
+        skew[0, 1], skew[1, 0] = 7.0, -7.0
+        cons = [solver.MatrixConstraint(5.0 * np.eye(2), np.zeros((2, 2)), ((1.0, 0, 0),)),
+                solver.MatrixConstraint(5.0 * np.eye(4), skew, ((1.0, 0, 0),))]
+        outcome = solver.max_margin(cons, [np.zeros((2, 2))])
+        assert outcome.iterations == 1
+        assert outcome.margin > 1.0
+        assert outcome.margin == solver._objective(cons, outcome.deltas)
+
+
 def family22_direct_sum(n, rng):
     """n copies of family_cm(2, 2), A mode j paired with B mode j, under a random O_A ⊕ O_B."""
     m = np.zeros((4 * n, 4 * n))
@@ -171,7 +257,7 @@ def family22_direct_sum(n, rng):
 
 
 class TestPastFourModes:
-    @pytest.mark.parametrize("n", [3, 6])
+    @pytest.mark.parametrize("n", [3, 6, 8])
     @pytest.mark.parametrize("k1, k2", [(3, 3), (2, 3)])
     def test_rotated_direct_sum_meets_closed_form(self, n, k1, k2):
         rng = np.random.default_rng(n)
@@ -182,6 +268,19 @@ class TestPastFourModes:
                    for q, ks in ((b, (k1, k2)), (rotated, (k1, k2)), (swapped, (k2, k1)))]
         assert margins == pytest.approx([closed] * 3, abs=1e-9)
         assert max(margins) - min(margins) <= 1e-9
+
+    def test_forty_plus_forty_refused_before_allocating(self):
+        b = family22_direct_sum(40, np.random.default_rng(40))
+        cons, warm = _theorem_constraints(ExtendQuery(b, 3, 3))
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooManyModesError, match="GiB"):
+                solver.max_margin(cons, warm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the warm start's 160 x 160 eigensolves (under 1 MiB), not the 8 GiB
+        assert peak < 8 * 2**20
 
 
 def family22_x_scaled(scale):
@@ -207,9 +306,35 @@ class TestStallExits:
         assert outcome.bound >= -1e-7
         assert decide(b, 2, 2).status is FeasibilityStatus.FEASIBLE
 
-    def test_breakdown_beyond_eps_feas_raises(self):
-        with pytest.raises(SolverStalledError, match="^factorization broke down"):
-            solve(ExtendQuery(family22_x_scaled(1.0 + 1e-7), 2, 2))
+    def test_breakdown_beyond_eps_feas_raises(self, monkeypatch):
+        # a factorisation that fails at the third step, where the margin of
+        # family_cm(2, 2) at (3, 3) is still near -0.5 and the gap is open
+        step = solver._newton_step
+        calls = []
+
+        def failing(*args):
+            calls.append(1)
+            if len(calls) == 3:
+                raise np.linalg.LinAlgError("forced")
+            return step(*args)
+
+        monkeypatch.setattr(solver, "_newton_step", failing)
+        with pytest.raises(SolverStalledError, match="^factorization broke down at iteration 2 "):
+            solve(ExtendQuery(family_cm(2, 2), 3, 3))
+
+
+class TestGapRule:
+    def test_bound_within_tolerance_on_either_side_closes(self):
+        for bound in (-0.5 + 1e-9, -0.5 - 1e-9):
+            assert solver._gap_closed(bound, -0.5, 1e-7, solver.GAP_TOL)
+
+    def test_bound_below_the_margin_is_not_closed(self):
+        margin = -0.5
+        assert not solver._gap_closed(margin - 1e-6, margin, 1e-7, solver.GAP_TOL)
+        assert not solver._gap_closed(margin - 1e-5, margin, 1e-7, solver.BREAKDOWN_GAP_TOL)
+
+    def test_bound_above_minus_eps_feas_is_not_closed(self):
+        assert not solver._gap_closed(-1e-8, -1e-8, 1e-7, solver.GAP_TOL)
 
 
 class TestFormerNonConvergence:
