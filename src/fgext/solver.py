@@ -152,7 +152,7 @@ class _BlockStack:
         n, d = len(dims), max(dims)
         self.var_dims = var_dims
         self.triu = [np.triu_indices(v, 1) for v in var_dims]
-        offsets = np.cumsum([0] + [r.size for r, _ in self.triu])
+        self.offsets = offsets = np.cumsum([0] + [r.size for r, _ in self.triu])
         self.m = m = int(offsets[-1])
         self.size = sum(dims)
         self.pad = n * d - self.size
@@ -183,12 +183,11 @@ class _BlockStack:
             return (k * d + a) * d + b
 
         # the θ nonzeros at (R, S) and (S, R), imaginary; B_t on the unpadded diagonal, real
-        theta = slice(0, 2 * r.size)
         where = np.concatenate([2 * at(k, r, s) + 1, 2 * at(k, s, r) + 1, 2 * np.flatnonzero(self.identity)])
         weight = np.concatenate([c, -c, -np.ones(self.size)])
         var = np.concatenate([v, v, np.full(self.size, m)])
         self.gather = where, weight, var
-        self.scatter_lists = where[theta], weight[theta], var[theta]
+        self.scatter_lists = where[: 2 * r.size], weight[: 2 * r.size], var[: 2 * r.size]
         self.flat = 2 * n * d * d
 
         # ordered pairs p, q of θ nonzeros in one block (the records of a block
@@ -233,11 +232,10 @@ class _BlockStack:
 
     def deltas(self, y):
         """The antisymmetric Δ_j whose upper triangles are θ."""
-        out, start = [], 0
-        for d, iu in zip(self.var_dims, self.triu):
+        out = []
+        for d, iu, lo, hi in zip(self.var_dims, self.triu, self.offsets[:-1], self.offsets[1:]):
             upper = np.zeros((d, d))
-            upper[iu] = y[start : start + iu[0].size]
-            start += iu[0].size
+            upper[iu] = y[lo:hi]
             out.append(upper - upper.T)
         return tuple(out)
 
