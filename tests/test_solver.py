@@ -129,7 +129,7 @@ def loss_constraints(lam, monkeypatch):
     return seen[0]
 
 
-#: Queries whose blocks fall into one, two and three groups of equal size.
+#: Queries with one, two and three distinct block sizes.
 STACKED = {
     "pure loss 0.7": ([2, 2], lambda mp: loss_constraints(0.7, mp)),
     "2+2 at (2, 2)": ([4, 4, 8], lambda mp: _theorem_constraints(
@@ -158,7 +158,7 @@ class TestStackedSolve:
             outcome = solver.max_margin(list(perm), warm)
             assert outcome.margin == pytest.approx(base.margin, abs=1e-12)
             # the dual bound is fixed only to the closed gap: reordering the
-            # blocks of one group reorders sums and moves it by up to ~1e-11
+            # blocks reorders sums (by up to 4e-14 on these cases)
             assert outcome.bound == pytest.approx(base.bound, abs=solver.GAP_TOL)
 
 
