@@ -45,7 +45,6 @@ from .oracle import (
     DenseState,
     cm_from_state,
     entropies,
-    jordan_wigner,
     state_from_cm,
     trace_distance,
     wick_check,

@@ -87,7 +87,7 @@ def apply_channel(ch: GaussianChannel, m: CovarianceMatrix, eps_psd: float = DEF
             f"channel expects {ch.n_in} input modes, state has {m.modes}"
         )
     out = ch.x_mat @ m.mat @ ch.x_mat.T + ch.n_mat.mat
-    return validate_cm(matalg.antisymmetrize(out), eps_psd=eps_psd)
+    return validate_cm(out, eps_psd=eps_psd)
 
 
 def choi_cm(ch: GaussianChannel) -> BipartiteCM:

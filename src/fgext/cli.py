@@ -3,7 +3,8 @@
 Subcommands: check-cm, extendible, bounds, family, channel,
 oracle-verify. Output is JSON by default (stable key set, sorted keys);
 `--format table` prints aligned text. Exit codes: 0 success/feasible,
-1 infeasible, 2 not bona fide, 3 parse error, 4 solver stalled.
+1 infeasible, 2 not bona fide, 3 parse error, 4 solver stalled,
+5 too large.
 """
 
 import argparse
@@ -24,6 +25,7 @@ from .errors import (
     NotCPError,
     ParseError,
     SolverStalledError,
+    TooManyModesError,
 )
 
 EXIT_OK = 0
@@ -31,6 +33,7 @@ EXIT_INFEASIBLE = 1
 EXIT_NOT_BONA_FIDE = 2
 EXIT_PARSE = 3
 EXIT_STALLED = 4
+EXIT_TOO_LARGE = 5
 
 
 def _config_from_args(args) -> RunConfig:
@@ -100,7 +103,7 @@ def _cmd_check_cm(args, config):
         form = matalg.canonical_form(body)
         lams = [float(v) for v in form.lambdas]
         report["lambdas"] = lams
-        report["pure"] = bool(min(abs(v) for v in lams) >= 1.0 - 1e-9)
+        report["pure"] = bool(min(abs(v) for v in lams) >= 1.0 - config.eps_psd)
     _emit(report, config)
     return EXIT_OK if valid else EXIT_NOT_BONA_FIDE
 
@@ -315,6 +318,9 @@ def main(argv=None) -> int:
     except SolverStalledError as exc:
         print(f"solver stalled: {exc}", file=sys.stderr)
         return EXIT_STALLED
+    except TooManyModesError as exc:
+        print(f"too large: {exc}", file=sys.stderr)
+        return EXIT_TOO_LARGE
     except FgextError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -1,8 +1,8 @@
 """Run configuration and centralized tolerances.
 
 One knob per failure class: eps_psd guards physicality checks, and
-eps_feas guards solver-produced witnesses (looser, since those are
-optimizer outputs rather than closed forms).
+eps_feas the infeasible verdicts (looser, since those rest on optimizer
+outputs). A witness must pass both: margin >= -min(eps_feas, eps_psd).
 """
 
 from dataclasses import dataclass
@@ -10,7 +10,7 @@ from dataclasses import dataclass
 #: PSD margin accepted when validating covariance matrices / channels.
 EPS_PSD = 1e-9
 
-#: Margin accepted for solver-produced feasibility witnesses.
+#: Slack of the prechecks and of the solver's dual bound and ambiguous band.
 EPS_FEAS = 1e-7
 
 

@@ -26,7 +26,7 @@ from . import matalg
 from .config import RunConfig, DEFAULT_CONFIG
 from .errors import InvalidParameterError, NotFeasibleError
 from .fgs import BipartiteCM, CovarianceMatrix, validate_cm
-from .solver import MatrixConstraint, max_margin
+from .solver import MatrixConstraint, margin_target, max_margin
 
 __all__ = [
     "ExtendQuery",
@@ -153,14 +153,14 @@ def solver_verdict(outcome, delta_a, delta_b, config: RunConfig) -> FeasibilityR
     """The verdict on a max_margin outcome.
 
     FEASIBLE, carrying the witnesses, iff the margin is at least
-    -eps_feas; INFEASIBLE_NUMERICAL otherwise. A channel's verdict has
-    delta_b None.
+    margin_target(config); INFEASIBLE_NUMERICAL otherwise. The witnesses
+    are exactly antisymmetric. A channel's verdict has delta_b None.
     """
-    if outcome.margin >= -config.eps_feas:
+    if outcome.margin >= margin_target(config):
         return FeasibilityResult(
             FeasibilityStatus.FEASIBLE,
-            matalg.antisymmetrize(delta_a),
-            None if delta_b is None else matalg.antisymmetrize(delta_b),
+            matalg.AntisymmetricMatrix(delta_a),
+            None if delta_b is None else matalg.AntisymmetricMatrix(delta_b),
             outcome.margin,
             None,
         )
@@ -172,8 +172,8 @@ def solver_verdict(outcome, delta_a, delta_b, config: RunConfig) -> FeasibilityR
 def feasibility(query: ExtendQuery, config: RunConfig = DEFAULT_CONFIG) -> FeasibilityResult:
     """Decide (k1, k2)-extendibility; analytic prechecks run first.
 
-    Feasible results carry witnesses with margin >= -eps_feas; numerical
-    infeasibility requires a converged optimum below -100 eps_feas.
+    Feasible results carry witnesses with margin >= margin_target(config);
+    numerical infeasibility requires a converged optimum below -100 eps_feas.
 
     Raises:
         SolverStalledError: neither verdict could be reached in budget.
@@ -205,8 +205,8 @@ def build_extension(
 
     Diagonal blocks repeat M_A / M_B; off-diagonal same-side blocks are
     Z = M_A - Δ_A and Y = M_B - Δ_B; every A-B block is X. The result is
-    block-permutation invariant by construction and bona fide within
-    eps_feas whenever the witness margins are.
+    block-permutation invariant by construction. Its I + iΓ splits into
+    the witness constraints, so it is checked at eps_psd (plus rounding).
     """
     if not result.feasible:
         raise NotFeasibleError(f"cannot build an extension from {result.status}")
@@ -231,7 +231,7 @@ def build_extension(
             ext[i * da : (i + 1) * da, off + j * db : off + (j + 1) * db] = x
             ext[off + j * db : off + (j + 1) * db, i * da : (i + 1) * da] = -x.T
     slack = 10.0 * np.finfo(float).eps * d
-    return validate_cm(matalg.antisymmetrize(ext), eps_psd=config.eps_feas + slack)
+    return validate_cm(matalg.AntisymmetricMatrix(ext), eps_psd=config.eps_psd + slack)
 
 
 def is_separable_gaussian(b: BipartiteCM, eps_psd: float = DEFAULT_CONFIG.eps_psd) -> bool:

@@ -127,9 +127,7 @@ def antisymmetrize(raw: np.ndarray) -> AntisymmetricMatrix:
             f"symmetric residue {residue:.3e} exceeds {ANTISYM_RTOL:.1e} * max(norm, 1) = "
             f"{ANTISYM_RTOL * max(scale, 1.0):.3e}"
         )
-    out = (raw - raw.T) / 2.0
-    np.fill_diagonal(out, 0.0)
-    return AntisymmetricMatrix(out)
+    return AntisymmetricMatrix((raw - raw.T) / 2.0)
 
 
 def _as_mat(k) -> np.ndarray:

@@ -40,19 +40,19 @@ where P2 and P3 are symmetric, so M restricted to θ is U + Uᵀ with U
 summed from -c_p c_q (P1 - (P2 + P3)/2); the t row is Re tr(B_i X W).
 
 The run starts strictly feasible on both sides, from θ₀ = warm start,
-t₀ = f(θ₀) - 1 and X₀ = I/N (N the summed block size); a warm start with
-f(θ₀) >= 0 is returned unchanged after 0 steps.
+t₀ = f(θ₀) - 1 and X₀ = I/N (N the summed block size).
 
 The reported margin is always the true f(θ) = min_c λ_min(F_c(θ)), never
-t. The run stops when f(θ_k) >= -min(eps_feas, eps_psd), so the witness
-passes the physicality check, or when the dual bound Re tr(F(0) X) is
-below -eps_feas within 1e-8 · max(1, |bound|) of f(θ_k). A breakdown (X,
-Z or the Schur matrix no longer numerically definite) returns only if
-f(θ_k) >= -eps_feas or that gap is within 1e-6 · max(1, |bound|). A
-margin in the ambiguous band [-100 eps_feas, -eps_feas), any other
-breakdown and max_iters iterations raise SolverStalledError. Before
-allocating its stack, a run estimates its bytes and refuses, with
-TooManyModesError, a problem over SOLVER_BYTES_CAP.
+t. One rule accepts a witness: f(θ) >= -min(eps_feas, eps_psd), so that
+its extension passes the eps_psd physicality check. A warm start that
+meets it returns after 0 steps, as does a problem without variables.
+Otherwise the run stops at the first θ_k that meets it, or once the dual
+bound Re tr(F(0) X) is below -eps_feas within 1e-8 · max(1, |bound|) of
+f(θ_k), or within 1e-6 · max(1, |bound|) at a breakdown (X, Z or the
+Schur matrix no longer numerically definite). A returned margin is thus
+accepted or below -100 eps_feas: one in the band between, any other
+breakdown and max_iters iterations raise SolverStalledError. A run over
+SOLVER_BYTES_CAP (estimated) raises TooManyModesError before allocating.
 """
 
 from dataclasses import dataclass
@@ -62,7 +62,7 @@ import numpy as np
 from .config import RunConfig, DEFAULT_CONFIG
 from .errors import SolverStalledError, TooManyModesError
 
-__all__ = ["MatrixConstraint", "SolverOutcome", "SOLVER_BYTES_CAP", "max_margin", "minimize"]
+__all__ = ["MatrixConstraint", "SolverOutcome", "SOLVER_BYTES_CAP", "margin_target", "max_margin", "minimize"]
 
 #: Relative duality gaps accepted at convergence and at a breakdown.
 GAP_TOL = 1e-8
@@ -318,12 +318,17 @@ def _gap_closed(bound, margin, eps, tol):
     return bound < -eps and abs(bound - margin) <= tol * max(1.0, abs(bound))
 
 
-def _checked(outcome, eps):
+def margin_target(config: RunConfig) -> float:
+    """The least margin of an accepted witness: -min(eps_feas, eps_psd)."""
+    return -min(config.eps_feas, config.eps_psd)
+
+
+def _checked(outcome, eps, target):
     """The outcome, unless its margin lies in the ambiguous band."""
-    if -100.0 * eps <= outcome.margin < -eps:
+    if -100.0 * eps <= outcome.margin < target:
         raise SolverStalledError(
             f"converged margin {outcome.margin:.3e} lies in the ambiguous band "
-            f"[{-100.0 * eps:.1e}, {-eps:.1e}) after {outcome.iterations} iterations"
+            f"[{-100.0 * eps:.1e}, {target:.1e}) after {outcome.iterations} iterations"
         )
     return outcome
 
@@ -340,19 +345,19 @@ def max_margin(constraints, warm_start, config: RunConfig = DEFAULT_CONFIG):
 
     Raises:
         SolverStalledError: a converged margin inside the ambiguous band
-            [-100 eps_feas, -eps_feas), a breakdown before convergence, or
-            max_iters iterations without meeting a stopping rule.
+            [-100 eps_feas, margin_target(config)), a breakdown before
+            convergence, or max_iters iterations without a stopping rule.
         TooManyModesError: the run's estimated bytes exceed
             SOLVER_BYTES_CAP; nothing large has been allocated.
     """
-    eps = config.eps_feas
+    eps, target = config.eps_feas, margin_target(config)
     margin = _objective(constraints, warm_start)
-    if not warm_start:
-        return SolverOutcome(margin, (), 0, margin)
     size = sum(c.dim for c in constraints)
-    if margin >= 0.0:
-        bound = sum(float(np.trace(c.sym_part)) for c in constraints) / size
-        return SolverOutcome(margin, tuple(warm_start), 0, bound)
+    if margin >= target or not warm_start:
+        # X = I/N is dual feasible; without variables the margin is the optimum
+        traces = sum(float(np.trace(c.sym_part)) for c in constraints)
+        bound = traces / size if warm_start else margin
+        return _checked(SolverOutcome(margin, tuple(warm_start), 0, bound), eps, target)
 
     stack = _BlockStack(constraints, [w.shape[0] for w in warm_start])
     y = np.concatenate([w[iu] for w, iu in zip(warm_start, stack.triu)] + [[margin - 1.0]])
@@ -365,22 +370,22 @@ def max_margin(constraints, warm_start, config: RunConfig = DEFAULT_CONFIG):
         # the pad's eigenvalues are 1, so a padded minimum below 1 is the true
         # one; since λ_min(F_c) <= λ_min(A_c), 1 or more needs every A_c > I
         exact = margin if margin < 1.0 else _objective(constraints, deltas)
-        return SolverOutcome(exact, deltas, it, bound)
+        return _checked(SolverOutcome(exact, deltas, it, bound), eps, target)
 
     for it in range(config.max_iters + 1):
         f = stack.consts + stack.scatter(y)
         margin = float(np.linalg.eigvalsh(f)[:, 0].min())
         bound = float(np.real(np.vdot(stack.consts, x))) - stack.pad
-        if margin >= -min(eps, config.eps_psd) or _gap_closed(bound, margin, eps, GAP_TOL):
-            return _checked(outcome(it), eps)
+        if margin >= target or _gap_closed(bound, margin, eps, GAP_TOL):
+            return outcome(it)
         if it == config.max_iters:
             break
         z = f - y[-1] * stack.identity
         try:
             dy, dx, a_p, a_d = _newton_step(stack, x, z, rhs)
         except np.linalg.LinAlgError:
-            if margin >= -eps or _gap_closed(bound, margin, eps, BREAKDOWN_GAP_TOL):
-                return _checked(outcome(it), eps)
+            if _gap_closed(bound, margin, eps, BREAKDOWN_GAP_TOL):
+                return outcome(it)
             raise SolverStalledError(
                 f"factorization broke down at iteration {it} with margin "
                 f"{margin:.3e} and dual bound {bound:.3e}"

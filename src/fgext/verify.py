@@ -79,7 +79,7 @@ def twirled_extendible_instance(rng, n_a: int, n_b: int, k1: int, k2: int):
     m_a, m_b = (m_a - m_a.T) / 2, (m_b - m_b.T) / 2
     z, y = (z - z.T) / 2, (y - y.T) / 2
     body = np.block([[m_a, x], [-x.T, m_b]])
-    b = fgs.BipartiteCM(fgs.validate_cm(matalg.antisymmetrize(body)), n_a, n_b)
+    b = fgs.BipartiteCM(fgs.validate_cm(body), n_a, n_b)
     return b, (m_a - z, m_b - y)
 
 

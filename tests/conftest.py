@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from fgext import fgs, matalg
+from fgext.bounds import family_cm
 from fgext.verify import random_bona_fide_cm, random_bipartite_cm
 
 
@@ -28,3 +30,44 @@ def random_bipartite_factory(rng):
 def random_antisymmetric(rng, dim, scale=1.0):
     raw = scale * rng.standard_normal((dim, dim))
     return (raw - raw.T) / 2.0
+
+
+def special_orthogonal(rng, d):
+    q, r = np.linalg.qr(rng.standard_normal((d, d)))
+    q = q * np.sign(np.diag(r))
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    return q
+
+
+def bipartite(mat, n_a, n_b):
+    return fgs.BipartiteCM(fgs.validate_cm(matalg.antisymmetrize(mat)), n_a, n_b)
+
+
+def copies(b, rng):
+    """b, b under a random local rotation O_A ⊕ O_B, and b with A and B swapped."""
+    da, d = 2 * b.n_a, b.mat.shape[0]
+    rot = np.zeros((d, d))
+    rot[:da, :da] = special_orthogonal(rng, da)
+    rot[da:, da:] = special_orthogonal(rng, d - da)
+    perm = list(range(da, d)) + list(range(da))
+    rotated = bipartite(rot @ b.mat @ rot.T, b.n_a, b.n_b)
+    swapped = bipartite(b.mat[np.ix_(perm, perm)], b.n_b, b.n_a)
+    return rotated, swapped
+
+
+def family22_direct_sum(n, rng):
+    """n copies of family_cm(2, 2), A mode j paired with B mode j, under a random O_A ⊕ O_B."""
+    m = np.zeros((4 * n, 4 * n))
+    for j in range(n):
+        idx = [2 * j, 2 * j + 1, 2 * n + 2 * j, 2 * n + 2 * j + 1]
+        m[np.ix_(idx, idx)] = family_cm(2, 2).mat
+    return copies(bipartite(m, n, n), rng)[0]
+
+
+def family22_x_scaled(scale):
+    """family_cm(2, 2) with X scaled; at (2, 2) its optimum is just below 0."""
+    m = family_cm(2, 2).mat.copy()
+    m[:2, 2:] *= scale
+    m[2:, :2] *= scale
+    return bipartite(m, 1, 1)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fgext import channels, cli, fgs, io
+from conftest import family22_direct_sum, family22_x_scaled
+from fgext import channels, cli, fgs, io, verify
 from fgext.bounds import epsilon_family, family_cm
 from fgext.errors import ParseError
 
@@ -103,6 +104,13 @@ class TestCheckCm(object):
         out = json.loads(capsys.readouterr().out)
         assert out["valid"] is False
 
+    def test_pure_at_the_configured_eps_psd(self, tmp_path, capsys):
+        path = tmp_path / "near.cm"
+        io.save_cm(path, fgs.single_mode_cm(1.0 - 1e-7))
+        for argv, pure in (((), False), (("--eps-psd", "1e-6"), True)):
+            assert run_cli(*argv, "check-cm", str(path)) == 0
+            assert json.loads(capsys.readouterr().out)["pure"] is pure
+
     def test_parse_error_exit_3(self, tmp_path):
         path = tmp_path / "bad.cm"
         path.write_text("modes 1\nmatrix\n0 1\n-0.9 0\n")
@@ -156,6 +164,53 @@ class TestExtendible:
         path = tmp_path / "nosplit.cm"
         io.save_cm(path, fgs.vacuum_cm(2))
         assert run_cli("extendible", str(path), "1", "1") == 3
+
+
+class TestExtensionReadsBack:
+    """Every feasible verdict's emitted extension loads at the default eps_psd."""
+
+    @staticmethod
+    def emit(tmp_path, b, k1, k2):
+        path, ext = str(tmp_path / "state.cm"), tmp_path / "ext.cm"
+        io.save_cm(path, b)
+        code = run_cli("extendible", path, str(k1), str(k2), "--emit-extension", str(ext))
+        return code, ext
+
+    @pytest.mark.parametrize("k1, k2", [(k1, k2) for k1 in range(1, 5) for k2 in range(1, 5)])
+    def test_family_at_its_own_order(self, tmp_path, capsys, k1, k2):
+        code, ext = self.emit(tmp_path, family_cm(k1, k2), k1, k2)
+        assert code == 0
+        assert io.load_cm(ext).modes == k1 + k2
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("n_a, n_b", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    def test_twirled_instances(self, tmp_path, capsys, n_a, n_b):
+        rng = np.random.default_rng(10 * n_a + n_b)
+        for k1 in range(1, 4):
+            for k2 in range(1, 4):
+                b, _ = verify.twirled_extendible_instance(rng, n_a, n_b, k1, k2)
+                code, ext = self.emit(tmp_path, b, k1, k2)
+                assert code == 0, (k1, k2)
+                assert io.load_cm(ext).modes == k1 * n_a + k2 * n_b
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("scale", [1.0 + 1e-8, 1.0 + 5e-9])
+    def test_band_reproducer_stalls_and_writes_nothing(self, tmp_path, capsys, scale):
+        # margins -1e-8 and -5e-9 fall between -eps_feas and -eps_psd
+        code, ext = self.emit(tmp_path, family22_x_scaled(scale), 2, 2)
+        assert code == 4
+        assert not ext.exists()
+        assert capsys.readouterr().err.startswith("solver stalled: factorization broke down")
+
+
+class TestTooLargeExit5:
+    def test_refused_solver_size(self, tmp_path, capsys):
+        path = str(tmp_path / "big.cm")
+        io.save_cm(path, family22_direct_sum(24, np.random.default_rng(24)))
+        assert run_cli("extendible", path, "3", "3") == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("too large: 2256 variables on blocks of size up to 96")
 
 
 class TestBoundsCmd:

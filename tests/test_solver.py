@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import bipartite, copies, family22_direct_sum, family22_x_scaled, special_orthogonal
 from fgext import channels, extend, fgs, matalg, solver, verify
 from fgext.bounds import family_cm
 from fgext.config import RunConfig
@@ -26,30 +27,6 @@ FAMILY_UP = (
 def solve(query, config=RunConfig()):
     cons, warm = _theorem_constraints(query)
     return solver.max_margin(cons, warm, config)
-
-
-def special_orthogonal(rng, d):
-    q, r = np.linalg.qr(rng.standard_normal((d, d)))
-    q = q * np.sign(np.diag(r))
-    if np.linalg.det(q) < 0:
-        q[:, 0] = -q[:, 0]
-    return q
-
-
-def bipartite(mat, n_a, n_b):
-    return fgs.BipartiteCM(fgs.validate_cm(matalg.antisymmetrize(mat)), n_a, n_b)
-
-
-def copies(b, rng):
-    """b, b under a random local rotation O_A ⊕ O_B, and b with A and B swapped."""
-    da, d = 2 * b.n_a, b.mat.shape[0]
-    rot = np.zeros((d, d))
-    rot[:da, :da] = special_orthogonal(rng, da)
-    rot[da:, da:] = special_orthogonal(rng, d - da)
-    perm = list(range(da, d)) + list(range(da))
-    rotated = bipartite(rot @ b.mat @ rot.T, b.n_a, b.n_b)
-    swapped = bipartite(b.mat[np.ix_(perm, perm)], b.n_b, b.n_a)
-    return rotated, swapped
 
 
 def random_pure(rng, n_a, n_b):
@@ -247,15 +224,6 @@ class TestSparseAssembly:
         assert outcome.margin == solver._objective(cons, outcome.deltas)
 
 
-def family22_direct_sum(n, rng):
-    """n copies of family_cm(2, 2), A mode j paired with B mode j, under a random O_A ⊕ O_B."""
-    m = np.zeros((4 * n, 4 * n))
-    for j in range(n):
-        idx = [2 * j, 2 * j + 1, 2 * n + 2 * j, 2 * n + 2 * j + 1]
-        m[np.ix_(idx, idx)] = family_cm(2, 2).mat
-    return copies(bipartite(m, n, n), rng)[0]
-
-
 class TestPastFourModes:
     @pytest.mark.parametrize("n", [3, 6, 8])
     @pytest.mark.parametrize("k1, k2", [(3, 3), (2, 3)])
@@ -283,28 +251,26 @@ class TestPastFourModes:
         assert peak < 8 * 2**20
 
 
-def family22_x_scaled(scale):
-    """family_cm(2, 2) with X scaled; at (2, 2) its optimum is just below 0."""
-    m = family_cm(2, 2).mat.copy()
-    m[:2, 2:] *= scale
-    m[2:, :2] *= scale
-    return bipartite(m, 1, 1)
-
-
 class TestStallExits:
     def test_margin_in_ambiguous_band_raises(self):
-        # the closed form 1 - sqrt(9/4) = -0.5 lies in [-100 eps_feas, -eps_feas)
+        # the closed form 1 - sqrt(9/4) = -0.5 lies in [-100 eps_feas, -min(eps_feas, eps_psd))
         with pytest.raises(SolverStalledError, match="^converged margin -5.000e-01 lies in the ambiguous band"):
             solve(ExtendQuery(family_cm(2, 2), 3, 3), RunConfig(eps_feas=0.01))
 
-    def test_breakdown_within_eps_feas_returns_the_witness(self):
-        b = family22_x_scaled(1.0 + 1e-8)
-        outcome = solve(ExtendQuery(b, 2, 2))
-        # margin < -eps_psd and bound >= -eps_feas meet neither stopping rule,
-        # so only the breakdown exit can return this outcome
-        assert outcome.margin == pytest.approx(-1e-8, rel=1e-3)
-        assert outcome.bound >= -1e-7
-        assert decide(b, 2, 2).status is FeasibilityStatus.FEASIBLE
+    def test_breakdown_below_the_margin_target_raises(self):
+        # margins in [-eps_feas, -eps_psd) with bounds above -eps_feas: neither
+        # stopping rule accepts, so the breakdown raises instead of a witness
+        for scale, margin in ((1.0 + 1e-8, "-1.000e-08"), (1.0 + 5e-9, "-5.000e-09")):
+            pattern = f"^factorization broke down at iteration \\d+ with margin {margin}"
+            with pytest.raises(SolverStalledError, match=pattern):
+                decide(family22_x_scaled(scale), 2, 2)
+
+    def test_margin_without_variables_meets_the_same_band(self):
+        # at (1, 1) nothing is optimised, and the state's own margin -1e-6 lies
+        # in [-100 eps_feas, -min(eps_feas, eps_psd)) = [-1e-5, -1e-7)
+        b = fgs.BipartiteCM(fgs.validate_cm((1.0 + 1e-6) * fgs.vacuum_cm(2).mat, eps_psd=1e-4), 1, 1)
+        with pytest.raises(SolverStalledError, match="^converged margin -1.000e-06 lies in the ambiguous band"):
+            solve(ExtendQuery(b, 1, 1), RunConfig(eps_psd=1e-4))
 
     def test_breakdown_beyond_eps_feas_raises(self, monkeypatch):
         # a factorisation that fails at the third step, where the margin of
