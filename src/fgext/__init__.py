@@ -29,10 +29,9 @@ from .fgs import (
     BipartiteCM,
     CovarianceMatrix,
     bell_cm,
+    binary_entropy,
     epr_cm,
-    e_cq,
     gaussian_entropy,
-    hamiltonian_from_cm,
     marginal,
     mutual_information,
     overlap,
@@ -56,13 +55,11 @@ from .extend import (
     build_extension,
     feasibility,
     is_separable_gaussian,
-    one_sided_feasibility,
     precheck_columnsum,
     precheck_lemma3,
 )
 from .bounds import (
     DeFinettiReport,
-    binary_entropy,
     bosonic_strategy_lower_bound,
     definetti_bounds,
     epsilon_family,

@@ -22,13 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import matalg
+from . import fgs, matalg
 from .errors import OutOfRangeError, WrongSplitError
-from .fgs import BipartiteCM, binary_entropy, validate_cm
+from .fgs import BipartiteCM, validate_cm
 
 __all__ = [
     "DeFinettiReport",
-    "binary_entropy",
     "definetti_bounds",
     "trace_upper_from_cm",
     "lower_bound_two_mode",
@@ -45,11 +44,6 @@ class DeFinettiReport:
     er_upper: float
     esq_upper: float
 
-    @property
-    def trace_upper(self) -> float:
-        """The trace-distance bound, which is T itself."""
-        return self.t
-
 
 def definetti_bounds(n_a: int, n_b: int, k1: int, k2: int) -> DeFinettiReport:
     """Evaluate the three closure bounds for given mode counts and (k1, k2).
@@ -61,8 +55,8 @@ def definetti_bounds(n_a: int, n_b: int, k1: int, k2: int) -> DeFinettiReport:
         raise OutOfRangeError("mode counts and extension orders must be positive")
     root = math.sqrt(k1 * k2)
     t = 2.0 * min(n_a, n_b, root) / root
-    er = 0.5 * (n_a + n_b) * t + binary_entropy(t / 2.0)
-    esq = 0.25 * (n_a + n_b) * t + 0.5 * binary_entropy(t / 2.0)
+    er = 0.5 * (n_a + n_b) * t + fgs.binary_entropy(t / 2.0)
+    esq = 0.25 * (n_a + n_b) * t + 0.5 * fgs.binary_entropy(t / 2.0)
     return DeFinettiReport(t=t, er_upper=er, esq_upper=esq)
 
 

@@ -72,7 +72,7 @@ def validate_channel(x_mat: np.ndarray, n_mat, eps_psd: float = DEFAULT_CONFIG.e
     if x_mat.shape[1] % 2 != 0:
         raise DimensionMismatchError("X must have an even number of columns")
     low = matalg.min_eigenvalue(np.eye(n_mat.dim) - x_mat @ x_mat.T, n_mat.mat)
-    if low < -eps_psd:
+    if not low >= -eps_psd:  # a NaN spectrum fails too
         raise NotCPError(
             f"I + iN - XX^T has eigenvalue {low:.6e} < -{eps_psd:.1e}",
             violating_eigenvalue=low,
@@ -90,7 +90,7 @@ def apply_channel(ch: GaussianChannel, m: CovarianceMatrix, eps_psd: float = DEF
     return validate_cm(out, eps_psd=eps_psd)
 
 
-def choi_cm(ch: GaussianChannel) -> BipartiteCM:
+def choi_cm(ch: GaussianChannel, eps_psd: float = DEFAULT_CONFIG.eps_psd) -> BipartiteCM:
     """Choi state covariance matrix [[N, X], [-X^T, 0]], split (n_out, n_in)."""
     d_out, d_in = 2 * ch.n_out, 2 * ch.n_in
     m = np.zeros((d_out + d_in, d_out + d_in))
@@ -98,7 +98,7 @@ def choi_cm(ch: GaussianChannel) -> BipartiteCM:
     m[:d_out, d_out:] = ch.x_mat
     m[d_out:, :d_out] = -ch.x_mat.T
     return BipartiteCM(
-        validate_cm(matalg.AntisymmetricMatrix(m)), ch.n_out, ch.n_in
+        validate_cm(matalg.AntisymmetricMatrix(m), eps_psd), ch.n_out, ch.n_in
     )
 
 
@@ -145,4 +145,4 @@ def pure_loss(lam: float) -> GaussianChannel:
 def channel_k_extendible(ch: GaussianChannel, k: int, config: RunConfig = DEFAULT_CONFIG) -> FeasibilityResult:
     """k-extendibility of the channel = (k, 1)-extendibility of its Choi state
     with the extension on the output block."""
-    return feasibility(ExtendQuery(choi_cm(ch), k, 1), config)
+    return feasibility(ExtendQuery(choi_cm(ch, config.eps_psd), k, 1), config)

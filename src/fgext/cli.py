@@ -146,7 +146,7 @@ def _bounds_record(n_a, n_b, k1, k2, cm=None):
         "nA": n_a,
         "nB": n_b,
         "T": report.t,
-        "trace_upper": report.trace_upper,
+        "trace_upper": report.t,
         "trace_lower": None,
         "er_upper": report.er_upper,
         "esq_upper": report.esq_upper,
@@ -198,7 +198,7 @@ def _cmd_channel(args, config):
         _emit({"valid": True, "n_in": ch.n_in, "n_out": ch.n_out}, config)
         return EXIT_OK
     if args.action == "choi":
-        b = channels_mod.choi_cm(ch)
+        b = channels_mod.choi_cm(ch, config.eps_psd)
         if args.out:
             io.save_cm(args.out, b)
         _emit(

@@ -5,7 +5,9 @@ eps_feas the infeasible verdicts (looser, since those rest on optimizer
 outputs). A witness must pass both: margin >= -min(eps_feas, eps_psd).
 """
 
+import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 #: PSD margin accepted when validating covariance matrices / channels.
 EPS_PSD = 1e-9
@@ -30,10 +32,14 @@ class RunConfig:
     output_format: str = "json"
 
     def __post_init__(self):
-        if self.eps_psd <= 0 or self.eps_feas <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+        for name in ("eps_psd", "eps_feas"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Real) or not 0 < value < math.inf:
+                raise ValueError(f"{name} must be a finite positive number, not {value!r}")
+        for name, low in (("max_iters", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, not {value!r}")
         if self.output_format not in ("json", "table"):
             raise ValueError("output_format must be 'json' or 'table'")
 

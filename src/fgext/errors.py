@@ -33,10 +33,6 @@ class NegativeDeterminantError(FgextError, ValueError):
     """Overlap determinant is negative beyond numerical tolerance."""
 
 
-class SingularStateError(FgextError, ValueError):
-    """State has a pure direction (|lambda| ~ 1); quadratic Hamiltonian diverges."""
-
-
 class TooManyModesError(FgextError, ValueError):
     """A dense Fock-space representation beyond the hard mode cap, or a
     solver run whose estimated memory exceeds its byte cap."""

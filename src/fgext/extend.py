@@ -35,7 +35,6 @@ __all__ = [
     "precheck_lemma3",
     "precheck_columnsum",
     "feasibility",
-    "one_sided_feasibility",
     "build_extension",
     "is_separable_gaussian",
 ]
@@ -189,13 +188,6 @@ def feasibility(query: ExtendQuery, config: RunConfig = DEFAULT_CONFIG) -> Feasi
     delta_a = deltas.pop(0) if query.k1 > 1 else query.b.block_a
     delta_b = deltas.pop(0) if query.k2 > 1 else query.b.block_b
     return solver_verdict(outcome, delta_a, delta_b, config)
-
-
-def one_sided_feasibility(b: BipartiteCM, k: int, config: RunConfig = DEFAULT_CONFIG) -> FeasibilityResult:
-    """k-extendibility on the B side: the (1, k) specialization."""
-    if k < 1:
-        raise InvalidParameterError("k must be a positive integer")
-    return feasibility(ExtendQuery(b, 1, k), config)
 
 
 def build_extension(

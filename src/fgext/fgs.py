@@ -4,8 +4,7 @@ A state on n modes is represented by its real antisymmetric 2n x 2n
 covariance matrix M with entries M_pq = Tr(i γ_p γ_q ρ) for p < q.
 Physicality (bona fide) means spec(iM) ⊆ [-1, 1], i.e. I + iM >= 0.
 Canonical eigenvalues λ_j ∈ [-1, 1] fix the full spectrum of ρ, so
-entropies, overlaps, and the quadratic Hamiltonian are all functions of
-the canonical form.
+entropies are functions of the canonical form.
 """
 
 import math
@@ -21,7 +20,6 @@ from .errors import (
     NegativeDeterminantError,
     NotBonaFideError,
     OutOfRangeError,
-    SingularStateError,
     WrongSplitError,
 )
 
@@ -39,8 +37,6 @@ __all__ = [
     "binary_entropy",
     "gaussian_entropy",
     "mutual_information",
-    "e_cq",
-    "hamiltonian_from_cm",
 ]
 
 
@@ -240,25 +236,3 @@ def mutual_information(b: BipartiteCM) -> float:
     s_b = gaussian_entropy(marginal(b, "B"))
     s_ab = gaussian_entropy(b.cm)
     return s_a + s_b - s_ab
-
-
-def e_cq(b: BipartiteCM) -> float:
-    """Half the mutual information; vanishes exactly on product states."""
-    return 0.5 * mutual_information(b)
-
-
-def hamiltonian_from_cm(m: CovarianceMatrix) -> matalg.AntisymmetricMatrix:
-    """Quadratic Hamiltonian h with tanh(h/2) = M.
-
-    Raises:
-        SingularStateError: if any |λ_j| >= 1 - 1e-12 (pure direction).
-    """
-    form = matalg.canonical_form(m.body)
-    if np.any(np.abs(form.lambdas) >= 1.0 - 1e-12):
-        worst = float(np.max(np.abs(form.lambdas)))
-        raise SingularStateError(
-            f"|lambda| reaches {worst:.12g}; quadratic Hamiltonian diverges"
-        )
-    h_form = matalg.CanonicalForm(form.rotation, 2.0 * np.arctanh(form.lambdas))
-    return matalg.AntisymmetricMatrix(h_form.reconstruct())
-

@@ -19,9 +19,12 @@ Channel files:
     n_matrix
     <2 n_out rows of 2 n_out decimals>
 
-Blank lines and '#' comments are ignored. Matrices must be antisymmetric
-to the standard tolerance; validation happens on load.
+Blank lines and '#' comments are ignored. Entries must be finite, and
+matrices antisymmetric to the standard tolerance; validation happens on
+load.
 """
+
+import math
 
 import numpy as np
 
@@ -56,6 +59,8 @@ def _parse_rows(lines, count, width, what):
             raise ParseError(
                 f"line {lineno}: expected {width} entries in {what}, got {len(row)}"
             )
+        if not all(map(math.isfinite, row)):
+            raise ParseError(f"line {lineno}: non-finite entry in {what}")
         rows.append(row)
     return np.array(rows)
 

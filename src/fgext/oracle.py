@@ -68,7 +68,6 @@ __all__ = [
     "trace_distance",
     "wick_check",
     "entropies",
-    "dense_product",
 ]
 
 #: Hard cap on dense mode count (4096-dimensional Fock space).
@@ -388,12 +387,3 @@ def reduced_state(state: DenseState, n_keep: int, side: str = "A") -> DenseState
     else:
         raise ValueError("side must be 'A' or 'B'")
     return DenseState(rho)
-
-
-def dense_product(a: DenseState, b: DenseState) -> DenseState:
-    """Product state ρ_a ⊗ ρ_b in the occupation basis.
-
-    Valid fermionically because both factors commute with their parity
-    operators (DenseState invariant).
-    """
-    return DenseState(np.kron(a.rho, b.rho))

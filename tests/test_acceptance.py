@@ -168,7 +168,6 @@ def test_criterion_8_de_finetti_evaluation():
     with criterion(8, "closure-bound formulas and the dense distance bracket"):
         rep = bounds.definetti_bounds(1, 1, 2, 2)
         assert rep.t == pytest.approx(1.0, abs=1e-12)
-        assert rep.trace_upper == pytest.approx(1.0, abs=1e-12)
         assert rep.er_upper == pytest.approx(2.0, abs=1e-12)
         assert rep.esq_upper == pytest.approx(1.0, abs=1e-12)
         assert bounds.definetti_bounds(1, 1, 1, 1).t == 2.0

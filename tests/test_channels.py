@@ -39,6 +39,17 @@ class TestValidateChannel:
         with pytest.raises(NotCPError):
             channels.validate_channel(1.1 * np.eye(2), np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("entry", ["x", "n"])
+    def test_nan_rejected(self, entry):
+        loss = channels.pure_loss(0.4)
+        x, n = loss.x_mat.copy(), loss.n_mat.mat.copy()
+        if entry == "x":
+            x[0, 0] = np.nan
+        else:
+            n[0, 1] = n[1, 0] = np.nan
+        with pytest.raises(NotCPError):
+            channels.validate_channel(x, n)
+
     def test_rectangular(self):
         x = np.zeros((2, 4))
         ch = channels.validate_channel(x, OMEGA)

@@ -167,7 +167,7 @@ class TestOneSided:
     def test_family_one_sided_feasible(self):
         for k in (1, 2, 4, 6):
             b = family_cm(1, k)
-            res = extend.one_sided_feasibility(b, k)
+            res = extend.feasibility(ExtendQuery(b, 1, k))
             assert res.feasible
             # the displayed one-sided matrix inequality holds for the witness
             assert one_sided_matrix_min_eig(b, k, res.delta_b.mat) >= -1e-8
@@ -178,7 +178,7 @@ class TestOneSided:
             for lam_max in (0.3, 0.7, 1.0):
                 b = random_bipartite_factory(n_a, n_b, lam_max)
                 for k in (1, 2, 3, 5):
-                    res = extend.one_sided_feasibility(b, k)
+                    res = extend.feasibility(ExtendQuery(b, 1, k))
                     if res.feasible:
                         feasible += 1
                         # the one-sided matrix is the (1, k) joint constraint
@@ -190,12 +190,12 @@ class TestOneSided:
         assert feasible >= 12
 
     def test_bell_at_two(self):
-        res = extend.one_sided_feasibility(fgs.bell_cm("phi+"), 2)
+        res = extend.feasibility(ExtendQuery(fgs.bell_cm("phi+"), 1, 2))
         assert res.status is not FeasibilityStatus.FEASIBLE
 
     def test_product_high_k(self, random_cm_factory):
         b = fgs.product_cm(random_cm_factory(1), random_cm_factory(2))
-        res = extend.one_sided_feasibility(b, 50)
+        res = extend.feasibility(ExtendQuery(b, 1, 50))
         assert res.feasible
         assert_allclose(res.delta_b.mat, b.block_b, atol=1e-12)
 

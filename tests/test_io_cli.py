@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 from conftest import family22_direct_sum, family22_x_scaled
 from fgext import channels, cli, fgs, io, verify
 from fgext.bounds import epsilon_family, family_cm
+from fgext.config import RunConfig
 from fgext.errors import ParseError
 
 
@@ -320,6 +321,8 @@ class TestEpsPsdFlag:
             ("bounds", "2", "2", "--cm", "{cm}"),
             ("channel", "{ch}", "validate"),
             ("channel", "{ch}", "antidegradable"),
+            ("channel", "{ch}", "choi"),
+            ("channel", "{ch}", "k-ext"),
         ],
     )
     def test_loose_flag_reaches_loader(self, near_files, capsys, argv):
@@ -381,6 +384,19 @@ class TestBadInputsExit3:
         err = self.assert_parse_error(capsys, "channel", str(path), "validate")
         assert "'n_in' takes one integer" in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    @pytest.mark.parametrize("kind", ["cm", "channel"])
+    def test_non_finite_entry(self, tmp_path, capsys, kind, value):
+        if kind == "cm":
+            path = tmp_path / "bad.cm"
+            path.write_text(f"modes 1\nmatrix\n0 {value}\n-1 0\n")
+            argv = ("check-cm", str(path))
+        else:
+            path = tmp_path / "bad.ch"
+            path.write_text(f"n_in 1\nn_out 1\nx_matrix\n{value} 0\n0 1\nn_matrix\n0 0\n0 0\n")
+            argv = ("channel", str(path), "validate")
+        assert "non-finite entry" in self.assert_parse_error(capsys, *argv)
+
     def test_family_empty_range(self, capsys):
         self.assert_parse_error(capsys, "family", "3", "3", "--k1-max", "2")
 
@@ -389,16 +405,42 @@ class TestBadInputsExit3:
         # zero trials would report an empty suite as passed
         self.assert_parse_error(capsys, "oracle-verify", "roundtrip", flag, "0")
 
-    @pytest.mark.parametrize("flag, value", [("--eps-psd", "-1"), ("--max-iters", "0")])
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--eps-psd", "-1"),
+            ("--max-iters", "0"),
+            ("--eps-psd", "nan"),
+            ("--eps-feas", "inf"),
+            ("--seed", "-1"),
+        ],
+    )
     def test_invalid_run_config(self, capsys, family_file, flag, value):
         self.assert_parse_error(capsys, flag, value, "check-cm", family_file)
 
-    @pytest.mark.parametrize("text", ['{"no_such_key": 1}', "{not json", "[1, 2]"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"no_such_key": 1}',
+            "{not json",
+            "[1, 2]",
+            '{"max_iters": 2.5}',
+            '{"eps_psd": true}',
+            '{"seed": true}',
+        ],
+    )
     def test_invalid_config_file(self, tmp_path, monkeypatch, capsys, family_file, text):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(text)
         monkeypatch.setenv("FGEXT_CONFIG", str(cfg))
         self.assert_parse_error(capsys, "check-cm", family_file)
+
+
+def test_run_config_accepts_numpy_scalars():
+    config = RunConfig(
+        eps_psd=np.float64(1e-6), eps_feas=np.float32(1e-5), max_iters=np.int64(5), seed=np.int32(3)
+    )
+    assert (config.max_iters, config.seed) == (5, 3)
 
 
 def test_config_env_override(tmp_path, monkeypatch, capsys, family_file):

@@ -1,0 +1,63 @@
+"""The exported names: what `fgext` and its modules promise to callers."""
+
+import ast
+import importlib
+import pathlib
+
+import pytest
+
+import fgext
+
+MODULES = ["bounds", "channels", "extend", "fgs", "io", "matalg", "oracle", "solver", "verify"]
+
+#: Public names removed from the API: aliases, a pass-through wrapper and
+#: routines without a caller.
+REMOVED = [
+    ("extend", "one_sided_feasibility"),
+    ("bounds", "binary_entropy"),
+    ("fgs", "e_cq"),
+    ("fgs", "hamiltonian_from_cm"),
+    ("errors", "SingularStateError"),
+    ("oracle", "dense_product"),
+    ("", "e_cq"),
+    ("", "hamiltonian_from_cm"),
+    ("", "one_sided_feasibility"),
+]
+
+
+def package_imports():
+    """(module, name) for every `from .module import name` in fgext/__init__.py."""
+    tree = ast.parse(pathlib.Path(fgext.__file__).read_text(encoding="utf-8"))
+    return [
+        (node.module, alias.name)
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    ]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_listed_name_resolves(module):
+    mod = importlib.import_module(f"fgext.{module}")
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+def test_package_imports_only_listed_names():
+    unlisted = [
+        (module, name)
+        for module, name in package_imports()
+        # config holds the tolerances and RunConfig and keeps no __all__
+        if module != "config"
+        and name not in importlib.import_module(f"fgext.{module}").__all__
+    ]
+    assert unlisted == []
+
+
+@pytest.mark.parametrize("module, name", REMOVED)
+def test_removed_name_is_gone(module, name):
+    mod = importlib.import_module(f"fgext.{module}" if module else "fgext")
+    assert not hasattr(mod, name)
+
+
+def test_definetti_report_has_no_trace_upper_alias():
+    assert not hasattr(fgext.definetti_bounds(1, 1, 2, 2), "trace_upper")
