@@ -2,9 +2,9 @@
 
 A channel is a pair (X, N) acting as M -> X M X^T + N; it is completely
 positive iff I + iN - X X^T >= 0, which is the same as its Choi state
-[[N, X], [-X^T, 0]] being bona fide. Antidegradability reduces to a
-two-constraint feasibility problem over one antisymmetric matrix and is
-equivalent to 2-extendibility of the Choi state on the output side.
+[[N, X], [-X^T, 0]] being bona fide. Channel criteria are decided on the
+Choi state: antidegradability is its (2, 1)-extendibility, k-extendibility
+its (k, 1)-extendibility, both on the output side.
 """
 
 import math
@@ -17,7 +17,6 @@ from .config import RunConfig, DEFAULT_CONFIG
 from .errors import DimensionMismatchError, NotCPError, OutOfRangeError
 from .extend import ExtendQuery, FeasibilityResult, feasibility, solver_verdict
 from .fgs import _VACUUM_BLOCK, BipartiteCM, CovarianceMatrix, validate_cm
-from .solver import MatrixConstraint, max_margin
 
 __all__ = [
     "GaussianChannel",
@@ -90,16 +89,16 @@ def apply_channel(ch: GaussianChannel, m: CovarianceMatrix, eps_psd: float = DEF
     return validate_cm(out, eps_psd=eps_psd)
 
 
-def choi_cm(ch: GaussianChannel, eps_psd: float = DEFAULT_CONFIG.eps_psd) -> BipartiteCM:
-    """Choi state covariance matrix [[N, X], [-X^T, 0]], split (n_out, n_in)."""
+def choi_cm(ch: GaussianChannel) -> BipartiteCM:
+    """Choi state covariance matrix [[N, X], [-X^T, 0]], split (n_out, n_in),
+    not validated again: I + iM has the block I on the input side, whose
+    Schur complement I + iN - XX^T the channel's CP check has bounded."""
     d_out, d_in = 2 * ch.n_out, 2 * ch.n_in
     m = np.zeros((d_out + d_in, d_out + d_in))
     m[:d_out, :d_out] = ch.n_mat.mat
     m[:d_out, d_out:] = ch.x_mat
     m[d_out:, :d_out] = -ch.x_mat.T
-    return BipartiteCM(
-        validate_cm(matalg.AntisymmetricMatrix(m), eps_psd), ch.n_out, ch.n_in
-    )
+    return BipartiteCM(CovarianceMatrix(matalg.AntisymmetricMatrix(m)), ch.n_out, ch.n_in)
 
 
 def antidegradable(ch: GaussianChannel, config: RunConfig = DEFAULT_CONFIG) -> FeasibilityResult:
@@ -107,19 +106,11 @@ def antidegradable(ch: GaussianChannel, config: RunConfig = DEFAULT_CONFIG) -> F
 
         iΔ <= I   and   iΔ <= I + 2iN - 2XX^T,
 
-    solved by the shared max-margin engine (both constraints rewritten
-    as I + i(-Δ) >= 0 forms). The verdict coincides with 2-extendibility
-    of the Choi state on the output side.
+    the (2, 1)-extendibility SDP of the Choi state once extend eliminates
+    its zero input block (the first constraint up to Δ -> -Δ). No
+    precheck runs, so an infeasible channel keeps its numerical margin.
     """
-    d = ch.n_mat.dim
-    c1 = MatrixConstraint(np.eye(d), np.zeros((d, d)), ((-1.0, 0, 0),))
-    c2 = MatrixConstraint(
-        np.eye(d) - 2.0 * ch.x_mat @ ch.x_mat.T,
-        2.0 * ch.n_mat.mat,
-        ((-1.0, 0, 0),),
-    )
-    outcome = max_margin([c1, c2], [ch.n_mat.mat], config)
-    return solver_verdict(outcome, outcome.deltas[0], None, config)
+    return solver_verdict(ExtendQuery(choi_cm(ch), 2, 1), config)
 
 
 def is_entanglement_breaking(ch: GaussianChannel, eps_psd: float = DEFAULT_CONFIG.eps_psd) -> bool:
@@ -145,4 +136,4 @@ def pure_loss(lam: float) -> GaussianChannel:
 def channel_k_extendible(ch: GaussianChannel, k: int, config: RunConfig = DEFAULT_CONFIG) -> FeasibilityResult:
     """k-extendibility of the channel = (k, 1)-extendibility of its Choi state
     with the extension on the output block."""
-    return feasibility(ExtendQuery(choi_cm(ch, config.eps_psd), k, 1), config)
+    return feasibility(ExtendQuery(choi_cm(ch), k, 1), config)

@@ -198,7 +198,7 @@ def _cmd_channel(args, config):
         _emit({"valid": True, "n_in": ch.n_in, "n_out": ch.n_out}, config)
         return EXIT_OK
     if args.action == "choi":
-        b = channels_mod.choi_cm(ch, config.eps_psd)
+        b = channels_mod.choi_cm(ch)
         if args.out:
             io.save_cm(args.out, b)
         _emit(

@@ -120,22 +120,31 @@ def _theorem_constraints(query: ExtendQuery):
     """Constraint list and warm start of the (possibly reduced) variables.
 
     Variables with vanishing coefficient (k = 1 on that side) are frozen
-    at the marginal itself, matching the trivial choice Z = 0 / Y = 0.
+    at the marginal itself, matching the trivial choice Z = 0 / Y = 0. A
+    frozen side with marginal exactly 0 is the block I of the last matrix;
+    its Schur complement keeps the feasible set and leaves I - k X X^T
+    (X^T X for the A side) beside the other side's block: for a Choi
+    state at (2, 1), the paper's antidegradability SDP.
     """
     m_a, m_b, x = query.b.block_a, query.b.block_b, query.b.block_x
     k1, k2 = query.k1, query.k2
     da, db = m_a.shape[0], m_b.shape[0]
-    d = da + db
-    s = np.zeros((d, d))
-    s[:da, :da] = k1 * m_a
-    s[da:, da:] = k2 * m_b
-    s[:da, da:] = math.sqrt(k1 * k2) * x
-    s[da:, :da] = -math.sqrt(k1 * k2) * x.T
+    if k2 == 1 and not m_b.any():
+        sides, sym, s = ((k1, m_a, 0),), np.eye(da) - k1 * x @ x.T, k1 * m_a
+    elif k1 == 1 and not m_a.any():
+        sides, sym, s = ((k2, m_b, 0),), np.eye(db) - k2 * x.T @ x, k2 * m_b
+    else:
+        d = da + db
+        sides, sym, s = ((k1, m_a, 0), (k2, m_b, da)), np.eye(d), np.zeros((d, d))
+        s[:da, :da] = k1 * m_a
+        s[da:, da:] = k2 * m_b
+        s[:da, da:] = math.sqrt(k1 * k2) * x
+        s[da:, :da] = -math.sqrt(k1 * k2) * x.T
 
     warm = []
     terms3 = []
     constraints = []
-    for k, marg, off in ((k1, m_a, 0), (k2, m_b, da)):
+    for k, marg, off in sides:
         if k > 1:
             idx = len(warm)
             warm.append(marg.copy())
@@ -144,28 +153,28 @@ def _theorem_constraints(query: ExtendQuery):
             constraints.append(
                 MatrixConstraint(np.eye(dim), np.zeros((dim, dim)), ((1.0, idx, 0),))
             )
-    constraints.append(MatrixConstraint(np.eye(d), s, tuple(terms3)))
+    constraints.append(MatrixConstraint(sym, s, tuple(terms3)))
     return constraints, warm
 
 
-def solver_verdict(outcome, delta_a, delta_b, config: RunConfig) -> FeasibilityResult:
-    """The verdict on a max_margin outcome.
+def solver_verdict(query: ExtendQuery, config: RunConfig) -> FeasibilityResult:
+    """Decide a query by max_margin alone, without the prechecks.
 
     FEASIBLE, carrying the witnesses, iff the margin is at least
     margin_target(config); INFEASIBLE_NUMERICAL otherwise. The witnesses
-    are exactly antisymmetric. A channel's verdict has delta_b None.
+    are exactly antisymmetric; a side with k = 1 carries its marginal.
     """
-    if outcome.margin >= margin_target(config):
+    constraints, warm = _theorem_constraints(query)
+    outcome = max_margin(constraints, warm, config)
+    if outcome.margin < margin_target(config):
         return FeasibilityResult(
-            FeasibilityStatus.FEASIBLE,
-            matalg.AntisymmetricMatrix(delta_a),
-            None if delta_b is None else matalg.AntisymmetricMatrix(delta_b),
-            outcome.margin,
-            None,
+            FeasibilityStatus.INFEASIBLE_NUMERICAL, None, None, outcome.margin, None
         )
-    return FeasibilityResult(
-        FeasibilityStatus.INFEASIBLE_NUMERICAL, None, None, outcome.margin, None
-    )
+    deltas = list(outcome.deltas)
+    delta_a = deltas.pop(0) if query.k1 > 1 else query.b.block_a
+    delta_b = deltas.pop(0) if query.k2 > 1 else query.b.block_b
+    witnesses = [matalg.AntisymmetricMatrix(delta) for delta in (delta_a, delta_b)]
+    return FeasibilityResult(FeasibilityStatus.FEASIBLE, *witnesses, outcome.margin, None)
 
 
 def feasibility(query: ExtendQuery, config: RunConfig = DEFAULT_CONFIG) -> FeasibilityResult:
@@ -182,12 +191,7 @@ def feasibility(query: ExtendQuery, config: RunConfig = DEFAULT_CONFIG) -> Feasi
         return FeasibilityResult(
             FeasibilityStatus.INFEASIBLE_CERTIFIED, None, None, None, cert
         )
-    constraints, warm = _theorem_constraints(query)
-    outcome = max_margin(constraints, warm, config)
-    deltas = list(outcome.deltas)
-    delta_a = deltas.pop(0) if query.k1 > 1 else query.b.block_a
-    delta_b = deltas.pop(0) if query.k2 > 1 else query.b.block_b
-    return solver_verdict(outcome, delta_a, delta_b, config)
+    return solver_verdict(query, config)
 
 
 def build_extension(

@@ -102,6 +102,8 @@ def load_cm_raw(path):
             raise ParseError(f"line {lineno}: unknown field {key!r}")
     if modes is None or matrix is None:
         raise ParseError("file must declare 'modes' and 'matrix'")
+    if split is not None and (min(split) < 1 or sum(split) != modes):
+        raise ParseError(f"split {split[0]} {split[1]} is not two positive counts adding up to {modes} modes")
     try:
         body = matalg.antisymmetrize(matrix)
     except NotAntisymmetricError as exc:

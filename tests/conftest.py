@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fgext import fgs, matalg
+from fgext import channels, fgs, matalg
 from fgext.bounds import family_cm
 from fgext.verify import random_bona_fide_cm, random_bipartite_cm
 
@@ -38,6 +38,14 @@ def special_orthogonal(rng, d):
     if np.linalg.det(q) < 0:
         q[:, 0] = -q[:, 0]
     return q
+
+
+def stinespring(rng, n_in, n_env, n_out):
+    """Keep n_out modes of a random SO(2(n_in + n_env)) rotation of the input
+    beside a random bona fide environment: X = O[out, in], N = E M_E E^T."""
+    o = special_orthogonal(rng, 2 * (n_in + n_env))[: 2 * n_out]
+    e = o[:, 2 * n_in :]
+    return channels.validate_channel(o[:, : 2 * n_in], e @ random_bona_fide_cm(rng, n_env).mat @ e.T)
 
 
 def bipartite(mat, n_a, n_b):

@@ -4,13 +4,18 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fgext import channels, extend, fgs, matalg
+from conftest import stinespring
+from fgext import channels, extend, fgs, matalg, solver
 from fgext.bounds import family_cm
-from fgext.errors import DimensionMismatchError, NotCPError, OutOfRangeError
+from fgext.config import DEFAULT_CONFIG
+from fgext.errors import DimensionMismatchError, NotCPError, OutOfRangeError, SolverStalledError
 from fgext.extend import FeasibilityStatus
 
 #: Single-mode vacuum covariance block.
 OMEGA = fgs.vacuum_cm(1).mat
+
+#: The least margin of an accepted witness.
+TARGET = solver.margin_target(DEFAULT_CONFIG)
 
 
 def antideg_analytic(lam):
@@ -21,6 +26,34 @@ def antideg_analytic(lam):
     λ <= 1/2.
     """
     return lam <= 0.5
+
+
+def paper_reference(ch):
+    """The paper's antidegradability SDP written out by hand: one Δ with
+    iΔ <= I and iΔ <= I + 2iN - 2XX^T, both as I + i(-Δ) >= 0 forms."""
+    d = ch.n_mat.dim
+    terms = ((-1.0, 0, 0),)
+    return solver.max_margin(
+        [
+            solver.MatrixConstraint(np.eye(d), np.zeros((d, d)), terms),
+            solver.MatrixConstraint(np.eye(d) - 2.0 * ch.x_mat @ ch.x_mat.T, 2.0 * ch.n_mat.mat, terms),
+        ],
+        [ch.n_mat.mat],
+    )
+
+
+def random_channels(count):
+    rng = np.random.default_rng(2017)
+    shapes = ((1, 1, 1), (1, 2, 1), (2, 1, 1), (1, 1, 2), (2, 1, 2), (2, 2, 3))
+    return [stinespring(rng, *shapes[j % len(shapes)]) for j in range(count)]
+
+
+def verdict(decide):
+    """decide()'s True or False, or "stalled"."""
+    try:
+        return decide()
+    except SolverStalledError:
+        return "stalled"
 
 
 class TestValidateChannel:
@@ -134,6 +167,15 @@ class TestChoi:
         assert_allclose(b.block_x, math.sqrt(0.5) * np.eye(2))
         assert_allclose(b.block_b, np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("scale", [1.0, 1.0 + 1e-9, 1.0 + 1e-6, 1.0 + 1e-3])
+    def test_bona_fide_as_far_as_the_channel_is_cp(self, scale):
+        # the input block of I + iM is I, with Schur complement I + iN - XX^T
+        for ch in random_channels(30):
+            near = channels.GaussianChannel(scale * ch.x_mat, ch.n_mat)
+            cp = matalg.min_eigenvalue(np.eye(near.n_mat.dim) - near.x_mat @ near.x_mat.T, near.n_mat.mat)
+            choi = channels.choi_cm(near).mat
+            assert matalg.min_eigenvalue(np.eye(len(choi)), choi) >= min(0.0, cp) - 1e-12
+
 
 class TestAntidegradable:
     @pytest.mark.parametrize("lam", [0.0, 0.1, 0.2, 0.3, 0.4, 0.5])
@@ -154,6 +196,60 @@ class TestAntidegradable:
             direct = channels.antidegradable(ch)
             via_choi = channels.channel_k_extendible(ch, 2)
             assert direct.feasible == via_choi.feasible
+
+
+class TestPaperReference:
+    """antidegradable, decided on the Choi state, against the paper's SDP."""
+
+    @pytest.mark.parametrize("lam", [0.6, 0.65, 0.7, 0.85, 0.9])
+    def test_infeasible_margin_is_the_reference_optimum(self, lam):
+        ch = channels.pure_loss(lam)
+        result = channels.antidegradable(ch)
+        assert result.status is FeasibilityStatus.INFEASIBLE_NUMERICAL
+        assert result.margin == pytest.approx(paper_reference(ch).margin, abs=1e-9)
+
+    def test_verdicts_agree_on_the_loss_line(self):
+        for lam in np.linspace(0.0, 1.0, 21):
+            ch = channels.pure_loss(float(lam))
+            assert channels.antidegradable(ch).feasible == (paper_reference(ch).margin >= TARGET)
+
+    def test_verdicts_agree_on_random_channels(self):
+        seen = set()
+        for ch in random_channels(120):
+            ours = verdict(lambda: channels.antidegradable(ch).feasible)
+            reference = verdict(lambda: paper_reference(ch).margin >= TARGET)
+            assert ours == reference
+            seen.add(ours)
+        assert {True, False} <= seen
+
+    def test_witness_meets_the_paper_constraints(self):
+        for ch in random_channels(60) + [channels.pure_loss(0.3)]:
+            result = channels.antidegradable(ch)
+            if result.feasible:
+                delta = result.delta_a.mat
+                d = ch.n_mat.dim
+                low = min(
+                    matalg.min_eigenvalue(np.eye(d), -delta),
+                    matalg.min_eigenvalue(np.eye(d) - 2.0 * ch.x_mat @ ch.x_mat.T, 2.0 * ch.n_mat.mat - delta),
+                )
+                assert low >= TARGET
+                assert not result.delta_b.mat.any()
+
+    def test_same_as_two_extendibility(self):
+        # one LMI for one fact: equal verdicts, and equal margins wherever
+        # no precheck settles channel_k_extendible first
+        chans = random_channels(100) + [channels.pure_loss(float(lam)) for lam in np.linspace(0, 1, 21)]
+        for ch in chans:
+            try:
+                ours = channels.antidegradable(ch)
+            except SolverStalledError:
+                with pytest.raises(SolverStalledError):
+                    channels.channel_k_extendible(ch, 2)
+                continue
+            two = channels.channel_k_extendible(ch, 2)
+            assert ours.feasible == two.feasible
+            if two.status is not FeasibilityStatus.INFEASIBLE_CERTIFIED:
+                assert ours.margin == two.margin
 
 
 class TestEntanglementBreaking:

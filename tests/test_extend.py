@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fgext import extend, fgs, matalg, oracle, solver
+from conftest import copies, stinespring
+from fgext import channels, extend, fgs, matalg, oracle, solver
 from fgext.bounds import epsilon_family, family_cm
+from fgext.config import DEFAULT_CONFIG
 from fgext.errors import InvalidParameterError, NotFeasibleError
 from fgext.extend import ExtendQuery, FeasibilityStatus, _theorem_constraints
 from fgext.verify import twirled_extendible_instance
@@ -264,3 +266,45 @@ class TestSeparability:
 
     def test_bell_not_separable(self):
         assert not extend.is_separable_gaussian(fgs.bell_cm("phi+"))
+
+
+class TestZeroMarginalElimination:
+    """A k = 1 side whose marginal is exactly 0 is the block I of the last
+    matrix and leaves it by its Schur complement."""
+
+    @staticmethod
+    def pairs(rng):
+        # a (q, 1) query with M_B = 0 and its swapped (1, q) copy with M_A = 0
+        states = [family_cm(k, 1) for k in range(1, 5)]
+        states += [channels.choi_cm(stinespring(rng, *shape)) for shape in ((1, 1, 2), (2, 1, 1), (2, 2, 3))]
+        for b in states:
+            for q in (1, 2, 3):
+                yield ExtendQuery(b, q, 1), ExtendQuery(copies(b, rng)[1], 1, q)
+
+    def test_last_constraint_keeps_the_other_side(self, rng):
+        for query, swapped in self.pairs(rng):
+            x = query.b.block_x
+            cons, _ = _theorem_constraints(query)
+            assert cons[-1].dim == 2 * query.b.n_a
+            assert_allclose(cons[-1].sym_part, np.eye(len(x)) - query.k1 * x @ x.T, atol=1e-15)
+            cons, _ = _theorem_constraints(swapped)
+            assert cons[-1].dim == 2 * swapped.b.n_b
+
+    def test_swapped_copies_have_equal_margins(self, rng):
+        for query, swapped in self.pairs(rng):
+            ours = extend.solver_verdict(query, DEFAULT_CONFIG)
+            theirs = extend.solver_verdict(swapped, DEFAULT_CONFIG)
+            assert ours.feasible == theirs.feasible
+            assert ours.margin == pytest.approx(theirs.margin, abs=1e-12)
+
+    @pytest.mark.parametrize("k, q", [(1, 2), (1, 3), (2, 3), (2, 4), (3, 5)])
+    def test_family_above_its_order_meets_the_reduced_closed_form(self, k, q):
+        # the symmetric part is (1 - q/k) I, and Δ_A = q M_A / (q - 1) zeroes the skew part
+        result = extend.solver_verdict(family_query(k, 1, q, 1), DEFAULT_CONFIG)
+        assert result.status is FeasibilityStatus.INFEASIBLE_NUMERICAL
+        assert result.margin == pytest.approx(1.0 - q / k, abs=1e-9)
+
+    def test_nonzero_marginal_is_kept(self, rng):
+        b = twirled_extendible_instance(rng, 1, 2, 2, 1)[0]
+        cons, _ = _theorem_constraints(ExtendQuery(b, 2, 1))
+        assert cons[-1].dim == 6

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import family22_direct_sum, family22_x_scaled
+from conftest import copies, family22_direct_sum, family22_x_scaled
 from fgext import channels, cli, fgs, io, verify
 from fgext.bounds import epsilon_family, family_cm
 from fgext.config import RunConfig
@@ -195,6 +195,22 @@ class TestExtensionReadsBack:
                 assert io.load_cm(ext).modes == k1 * n_a + k2 * n_b
         capsys.readouterr()
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_zero_marginal_side_eliminated(self, tmp_path, capsys, k):
+        # family_cm(k, 1) at (q, 1) and its swapped copy at (1, q) solve the
+        # same reduced constraint, so they print the same margin
+        b = family_cm(k, 1)
+        swapped = copies(b, np.random.default_rng(k))[1]
+        for q in range(1, k + 1):
+            margins = []
+            for state, k1, k2 in ((b, q, 1), (swapped, 1, q)):
+                code, ext = self.emit(tmp_path, state, k1, k2)
+                assert code == 0
+                margins.append(json.loads(capsys.readouterr().out)["margin"])
+                assert run_cli("check-cm", str(ext)) == 0
+                assert json.loads(capsys.readouterr().out)["valid"] is True
+            assert margins[0] == margins[1]
+
     @pytest.mark.parametrize("scale", [1.0 + 1e-8, 1.0 + 5e-9])
     def test_band_reproducer_stalls_and_writes_nothing(self, tmp_path, capsys, scale):
         # margins -1e-8 and -5e-9 fall between -eps_feas and -eps_psd
@@ -227,6 +243,13 @@ class TestBoundsCmd:
         run_cli("bounds", "1", "1")
         out = json.loads(capsys.readouterr().out)
         assert out["T"] == 2.0
+
+    def test_table_prints_a_dash_for_none(self, capsys):
+        # without --cm there is no trace_lower
+        assert run_cli("--format", "table", "bounds", "2", "2") == 0
+        header, row = capsys.readouterr().out.splitlines()
+        cells = dict(zip(header.split(), row.split()))
+        assert cells["trace_lower"] == "-"
 
     def test_with_cm(self, family_file, capsys):
         code = run_cli("bounds", "2", "2", "--cm", family_file)
@@ -332,6 +355,18 @@ class TestEpsPsdFlag:
         assert run_cli("--eps-psd", "1e-6", *argv) == 0
         assert "not physical" not in capsys.readouterr().out
 
+    @pytest.mark.parametrize("action", ["antidegradable", "k-ext"])
+    def test_cp_boundary_channel_stalls_on_both_routes(self, tmp_path, capsys, action):
+        # CP margin -1e-7: accepted at eps_psd 1e-6, but the optimum lies in
+        # the ambiguous band, whichever command decides the same fact
+        loss = channels.pure_loss(0.4)
+        path = str(tmp_path / "edge.ch")
+        io.save_channel(
+            path, channels.validate_channel(loss.x_mat * (1 + 1.25e-7), loss.n_mat, eps_psd=1e-6)
+        )
+        assert run_cli("--eps-psd", "1e-6", "channel", path, action) == 4
+        assert capsys.readouterr().err.startswith("solver stalled: converged margin -1.000e-07")
+
     def test_trace_upper_cm_clamped_at_two(self, near_files, capsys):
         # ||X||_1 of the loose file is 2 (1 + 2e-8), above any trace distance
         assert run_cli("--eps-psd", "1e-6", "bounds", "2", "2", "--cm", near_files["cm"]) == 0
@@ -400,6 +435,19 @@ class TestBadInputsExit3:
     def test_family_empty_range(self, capsys):
         self.assert_parse_error(capsys, "family", "3", "3", "--k1-max", "2")
 
+    @pytest.mark.parametrize("split", ["5 7", "0 2"])
+    @pytest.mark.parametrize("command", [("check-cm",), ("extendible", "1", "1")])
+    def test_split_that_does_not_fit_the_modes(self, tmp_path, capsys, split, command):
+        path = tmp_path / "bad.cm"
+        path.write_text(f"modes 2\nsplit {split}\nmatrix\n" + "0 0 0 0\n" * 4)
+        err = self.assert_parse_error(capsys, command[0], str(path), *command[1:])
+        assert f"split {split} is not two positive counts adding up to 2 modes" in err
+
+    def test_family_emit_needs_one_tuple(self, tmp_path, capsys):
+        err = self.assert_parse_error(capsys, "family", "1", "1", "--k1-max", "2", "--emit", str(tmp_path / "x.cm"))
+        assert "--emit requires a single (k1, k2) tuple" in err
+        assert not (tmp_path / "x.cm").exists()
+
     @pytest.mark.parametrize("flag", ["--n-max", "--trials"])
     def test_oracle_verify_below_one(self, capsys, flag):
         # zero trials would report an empty suite as passed
@@ -434,6 +482,20 @@ class TestBadInputsExit3:
         cfg.write_text(text)
         monkeypatch.setenv("FGEXT_CONFIG", str(cfg))
         self.assert_parse_error(capsys, "check-cm", family_file)
+
+
+class TestOtherErrorsExit3:
+    def test_family_below_one(self, capsys):
+        assert run_cli("family", "0", "1") == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: family parameters must be positive integers")
+
+    def test_missing_file(self, tmp_path, capsys):
+        assert run_cli("check-cm", str(tmp_path / "absent.cm")) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("io error: ")
 
 
 def test_run_config_accepts_numpy_scalars():

@@ -381,6 +381,28 @@ class TestDenseState:
         with pytest.raises(ValueError):
             oracle.jordan_wigner(1)[0][0, 0] = 2.0
 
+    def test_stores_its_own_copy(self):
+        # parity-breaking entries below the tolerance are zeroed in the copy only
+        rho = np.eye(4, dtype=complex) / 4.0
+        rho[0, 1] = rho[1, 0] = 1e-12
+        given = rho.copy()
+        state = oracle.DenseState(rho)
+        assert not np.shares_memory(state.rho, rho)
+        assert np.array_equal(rho, given) and rho.flags.writeable
+        assert state.rho[0, 1] == 0.0
+        rho[0, 0] = 0.5
+        assert state.rho[0, 0] == 0.25
+
+    @pytest.mark.parametrize("n", [2, 10])
+    def test_rejects_non_hermitian(self, n):
+        # at 10 modes the check runs over several row slabs; break the last one
+        rho = np.eye(2**n, dtype=complex) / 2**n
+        rho[-1, -4] = rho[-4, -1] = 1e-9j  # |1..11><1..00| keeps parity
+        with pytest.raises(ValueError, match="not Hermitian"):
+            oracle.DenseState(rho)
+        rho[-4, -1] = -1e-9j
+        oracle.DenseState(rho)
+
     def test_rejects_wrong_trace(self):
         with pytest.raises(ValueError, match="trace"):
             oracle.DenseState(np.eye(2))

@@ -101,7 +101,7 @@ def loss_constraints(lam, monkeypatch):
         seen.append((constraints, warm))
         return solver.max_margin(constraints, warm, config)
 
-    monkeypatch.setattr(channels, "max_margin", spy)
+    monkeypatch.setattr(extend, "max_margin", spy)
     channels.antidegradable(channels.pure_loss(lam))
     return seen[0]
 
@@ -288,6 +288,28 @@ class TestStallExits:
         with pytest.raises(SolverStalledError, match="^factorization broke down at iteration 2 "):
             solve(ExtendQuery(family_cm(2, 2), 3, 3))
 
+    def test_breakdown_with_a_loosely_closed_gap_returns_the_verdict(self, monkeypatch):
+        # a random 2+2 state at (3, 2): a factorisation fails once the gap is
+        # below BREAKDOWN_GAP_TOL but not yet below GAP_TOL
+        step = solver._newton_step
+        failures = []
+
+        def spy(*args):
+            try:
+                return step(*args)
+            except np.linalg.LinAlgError:
+                failures.append(1)
+                raise
+
+        monkeypatch.setattr(solver, "_newton_step", spy)
+        b = verify.random_bipartite_cm(np.random.default_rng(13), 2, 2)
+        outcome = solve(ExtendQuery(b, 3, 2))
+        assert failures == [1]
+        assert outcome.margin < -100 * RunConfig().eps_feas
+        gap = abs(outcome.bound - outcome.margin) / max(1.0, abs(outcome.bound))
+        assert solver.GAP_TOL < gap <= solver.BREAKDOWN_GAP_TOL
+        assert decide(b, 3, 2).status is FeasibilityStatus.INFEASIBLE_NUMERICAL
+
 
 class TestGapRule:
     def test_bound_within_tolerance_on_either_side_closes(self):
@@ -324,7 +346,7 @@ class TestFormerNonConvergence:
             outcomes.append(solver.max_margin(*args, **kwargs))
             return outcomes[-1]
 
-        monkeypatch.setattr(channels, "max_margin", spy)
+        monkeypatch.setattr(extend, "max_margin", spy)
         for lam in np.arange(1, 50) / 100.0:
             assert channels.antidegradable(channels.pure_loss(lam)).feasible
             assert outcomes[-1].iterations <= 20, lam
