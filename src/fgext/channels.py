@@ -70,13 +70,19 @@ def validate_channel(x_mat: np.ndarray, n_mat, eps_psd: float = DEFAULT_CONFIG.e
         )
     if x_mat.shape[1] % 2 != 0:
         raise DimensionMismatchError("X must have an even number of columns")
+    _require_cp(x_mat, n_mat, eps_psd)
+    return GaussianChannel(x_mat, n_mat)
+
+
+def _require_cp(x_mat, n_mat, eps_psd):
+    """Raise NotCPError, reporting the violating eigenvalue, unless
+    I + iN - X X^T >= -eps_psd."""
     low = matalg.min_eigenvalue(np.eye(n_mat.dim) - x_mat @ x_mat.T, n_mat.mat)
     if not low >= -eps_psd:  # a NaN spectrum fails too
         raise NotCPError(
             f"I + iN - XX^T has eigenvalue {low:.6e} < -{eps_psd:.1e}",
             violating_eigenvalue=low,
         )
-    return GaussianChannel(x_mat, n_mat)
 
 
 def apply_channel(ch: GaussianChannel, m: CovarianceMatrix, eps_psd: float = DEFAULT_CONFIG.eps_psd) -> CovarianceMatrix:
@@ -92,7 +98,8 @@ def apply_channel(ch: GaussianChannel, m: CovarianceMatrix, eps_psd: float = DEF
 def choi_cm(ch: GaussianChannel) -> BipartiteCM:
     """Choi state covariance matrix [[N, X], [-X^T, 0]], split (n_out, n_in),
     not validated again: I + iM has the block I on the input side, whose
-    Schur complement I + iN - XX^T the channel's CP check has bounded."""
+    Schur complement is I + iN - XX^T, so it is bona fide iff the channel
+    is CP. validate_channel checks that, and so does every Choi route."""
     d_out, d_in = 2 * ch.n_out, 2 * ch.n_in
     m = np.zeros((d_out + d_in, d_out + d_in))
     m[:d_out, :d_out] = ch.n_mat.mat
@@ -109,8 +116,11 @@ def antidegradable(ch: GaussianChannel, config: RunConfig = DEFAULT_CONFIG) -> F
     the (2, 1)-extendibility SDP of the Choi state once extend eliminates
     its zero input block (the first constraint up to Δ -> -Δ). No
     precheck runs, so an infeasible channel keeps its numerical margin.
+
+    Raises:
+        NotCPError: the channel is not completely positive at config.eps_psd.
     """
-    return solver_verdict(ExtendQuery(choi_cm(ch), 2, 1), config)
+    return solver_verdict(_choi_query(ch, 2, config), config)
 
 
 def is_entanglement_breaking(ch: GaussianChannel, eps_psd: float = DEFAULT_CONFIG.eps_psd) -> bool:
@@ -135,5 +145,17 @@ def pure_loss(lam: float) -> GaussianChannel:
 
 def channel_k_extendible(ch: GaussianChannel, k: int, config: RunConfig = DEFAULT_CONFIG) -> FeasibilityResult:
     """k-extendibility of the channel = (k, 1)-extendibility of its Choi state
-    with the extension on the output block."""
-    return feasibility(ExtendQuery(choi_cm(ch), k, 1), config)
+    with the extension on the output block.
+
+    Raises:
+        NotCPError: the channel is not completely positive at config.eps_psd.
+    """
+    return feasibility(_choi_query(ch, k, config), config)
+
+
+def _choi_query(ch, k, config):
+    """The (k, 1) query on the channel's Choi state, once the channel has
+    passed the CP check at config.eps_psd: a channel built directly, not
+    by validate_channel, has a Choi matrix that need not be bona fide."""
+    _require_cp(ch.x_mat, ch.n_mat, config.eps_psd)
+    return ExtendQuery(choi_cm(ch), k, 1)

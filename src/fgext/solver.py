@@ -38,6 +38,14 @@ Program. 79, 1997): over the pairs p, q of θ nonzeros in one block,
 
 where P2 and P3 are symmetric, so M restricted to θ is U + Uᵀ with U
 summed from -c_p c_q (P1 - (P2 + P3)/2); the t row is Re tr(B_i X W).
+U is summed over slices of SCHUR_SLICE pairs, so the gathers hold one
+slice at a time; a run with fewer pairs sums them in one bincount.
+
+The index lists, the pad masks and the start point depend only on the
+shape: the block sizes, the terms and the variable sizes. They form a
+read-only layout, built once per shape and kept in a least recently used
+cache of at most LAYOUT_CACHE_BYTES; a run fills only F(0) from its
+constraints.
 
 The run starts strictly feasible on both sides, from θ₀ = warm start,
 t₀ = f(θ₀) - 1 and X₀ = I/N (N the summed block size).
@@ -55,6 +63,8 @@ breakdown and max_iters iterations raise SolverStalledError. A run over
 SOLVER_BYTES_CAP (estimated) raises TooManyModesError before allocating.
 """
 
+import itertools
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,11 +81,20 @@ BREAKDOWN_GAP_TOL = 1e-6
 #: Fraction of the step to the boundary of the PSD cone taken by the corrector.
 STEP_FRACTION = 0.95
 
-#: Largest estimated size of the index lists, gathers and Schur matrices of
-#: one run. At (3, 3), 23+23 modes is the largest extendibility query under
-#: it (estimated 0.94 GiB; peak RSS 0.9 GB, 8-10 s on one core); 24+24
-#: (1.12 GiB) and 40+40 (8.8 GiB) are refused.
+#: Largest estimated size of one run: the layout's index lists, the gathers
+#: of one slice and the Schur matrices (see _estimated_bytes). At (3, 3),
+#: 29+29 modes is the largest extendibility query under it; 28+28 is
+#: estimated at 0.79 GiB (peak RSS 0.78 GiB, 18 s on one core), and 30+30
+#: (1.04 GiB), 32+32 (1.34 GiB) and 40+40 (3.2 GiB) are refused.
 SOLVER_BYTES_CAP = 2**30
+
+#: Pairs of θ nonzeros whose Schur terms are gathered at once. A run with
+#: fewer pairs (every query up to 10+10 modes at (3, 3)) has one slice.
+SCHUR_SLICE = 2**18
+
+#: Byte budget of the layouts kept between runs (see _layout): thousands of
+#: small shapes, or none above 14+14 modes at (3, 3).
+LAYOUT_CACHE_BYTES = 32 * 2**20
 
 
 @dataclass(frozen=True)
@@ -129,34 +148,39 @@ def _objective(constraints, deltas):
 
 
 def _estimated_bytes(counts, dim, m):
-    """Bytes of one run with counts[c] θ nonzeros in block c: 136 per pair of
-    nonzeros in one block (gather indices, the two complex gathers of the
-    three products, weights and targets), four (m+1)² Schur matrices and the
-    (C, D, D) stacks. From 8+8 to 23+23 modes at (3, 3) this exceeded the
-    measured growth of peak RSS by 5-13%."""
+    """Bytes of one run with counts[c] θ nonzeros in block c: 36 per pair of
+    nonzeros in one block for the layout's index lists (three int32 indices
+    into X and three into W, an int32 target and a float64 weight), 120 per
+    pair of one slice for its two complex gathers of three products and
+    their temporaries, four (m+1)² Schur matrices and the (C, D, D) stacks.
+    At (3, 3) this bounds the peak RSS of a whole process that solves one
+    24+24 or 28+28 query (interpreter and numpy included) by 1-2%."""
     pairs = sum(n * n for n in counts)
-    return pairs * (3 * 2 * 4 + 3 * 2 * 16 + 8 + 8) + 4 * 8 * (m + 1) ** 2 + 64 * len(counts) * dim**2
+    return pairs * 36 + min(pairs, SCHUR_SLICE) * 120 + 4 * 8 * (m + 1) ** 2 + 64 * len(counts) * dim**2
 
 
-class _BlockStack:
-    """The constraints as one padded (C, D, D) stack, and the nonzeros of
-    every B_i as index lists into it (see the module docstring).
+class _Layout:
+    """Everything about a padded (C, D, D) block stack that depends only on
+    its shape: the pad masks, the start point, and the nonzeros of every B_i
+    as index lists into the stack (see the module docstring). One layout
+    serves every run whose blocks, terms and variables match, so all its
+    arrays are read-only; the constraint values enter through consts().
 
     Scatters and gathers address a complex stack through its float64 view:
     entry (k, a, b) has its real part at 2((k D + a) D + b), its imaginary
     part one after.
     """
 
-    def __init__(self, constraints, var_dims):
-        dims = [c.dim for c in constraints]
+    def __init__(self, dims, terms, var_dims):
         n, d = len(dims), max(dims)
+        self.shape = (n, d, d)
         self.var_dims = var_dims
         self.triu = [np.triu_indices(v, 1) for v in var_dims]
         self.offsets = offsets = np.cumsum([0] + [r.size for r, _ in self.triu])
         self.m = m = int(offsets[-1])
         self.size = sum(dims)
         self.pad = n * d - self.size
-        counts = [sum(self.triu[var][0].size for _, var, _ in c.terms) for c in constraints]
+        counts = [sum(self.triu[var][0].size for _, var, _ in t) for t in terms]
         nbytes = _estimated_bytes(counts, d, m)
         if nbytes > SOLVER_BYTES_CAP:
             raise TooManyModesError(
@@ -164,20 +188,23 @@ class _BlockStack:
                 f"{nbytes / 2**30:.2f} GiB, over the {SOLVER_BYTES_CAP / 2**30:.2f} GiB cap"
             )
 
-        self.consts = np.tile(np.eye(d, dtype=complex), (n, 1, 1))
-        self.real = np.zeros((n, d, d))
-        for j, con in enumerate(constraints):
-            self.consts[j, : con.dim, : con.dim] = con.sym_part + 1j * con.skew_const
-            self.real[j, : con.dim, : con.dim] = 1.0
+        self.real = np.zeros(self.shape)
+        for j, dim in enumerate(dims):
+            self.real[j, :dim, :dim] = 1.0
         self.identity = self.real * np.eye(d)
+        self.pad_eye = np.eye(d) - self.identity
+        # X₀: I/N on the blocks, I on the pad
+        self.x0 = (self.pad_eye + self.identity / self.size).astype(complex)
+        self.rhs = np.zeros(m + 1)
+        self.rhs[-1] = 1.0
 
         # one record per θ nonzero pair (R, S), (S, R): block k, coefficient c, variable v
-        terms = [(j, coeff, var, off) for j, con in enumerate(constraints) for coeff, var, off in con.terms]
-        sizes = [self.triu[var][0].size for _, _, var, _ in terms]
-        k, c = (np.repeat([t[i] for t in terms], sizes) for i in (0, 1))
-        r = np.concatenate([off + self.triu[var][0] for _, _, var, off in terms])
-        s = np.concatenate([off + self.triu[var][1] for _, _, var, off in terms])
-        v = np.concatenate([offsets[var] + np.arange(size) for size, (_, _, var, _) in zip(sizes, terms)])
+        flat = [(j, coeff, var, off) for j, t in enumerate(terms) for coeff, var, off in t]
+        sizes = [self.triu[var][0].size for _, _, var, _ in flat]
+        k, c = (np.repeat([t[i] for t in flat], sizes) for i in (0, 1))
+        r = np.concatenate([off + self.triu[var][0] for _, _, var, off in flat])
+        s = np.concatenate([off + self.triu[var][1] for _, _, var, off in flat])
+        v = np.concatenate([offsets[var] + np.arange(size) for size, (_, _, var, _) in zip(sizes, flat)])
 
         def at(k, a, b):
             return (k * d + a) * d + b
@@ -187,30 +214,62 @@ class _BlockStack:
         weight = np.concatenate([c, -c, -np.ones(self.size)])
         var = np.concatenate([v, v, np.full(self.size, m)])
         self.gather = where, weight, var
-        self.scatter_lists = where[: 2 * r.size], weight[: 2 * r.size], var[: 2 * r.size]
-        self.flat = 2 * n * d * d
 
         # ordered pairs p, q of θ nonzeros in one block (the records of a block
-        # are contiguous); P1, P2 and P3 in turn
-        starts = np.cumsum(counts) - counts
-        run = np.asarray(counts)[k]
-        p = np.repeat(np.arange(k.size), run)
-        kp = k[p]
-        q = starts[kp] + np.arange(p.size) - np.repeat(np.cumsum(run) - run, run)
-        self.x_at = np.concatenate(
-            [at(kp, s[p], r[q]), at(kp, s[p], s[q]), at(kp, r[p], r[q])]
-        ).astype(np.int32)
-        self.w_at = np.concatenate(
-            [at(kp, s[q], r[p]), at(kp, r[q], r[p]), at(kp, s[q], s[p])]
-        ).astype(np.int32)
-        self.pair_weight = -c[p] * c[q]
-        self.pair_var = (v[p] * (m + 1) + v[q]).astype(np.int32)
+        # are contiguous), p-major; rows of P1, P2 and P3, built a slice at a time
+        pairs = sum(n * n for n in counts)
+        self.x_at = np.empty((3, pairs), np.int32)
+        self.w_at = np.empty((3, pairs), np.int32)
+        self.pair_weight = np.empty(pairs)
+        self.pair_var = np.empty(pairs, np.int32)
+        start = done = 0
+        for j, count in enumerate(counts):
+            q = slice(start, start + count)
+            rows = max(1, SCHUR_SLICE // max(count, 1))
+            for lo in range(start, start + count, rows):
+                p = slice(lo, min(lo + rows, start + count))
+                out = slice(done, done + (p.stop - p.start) * count)
+                sp, rp = s[p, None], r[p, None]
+                self.x_at[0, out] = at(j, sp, r[q]).ravel()
+                self.x_at[1, out] = at(j, sp, s[q]).ravel()
+                self.x_at[2, out] = at(j, rp, r[q]).ravel()
+                self.w_at[0, out] = at(j, s[q], rp).ravel()
+                self.w_at[1, out] = at(j, r[q], rp).ravel()
+                self.w_at[2, out] = at(j, s[q], sp).ravel()
+                self.pair_weight[out] = (-c[p, None] * c[q]).ravel()
+                self.pair_var[out] = (v[p, None] * (m + 1) + v[q]).ravel()
+                done = out.stop
+            start = q.stop
+        # slices of SCHUR_SLICE pairs; pairs are p-major, so a slice's targets
+        # span a band [first, stop) of U, and pair_var counts from its first
+        self.slices = []
+        for lo in range(0, pairs, SCHUR_SLICE):
+            part = slice(lo, min(lo + SCHUR_SLICE, pairs))
+            first, stop = int(self.pair_var[part].min()), int(self.pair_var[part].max()) + 1
+            self.pair_var[part] -= first
+            self.slices.append((part, first, stop))
+
+        owned = [*itertools.chain(*self.triu), self.offsets, self.real, self.identity, self.pad_eye,
+                 self.x0, self.rhs, *self.gather, self.x_at, self.w_at, self.pair_weight, self.pair_var]
+        for a in owned:
+            a.setflags(write=False)
+        self.nbytes = sum(a.nbytes for a in owned)
+        # views of the frozen gather lists, so read-only too
+        self.scatter_lists = tuple(a[: 2 * r.size] for a in self.gather)
+
+    def consts(self, constraints):
+        """F_c(0) = A_c + i S_c of each constraint, I on the pad: the one
+        per-run part of the stack."""
+        out = self.pad_eye.astype(complex)
+        for j, con in enumerate(constraints):
+            out[j, : con.dim, : con.dim] = con.sym_part + 1j * con.skew_const
+        return out
 
     def scatter(self, y):
         """-Σ_i y_i B_i over θ, as a (C, D, D) complex stack."""
         where, weight, var = self.scatter_lists
-        out = np.bincount(where, weight * y[var], self.flat)
-        return out.view(complex).reshape(self.consts.shape)
+        out = np.bincount(where, weight * y[var], 2 * self.pad_eye.size)
+        return out.view(complex).reshape(self.shape)
 
     def trace_with(self, w):
         """Re Σ_c tr(B_ci W_c) for every i, t last, from a (C, D, D) stack W."""
@@ -220,12 +279,17 @@ class _BlockStack:
 
     def schur(self, x, w):
         """M_ij = Re Σ_c tr(B_ci X_c B_cj W_c) for Hermitian stacks X and W."""
-        m, pairs = self.m + 1, self.pair_weight.size
-        prod = x.reshape(-1)[self.x_at]
-        prod *= w.reshape(-1)[self.w_at]
-        prod = prod.real
-        terms = prod[:pairs] - 0.5 * (prod[pairs : 2 * pairs] + prod[2 * pairs :])
-        u = np.bincount(self.pair_var, self.pair_weight * terms, m * m).reshape(m, m)
+        m = self.m + 1
+        # bincount never returns -0.0, so with one slice U is bit for bit the
+        # bincount of all pairs
+        u = np.zeros(m * m)
+        for part, first, stop in self.slices:
+            prod = x.reshape(-1)[self.x_at[:, part]]
+            prod *= w.reshape(-1)[self.w_at[:, part]]
+            prod = prod.real
+            terms = self.pair_weight[part] * (prod[0] - 0.5 * (prod[1] + prod[2]))
+            u[first:stop] += np.bincount(self.pair_var[part], terms, stop - first)
+        u = u.reshape(m, m)
         schur = u + u.T
         schur[-1] = schur[:, -1] = self.trace_with(x @ w)
         return schur
@@ -240,28 +304,55 @@ class _BlockStack:
         return tuple(out)
 
 
-def _lower_inverse(l):
-    """Inverse of a lower-triangular l: by halves, so that above 128 rows the
-    flops are n³/3 in matrix products, not the 8n³/3 of a general inverse."""
+#: Layouts by (block dims, terms, variable dims), least recently used first.
+_LAYOUTS = OrderedDict()
+
+
+def _layout(constraints, var_dims):
+    """The layout of the constraints' shape: cached while the cache's arrays
+    fit in LAYOUT_CACHE_BYTES, the least recently used evicted first; one
+    larger than that is built for its run and not kept."""
+    key = (tuple(c.dim for c in constraints), tuple(c.terms for c in constraints), tuple(var_dims))
+    layout = _LAYOUTS.get(key)
+    if layout is not None:
+        _LAYOUTS.move_to_end(key)
+        return layout
+    layout = _Layout(*key)
+    if layout.nbytes <= LAYOUT_CACHE_BYTES:
+        _LAYOUTS[key] = layout
+        total = sum(kept.nbytes for kept in _LAYOUTS.values())
+        while total > LAYOUT_CACHE_BYTES:
+            total -= _LAYOUTS.popitem(last=False)[1].nbytes
+    return layout
+
+
+def _lower_inverse(l, out=None):
+    """Inverse of a lower-triangular l, into out (new by default): by halves,
+    so that above 128 rows the flops are n³/3 in matrix products, not the
+    8n³/3 of a general inverse, and in place, so that besides l and out the
+    recursion holds one product of a quarter of their size."""
     n = len(l)
     if n <= 128:
-        return np.linalg.inv(l)
+        if out is None:
+            return np.linalg.inv(l)
+        out[...] = np.linalg.inv(l)
+        return out
+    if out is None:
+        out = np.zeros_like(l)
     h = n // 2
-    top, bottom = _lower_inverse(l[:h, :h]), _lower_inverse(l[h:, h:])
-    out = np.zeros_like(l)
-    out[:h, :h] = top
-    out[h:, h:] = bottom
-    out[h:, :h] = -bottom @ (l[h:, :h] @ top)
+    top, bottom = _lower_inverse(l[:h, :h], out[:h, :h]), _lower_inverse(l[h:, h:], out[h:, h:])
+    np.matmul(bottom, l[h:, :h] @ top, out=out[h:, :h])
+    np.negative(out[h:, :h], out=out[h:, :h])
     return out
 
 
-def _step_to_boundary(inv_factors, dx, dz, fraction):
+def _step_to_boundary(inv_factors, inv_adjoints, dx, dz, fraction):
     """Largest α_p, α_d <= 1, times fraction, with L L^H + α step >= 0 for X and Z.
 
-    inv_factors holds the inverse Cholesky factors of X and Z stacked, so
-    one eigensolve covers both directions.
+    inv_factors holds the inverse Cholesky factors of X and Z stacked, and
+    inv_adjoints their adjoints, so one eigensolve covers both directions.
     """
-    low = np.linalg.eigvalsh(inv_factors @ np.concatenate([dx, dz]) @ _adjoint(inv_factors))[:, 0]
+    low = np.linalg.eigvalsh(inv_factors @ np.concatenate([dx, dz]) @ inv_adjoints)[:, 0]
     lows = (low[: len(dx)].min(), low[len(dx) :].min())
     return tuple(min(1.0, -fraction / low) if low < 0 else 1.0 for low in lows)
 
@@ -280,7 +371,8 @@ def _newton_step(stack, x, z, rhs):
     """
     n = len(x)
     l_inv = np.linalg.inv(np.linalg.cholesky(np.concatenate([x, z])))
-    z_inv = _adjoint(l_inv[n:]) @ l_inv[n:]
+    l_inv_h = _adjoint(l_inv)
+    z_inv = l_inv_h[n:] @ l_inv[n:]
     schur_l_inv = _lower_inverse(np.linalg.cholesky(stack.schur(x, z_inv)))
     mu = (np.real(np.vdot(x, z)) - stack.pad) / stack.size
 
@@ -292,14 +384,14 @@ def _newton_step(stack, x, z, rhs):
 
     # predictor: the affine-scaling step, aiming at μ = 0
     dy, dx, dz = direction(rhs, 0.0, 0.0)
-    a_p, a_d = _step_to_boundary(l_inv, dx, dz, 1.0)
+    a_p, a_d = _step_to_boundary(l_inv, l_inv_h, dx, dz, 1.0)
     mu_aff = (np.real(np.vdot(x + a_p * dx, z + a_d * dz)) - stack.pad) / stack.size
     sigma_mu = min(1.0, (mu_aff / mu) ** 3) * mu
     # corrector: centring towards σμ plus Mehrotra's second-order term
     cross = dx @ dz
     r = rhs + stack.trace_with(cross @ z_inv - sigma_mu * z_inv)
     dy, dx, dz = direction(r, sigma_mu, cross)
-    a_p, a_d = _step_to_boundary(l_inv, dx, dz, STEP_FRACTION)
+    a_p, a_d = _step_to_boundary(l_inv, l_inv_h, dx, dz, STEP_FRACTION)
     return dy, dx, a_p, a_d
 
 
@@ -359,11 +451,10 @@ def max_margin(constraints, warm_start, config: RunConfig = DEFAULT_CONFIG):
         bound = traces / size if warm_start else margin
         return _checked(SolverOutcome(margin, tuple(warm_start), 0, bound), eps, target)
 
-    stack = _BlockStack(constraints, [w.shape[0] for w in warm_start])
+    stack = _layout(constraints, [w.shape[0] for w in warm_start])
+    consts = stack.consts(constraints)
     y = np.concatenate([w[iu] for w, iu in zip(warm_start, stack.triu)] + [[margin - 1.0]])
-    # I/N on the blocks, I on the pad
-    x = (np.eye(stack.consts.shape[-1]) - stack.identity + stack.identity / size).astype(complex)
-    rhs = np.eye(y.size)[-1]
+    x = stack.x0
 
     def outcome(it):
         deltas = stack.deltas(y)
@@ -373,16 +464,16 @@ def max_margin(constraints, warm_start, config: RunConfig = DEFAULT_CONFIG):
         return _checked(SolverOutcome(exact, deltas, it, bound), eps, target)
 
     for it in range(config.max_iters + 1):
-        f = stack.consts + stack.scatter(y)
+        f = consts + stack.scatter(y)
         margin = float(np.linalg.eigvalsh(f)[:, 0].min())
-        bound = float(np.real(np.vdot(stack.consts, x))) - stack.pad
+        bound = float(np.real(np.vdot(consts, x))) - stack.pad
         if margin >= target or _gap_closed(bound, margin, eps, GAP_TOL):
             return outcome(it)
         if it == config.max_iters:
             break
         z = f - y[-1] * stack.identity
         try:
-            dy, dx, a_p, a_d = _newton_step(stack, x, z, rhs)
+            dy, dx, a_p, a_d = _newton_step(stack, x, z, stack.rhs)
         except np.linalg.LinAlgError:
             if _gap_closed(bound, margin, eps, BREAKDOWN_GAP_TOL):
                 return outcome(it)

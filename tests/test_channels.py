@@ -300,6 +300,14 @@ class TestChannelExtendibility:
         ch = channels.validate_channel(np.zeros((2, 2)), OMEGA)
         assert channels.channel_k_extendible(ch, 10).feasible
 
+    @pytest.mark.parametrize("decide", [channels.antidegradable, lambda ch: channels.channel_k_extendible(ch, 2)],
+                             ids=["antidegradable", "k-ext"])
+    def test_channel_built_without_the_cp_check_is_refused(self, decide):
+        # I + iN - XX^T = -3 I: the Choi matrix is not bona fide, so no verdict
+        ch = channels.GaussianChannel(2 * np.eye(2), matalg.AntisymmetricMatrix(np.zeros((2, 2))))
+        with pytest.raises(NotCPError, match=r"eigenvalue -3\.000000e\+00 < -1\.0e-09"):
+            decide(ch)
+
     def test_boundary_loss_two_extendible(self):
         res = channels.channel_k_extendible(channels.pure_loss(0.5), 2)
         assert res.feasible

@@ -223,11 +223,11 @@ class TestExtensionReadsBack:
 class TestTooLargeExit5:
     def test_refused_solver_size(self, tmp_path, capsys):
         path = str(tmp_path / "big.cm")
-        io.save_cm(path, family22_direct_sum(24, np.random.default_rng(24)))
+        io.save_cm(path, family22_direct_sum(40, np.random.default_rng(40)))
         assert run_cli("extendible", path, "3", "3") == 5
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("too large: 2256 variables on blocks of size up to 96")
+        assert captured.err.startswith("too large: 6320 variables on blocks of size up to 160")
 
 
 class TestBoundsCmd:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from collections import OrderedDict
 import subprocess
 import sys
 import tracemalloc
@@ -175,7 +176,7 @@ class TestSparseAssembly:
     def test_matches_the_dense_basis(self, case, monkeypatch):
         cons, warm = STACKED[case][1](monkeypatch)
         var_dims = [w.shape[0] for w in warm]
-        stack = solver._BlockStack(cons, var_dims)
+        stack = solver._layout(cons, var_dims)
         basis = dense_basis(cons, var_dims)
         rng = np.random.default_rng(14)
         xs = [random_definite(rng, c.dim) for c in cons]
@@ -188,7 +189,14 @@ class TestSparseAssembly:
         theta = rng.standard_normal(stack.m + 1)
         f = [c.sym_part + 1j * c.skew_const - np.tensordot(theta[:-1], b[:-1], 1)
              for c, b in zip(cons, basis)]
-        assert np.array_equal(stack.consts + stack.scatter(theta), padded(f))
+        assert np.array_equal(stack.consts(cons) + stack.scatter(theta), padded(f))
+
+    @pytest.mark.parametrize("case", STACKED)
+    def test_matches_the_dense_basis_in_slices_of_seven_pairs(self, case, monkeypatch):
+        # a fresh cache, so that the layout is built in slices too
+        monkeypatch.setattr(solver, "_LAYOUTS", OrderedDict())
+        monkeypatch.setattr(solver, "SCHUR_SLICE", 7)
+        self.test_matches_the_dense_basis(case, monkeypatch)
 
     @pytest.mark.parametrize("case", ["2+2 at (2, 2)", "1+2 at (2, 2)"])
     def test_x_and_z_stay_identity_on_the_pad(self, case, monkeypatch):
@@ -224,6 +232,67 @@ class TestSparseAssembly:
         assert outcome.margin == solver._objective(cons, outcome.deltas)
 
 
+def arrays(value):
+    """Every ndarray in value, looking into lists and tuples."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, (list, tuple)):
+        return [a for item in value for a in arrays(item)]
+    return []
+
+
+def outcome_bytes(outcome):
+    return (outcome.margin, outcome.bound, outcome.iterations, [d.tobytes() for d in outcome.deltas])
+
+
+class TestLayoutCache:
+    @pytest.fixture(autouse=True)
+    def empty_cache(self, monkeypatch):
+        monkeypatch.setattr(solver, "_LAYOUTS", OrderedDict())
+
+    def test_a_hit_solves_bit_identically_to_a_fresh_build(self):
+        rng = np.random.default_rng(18)
+        first, second = (_theorem_constraints(ExtendQuery(random_pure(rng, 2, 2), 2, 2)) for _ in range(2))
+        solver.max_margin(*first)
+        layout = next(iter(solver._LAYOUTS.values()))
+        hit = solver.max_margin(*second)
+        assert list(solver._LAYOUTS.values()) == [layout]
+        solver._LAYOUTS.clear()
+        fresh = solver.max_margin(*second)
+        assert next(iter(solver._LAYOUTS.values())) is not layout
+        assert hit.iterations > 0
+        assert outcome_bytes(hit) == outcome_bytes(fresh)
+
+    def test_never_holds_more_than_its_budget(self, monkeypatch):
+        rng = np.random.default_rng(18)
+        queries = [_theorem_constraints(ExtendQuery(random_pure(rng, *nm), 2, 2))
+                   for nm in [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (2, 3)]]
+        solver.max_margin(*queries[3])
+        monkeypatch.setattr(solver, "LAYOUT_CACHE_BYTES", 2 * solver._LAYOUTS.popitem()[1].nbytes)
+        for cons, warm in queries:
+            solver.max_margin(cons, warm)
+            assert sum(layout.nbytes for layout in solver._LAYOUTS.values()) <= solver.LAYOUT_CACHE_BYTES
+        # 1+3 evicted the smaller layouts; 2+3, over the budget, was not stored
+        assert [layout.var_dims for layout in solver._LAYOUTS.values()] == [(2, 6)]
+
+    def test_a_layout_over_the_budget_is_used_but_not_kept(self, monkeypatch):
+        monkeypatch.setattr(solver, "LAYOUT_CACHE_BYTES", 0)
+        cons, warm = _theorem_constraints(ExtendQuery(family_cm(2, 2), 3, 3))
+        assert solver.max_margin(cons, warm).margin == pytest.approx(-0.5, abs=1e-9)
+        assert not solver._LAYOUTS
+
+    def test_cached_arrays_are_read_only(self):
+        cons, warm = _theorem_constraints(ExtendQuery(random_pure(np.random.default_rng(1), 1, 2), 2, 2))
+        solver.max_margin(cons, warm)
+        layout = next(iter(solver._LAYOUTS.values()))
+        found = arrays(list(vars(layout).values()))
+        assert len(found) >= 16
+        for a in found:
+            assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            layout.x0[0, 0, 0] = 2.0
+
+
 class TestPastFourModes:
     @pytest.mark.parametrize("n", [3, 6, 8])
     @pytest.mark.parametrize("k1, k2", [(3, 3), (2, 3)])
@@ -236,6 +305,13 @@ class TestPastFourModes:
                    for q, ks in ((b, (k1, k2)), (rotated, (k1, k2)), (swapped, (k2, k1)))]
         assert margins == pytest.approx([closed] * 3, abs=1e-9)
         assert max(margins) - min(margins) <= 1e-9
+
+    @pytest.mark.parametrize("n, admitted", [(28, True), (32, False)])
+    def test_cap_admits_twenty_eight_modes_and_refuses_thirty_two(self, n, admitted):
+        # at (3, 3): blocks Δ_A, Δ_B of size 2n and the joint block of size 4n
+        per_side = n * (2 * n - 1)
+        nbytes = solver._estimated_bytes([per_side, per_side, 2 * per_side], 4 * n, 2 * per_side)
+        assert (nbytes <= solver.SOLVER_BYTES_CAP) is admitted
 
     def test_forty_plus_forty_refused_before_allocating(self):
         b = family22_direct_sum(40, np.random.default_rng(40))
