@@ -16,7 +16,12 @@ Mehrotra's predictor-corrector (Helmberg, Rendl, Vanderbei & Wolkowicz,
 SIAM J. Optim. 6, 1996; Vandenberghe & Boyd, SIAM Rev. 38, 1996). Each
 step solves one Schur system, M_ij = Re Σ_c tr(B_ci X_c B_cj Z_c⁻¹), of
 size m + 1; its Cholesky factor is inverted once and reused by the
-predictor and the corrector.
+predictor and the corrector. The corrector takes the fraction
+γ = 0.95 + 0.045 · min(α_p, α_d)² of the step to the boundary of the PSD
+cone, α_p and α_d the predictor's step lengths, so γ rises towards 1 as
+the affine step nears a full one (Mehrotra, SIAM J. Optim. 2, 1992; Toh,
+Todd & Tütüncü, Optim. Methods Softw. 11, 1999); a fixed 0.95 caps the
+gap's fall at about 20× per iteration.
 
 The C blocks are kept as one (C, D, D) stack, each padded to D, the
 largest block size, with an inert identity: on the pad F(0) = I, every
@@ -48,7 +53,9 @@ cache of at most LAYOUT_CACHE_BYTES; a run fills only F(0) from its
 constraints.
 
 The run starts strictly feasible on both sides, from θ₀ = warm start,
-t₀ = f(θ₀) - 1 and X₀ = I/N (N the summed block size).
+t₀ = f(θ₀) - 1 and X₀ = I/N (N the summed block size); f(θ₀) is the
+exact margin computed for the warm-start test, and is not recomputed on
+the stack.
 
 The reported margin is always the true f(θ) = min_c λ_min(F_c(θ)), never
 t. One rule accepts a witness: f(θ) >= -min(eps_feas, eps_psd), so that
@@ -70,7 +77,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RunConfig, DEFAULT_CONFIG
-from .errors import SolverStalledError, TooManyModesError
+from .errors import DimensionMismatchError, InvalidParameterError, SolverStalledError, TooManyModesError
 
 __all__ = ["MatrixConstraint", "SolverOutcome", "SOLVER_BYTES_CAP", "margin_target", "max_margin", "minimize"]
 
@@ -78,13 +85,10 @@ __all__ = ["MatrixConstraint", "SolverOutcome", "SOLVER_BYTES_CAP", "margin_targ
 GAP_TOL = 1e-8
 BREAKDOWN_GAP_TOL = 1e-6
 
-#: Fraction of the step to the boundary of the PSD cone taken by the corrector.
-STEP_FRACTION = 0.95
-
 #: Largest estimated size of one run: the layout's index lists, the gathers
 #: of one slice and the Schur matrices (see _estimated_bytes). At (3, 3),
 #: 29+29 modes is the largest extendibility query under it; 28+28 is
-#: estimated at 0.79 GiB (peak RSS 0.78 GiB, 18 s on one core), and 30+30
+#: estimated at 0.79 GiB (peak RSS 0.78 GiB, 9 s on one core), and 30+30
 #: (1.04 GiB), 32+32 (1.34 GiB) and 40+40 (3.2 GiB) are refused.
 SOLVER_BYTES_CAP = 2**30
 
@@ -391,7 +395,8 @@ def _newton_step(stack, x, z, rhs):
     cross = dx @ dz
     r = rhs + stack.trace_with(cross @ z_inv - sigma_mu * z_inv)
     dy, dx, dz = direction(r, sigma_mu, cross)
-    a_p, a_d = _step_to_boundary(l_inv, l_inv_h, dx, dz, STEP_FRACTION)
+    fraction = 0.95 + 0.045 * min(a_p, a_d) ** 2
+    a_p, a_d = _step_to_boundary(l_inv, l_inv_h, dx, dz, fraction)
     return dy, dx, a_p, a_d
 
 
@@ -408,6 +413,26 @@ def _gap_closed(bound, margin, eps, tol):
     on either side: a bound below the margin is no closed gap but an
     inaccurate dual, and fails this test once it is off by more than tol."""
     return bound < -eps and abs(bound - margin) <= tol * max(1.0, abs(bound))
+
+
+def _check_terms(constraints, var_dims):
+    """Every term names a warm-start variable and fits in its constraint, and
+    every variable enters some term: an unused one would leave its rows of
+    the Schur matrix zero."""
+    n, used = len(var_dims), set()
+    for c, con in enumerate(constraints):
+        for _, var, off in con.terms:
+            if not 0 <= var < n:
+                raise InvalidParameterError(f"constraint {c} names variable {var}, not in range({n}) of the warm start")
+            if off < 0 or off + var_dims[var] > con.dim:
+                raise DimensionMismatchError(
+                    f"constraint {c} places variable {var} of size {var_dims[var]} at offset {off} "
+                    f"in a block of size {con.dim}"
+                )
+            used.add(var)
+    if len(used) < n:
+        unused = min(set(range(n)) - used)
+        raise InvalidParameterError(f"warm-start variable {unused} enters no constraint term")
 
 
 def margin_target(config: RunConfig) -> float:
@@ -436,12 +461,17 @@ def max_margin(constraints, warm_start, config: RunConfig = DEFAULT_CONFIG):
             caps the interior-point iterations.
 
     Raises:
+        InvalidParameterError: a term names a variable that the warm start
+            lacks, or a warm-start variable enters no term.
+        DimensionMismatchError: a term's variable overruns its constraint.
         SolverStalledError: a converged margin inside the ambiguous band
             [-100 eps_feas, margin_target(config)), a breakdown before
             convergence, or max_iters iterations without a stopping rule.
         TooManyModesError: the run's estimated bytes exceed
             SOLVER_BYTES_CAP; nothing large has been allocated.
     """
+    var_dims = [w.shape[0] for w in warm_start]
+    _check_terms(constraints, var_dims)
     eps, target = config.eps_feas, margin_target(config)
     margin = _objective(constraints, warm_start)
     size = sum(c.dim for c in constraints)
@@ -451,7 +481,7 @@ def max_margin(constraints, warm_start, config: RunConfig = DEFAULT_CONFIG):
         bound = traces / size if warm_start else margin
         return _checked(SolverOutcome(margin, tuple(warm_start), 0, bound), eps, target)
 
-    stack = _layout(constraints, [w.shape[0] for w in warm_start])
+    stack = _layout(constraints, var_dims)
     consts = stack.consts(constraints)
     y = np.concatenate([w[iu] for w, iu in zip(warm_start, stack.triu)] + [[margin - 1.0]])
     x = stack.x0
@@ -465,7 +495,8 @@ def max_margin(constraints, warm_start, config: RunConfig = DEFAULT_CONFIG):
 
     for it in range(config.max_iters + 1):
         f = consts + stack.scatter(y)
-        margin = float(np.linalg.eigvalsh(f)[:, 0].min())
+        if it:
+            margin = float(np.linalg.eigvalsh(f)[:, 0].min())
         bound = float(np.real(np.vdot(consts, x))) - stack.pad
         if margin >= target or _gap_closed(bound, margin, eps, GAP_TOL):
             return outcome(it)
