@@ -24,13 +24,16 @@ is block-diagonal: the even and the odd sector each hold a 2^(n-1) x
 block is the basis state whose first n-1 modes hold the bits of l; the
 last mode's bit follows from the sector's parity. Each Majorana swaps
 the two sectors and flips one label bit (none for the last mode). The
-routines work on these blocks, or on Pauli strings, and multiply no
-dense Majorana matrices:
+routines work on these blocks, on Pauli strings or on Majorana moments,
+and multiply no dense Majorana matrices:
 
-* state_from_cm builds each sector block with the product formula,
-  applying γ̃ = O^T γ as n label-flipped views of the block, each scaled
-  by one phase per row: n² 4^n complex multiply-adds in all, half of
-  what the full matrix takes;
+* state_from_cm writes ρ from its Majorana moments, the Pfaffians of M's
+  principal submatrices (Wick's theorem): one table of all 4^n of them,
+  n(2n-1) vectorised multiply-adds, then one 2 x 2 butterfly per mode
+  that turns the Pfaffians into matrix entries, each carrying the sign
+  Φ(r, c) that the (-Z) strings leave on it (see _state_from_canonical).
+  That is O(n 4^n), against n² 4^n for the product formula
+  Π_j (I + i λ_j γ̃_{2j} γ̃_{2j+1}) that the tests keep as a reference;
 * the DenseState checks, trace_distance and entropies diagonalise the
   two sector blocks, a quarter of the work of one full eigvalsh;
 * cm_from_state and wick_check compose strings (XOR of the masks,
@@ -79,8 +82,10 @@ MODE_CAP = 12
 DENSE_BYTES_CAP = 2 * 2**30
 
 #: Dense 2^n x 2^n complex matrices alive at once in state_from_cm: the
-#: built ρ and its DenseState copy; the sector build itself peaks at 1.5.
-#: Peak RSS grew by 2.08, 2.03 and 2.01 matrices at 10, 11 and 12 modes.
+#: built ρ and its DenseState copy; the build itself peaks at 1.5, ρ and
+#: the real Pfaffian table (tracemalloc: 1.52, 1.51 and 1.50 at 10, 11
+#: and 12 modes). A first call in a fresh process grew peak RSS by 2.06,
+#: 2.02 and 2.01 matrices.
 _STATE_BUILD_MATRICES = 2
 
 
@@ -237,58 +242,87 @@ def _string_trace(rho: np.ndarray, n: int, idx) -> complex:
     return complex(np.sum(phase * rho[x, x ^ flip]))
 
 
-def _majorana_times(coeffs, block, phases, out, scratch):
-    """out = γ̃ B for γ̃ = Σ_q coeffs[q] γ_q and B a block whose rows lie in
-    one parity sector; phases are the Majorana phases at that sector's
-    rows, and scratch is a work buffer.
+def _pfaffian_table(m: np.ndarray, scale: float) -> tuple:
+    """scale · Pf(m[x]) for every subset x of m's d indices, at x = Σ_{p∈x} 2^p,
+    as two halves of 2^(d-1) entries: the subsets without and with d - 1.
 
-    γ_q takes the sector's row l to row l ^ (m_q >> 1) of the other sector,
-    so (γ_q B)[l, c] = ph_q[l ^ (m_q >> 1)] B[l ^ (m_q >> 1), c]. Both
-    Majoranas of mode k flip the same label bit, so γ̃ B is a sum of n
-    row-flipped views of B (a reversed axis of a 4-d reshape, no copy),
-    each scaled by one phase per row. That phase depends only on the bits
-    of modes 0 … k. The last mode flips no label bit.
+    Expansion along the top element a of x,
+    Pf(m[x]) = Σ_{b∈x, b<a} (-1)^{#{c∈x : c<b}} m[b, a] Pf(m[x∖{a, b}]),
+    fills the subsets topped by a, the slice [2^a, 2^(a+1)), from the
+    slice below it: one multiply-add per pair b < a. Odd subsets stay 0,
+    so on every nonzero Pf(m[x∖{a, b}]) the parity of the bits below b is
+    that of the bits between b and a; the sign is read from the shorter.
     """
-    h = block.shape[0]
-    n = h.bit_length()  # h = 2^(n-1)
-    row_phases = coeffs[0::2, None] * phases[0::2] + coeffs[1::2, None] * phases[1::2]
-    for k in range(n):
-        shape = (2**k, 2, 2 ** (n - 2 - k), h) if k < n - 1 else (h, 1, 1, h)
-        row = row_phases[k].reshape(shape[:3])[:, ::-1, :1, None]
-        target = out if k == 0 else scratch
-        np.multiply(block.reshape(shape)[:, ::-1], row, out=target.reshape(shape))
-        if k:
-            out += scratch
+    d = len(m)
+    # two buffers, not one: freeing a half dense matrix would lift glibc's mmap
+    # threshold above DenseState's quarter-matrix temporaries, which would then
+    # stay resident (a first 10-mode state grew peak RSS by 2.56 matrices, not 2.06)
+    halves = np.zeros(2 ** (d - 1)), np.zeros(2 ** (d - 1))
+    halves[0][0] = scale
+    signs = _parity_signs(d // 2)
+    term = np.empty(2 ** (d - 2))
+    for a in range(1, d):
+        low = halves[0][: 2**a]
+        top = halves[0][2**a : 2 ** (a + 1)] if a < d - 1 else halves[1]
+        for b in range(a):
+            above, below = 2 ** (a - 1 - b), 2**b
+            shape = (above, 2, below)  # the middle axis is bit b
+            sign = signs[:below] if below <= above else signs[:above, None]
+            out = term[: 2 ** (a - 1)].reshape(above, below)
+            np.multiply(low.reshape(shape)[:, 0], m[b, a] * sign, out=out)
+            top.reshape(shape)[:, 1] += out
+    return halves
 
 
 def _state_from_canonical(rotation: np.ndarray, lambdas, n: int) -> np.ndarray:
-    """Dense ρ = 2^-n Π_j (I + i λ_j γ̃_{2j} γ̃_{2j+1}), γ̃ = O^T γ.
+    """Dense ρ = 2^-n Σ_{x even} i^(|x|/2) Pf(M[x]) γ_{x_1} ⋯ γ_{x_k} for
+    M = R (⊕_j λ_j [[0, 1], [-1, 0]]) R^T: by Wick's theorem the
+    Pfaffians are the Majorana moments of the Gaussian state.
 
-    Each factor is parity-even, so ρ is built one 2^(n-1) x 2^(n-1)
-    sector block at a time: γ̃_{2j+1} takes the block to the other
-    sector and γ̃_{2j} brings it back. The factors commute, so each is
-    applied from the left to the product so far: row flips keep the
-    contiguous column axis innermost. No physicality check; callers
-    wanting a guaranteed state go through state_from_cm.
+    Entry by entry, ρ[r, c] = 2^-n Φ(r, c) Σ_x i^(|x|/2) Pf(M[x])
+    Π_j σ_{s_j}[r_j, c_j], with σ = (I, X, Y, XY) for s_j = (bit 2j,
+    bit 2j+1) of x and r_j, c_j the bits of mode j. A mode k with
+    r_k ≠ c_k holds one Majorana, whose (-Z)^{⊗k} acts on the modes before
+    it, and (-Z)[c, c] = -(-1)^c; hence
+    Φ(r, c) = (-1)^{Σ_k (k + Σ_{j<k} c_j)(r_k ⊕ c_k)}.
+
+    The table is copied into ρ with bit 2j+1 of x at r_j and bit 2j at
+    c_j. One 2 x 2 butterfly per mode then turns each (r_j, c_j) quartet
+    into entries: i·XY = -Z on the diagonal pair, e^{iπ/4}(X, Y) on the
+    off-diagonal pair. Splitting i^(|x|/2) into i per XY and e^{iπ/4} per
+    X or Y keeps it a product over modes; mode j's factor of Φ depends on
+    c_0 … c_{j-1} only, final by then, and rides on its e^{iπ/4}. No
+    physicality check; callers wanting a guaranteed state go through
+    state_from_cm.
     """
-    _, phases = _majorana_strings(n)
-    h = 2 ** (n - 1)
-    half, full, scratch = (np.empty((h, h), dtype=complex) for _ in range(3))
-    sectors = _sector_rows(n)
-    blocks = []
-    for own, other in (sectors, sectors[::-1]):
-        own_phases, other_phases = phases[:, own], phases[:, other]
-        block = np.eye(h, dtype=complex)
-        for j, lam in enumerate(lambdas):
-            _majorana_times(rotation[:, 2 * j + 1], block, own_phases, half, scratch)
-            _majorana_times(1j * lam * rotation[:, 2 * j], half, other_phases, full, scratch)
-            block += full
-        block /= 2**n
-        blocks.append(block)
-    del half, full, scratch  # freed before ρ: the build peaks at 1.5 full matrices
-    rho = np.zeros((2**n, 2**n), dtype=complex)
-    for rows, block in zip(sectors, blocks):
-        rho[np.ix_(rows, rows)] = block
+    m = (rotation[:, 0::2] * np.asarray(lambdas, dtype=float)) @ rotation[:, 1::2].T
+    halves = _pfaffian_table(m - m.T, 2.0**-n)
+    rho = np.empty((2**n, 2**n), dtype=complex)
+    # bit 2n-1 of x is r_{n-1}, the half; the other bits of x run from 2n-2
+    # down, while ρ's run r_0 … r_{n-2}, c_0 … c_{n-1}
+    axes = [2 * (n - 1 - j) - 1 for j in range(n - 1)] + [2 * (n - 1 - j) for j in range(n)]
+    for r_last, half in enumerate(halves):
+        rows = rho.reshape((2,) * 2 * n)[(slice(None),) * (n - 1) + (r_last,)]
+        np.copyto(rows, half.reshape((2,) * (2 * n - 1)).transpose(axes))
+    # the halves become the butterflies' two quarter-size scratch arrays: the
+    # build peaks at 1.5 dense matrices, and no call below writes where its
+    # inputs lie, so numpy makes no hidden copies of the interleaved quarters
+    scratch = [half.view(complex) for half in halves]
+    # e^{iπ/4} (-1)^{c_0 + … + c_{k-1}} over the first 2^k entries, for mode k
+    phases = np.exp(0.25j * np.pi) * _parity_signs(n - 1)
+    for k in range(n):
+        shape = (2**k, 2, 2 ** (n - 1 - k), 2**k, 2, 2 ** (n - 1 - k))
+        a, b, c, d = (rho.reshape(shape)[:, i, :, :, j] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
+        t1, t2 = (t.reshape(a.shape) for t in scratch)
+        np.subtract(a, d, out=t1)
+        np.add(a, d, out=t2)
+        np.copyto(a, t1)
+        np.copyto(d, t2)
+        phase = (-1) ** k * phases[: 2**k, None]
+        np.multiply(b, phase, out=t1)
+        np.multiply(c, 1j * phase, out=t2)
+        np.subtract(t1, t2, out=b)
+        np.add(t1, t2, out=c)
     return rho
 
 

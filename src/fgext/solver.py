@@ -416,12 +416,14 @@ def _gap_closed(bound, margin, eps, tol):
 
 
 def _check_terms(constraints, var_dims):
-    """Every term names a warm-start variable and fits in its constraint, and
-    every variable enters some term: an unused one would leave its rows of
-    the Schur matrix zero."""
+    """There is a constraint, every term names a warm-start variable and fits
+    in its constraint, and every variable enters some term with a nonzero
+    coefficient: an unused one would leave its rows of the Schur matrix zero."""
+    if not constraints:
+        raise InvalidParameterError("no constraints: the margin is a minimum over an empty set")
     n, used = len(var_dims), set()
     for c, con in enumerate(constraints):
-        for _, var, off in con.terms:
+        for coeff, var, off in con.terms:
             if not 0 <= var < n:
                 raise InvalidParameterError(f"constraint {c} names variable {var}, not in range({n}) of the warm start")
             if off < 0 or off + var_dims[var] > con.dim:
@@ -429,7 +431,8 @@ def _check_terms(constraints, var_dims):
                     f"constraint {c} places variable {var} of size {var_dims[var]} at offset {off} "
                     f"in a block of size {con.dim}"
                 )
-            used.add(var)
+            if coeff != 0:
+                used.add(var)
     if len(used) < n:
         unused = min(set(range(n)) - used)
         raise InvalidParameterError(f"warm-start variable {unused} enters no constraint term")
@@ -461,8 +464,9 @@ def max_margin(constraints, warm_start, config: RunConfig = DEFAULT_CONFIG):
             caps the interior-point iterations.
 
     Raises:
-        InvalidParameterError: a term names a variable that the warm start
-            lacks, or a warm-start variable enters no term.
+        InvalidParameterError: the constraint list is empty, a term names a
+            variable that the warm start lacks, or a warm-start variable
+            enters no term with a nonzero coefficient.
         DimensionMismatchError: a term's variable overruns its constraint.
         SolverStalledError: a converged margin inside the ambiguous band
             [-100 eps_feas, margin_target(config)), a breakdown before

@@ -1,11 +1,13 @@
 import functools
 import itertools
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from conftest import special_orthogonal
 from fgext import fgs, matalg, oracle
 from fgext.bounds import family_cm
 from fgext.errors import (
@@ -258,9 +260,11 @@ def test_state_from_cm_mode_cap():
 
 
 # -- dense reference ----------------------------------------------------------
-# The oracle works on Pauli strings (flip mask and phase); these are the dense
-# Jordan-Wigner kron products and matrix products it replaced, kept as the
-# reference the string arithmetic is pinned to.
+# The oracle works on Pauli strings (flip mask and phase) and builds states
+# from their Majorana moments; these are the dense Jordan-Wigner kron products
+# and matrix products it replaced, kept as the reference both are pinned to.
+# _ref_state is the product formula 2^-n Π_j (I + i λ_j γ̃_{2j} γ̃_{2j+1}),
+# which shares no code with the Pfaffian table and butterflies of the build.
 
 _X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -324,18 +328,30 @@ class TestDenseReference:
         for got, want in zip(oracle.jordan_wigner(n), _ref_gammas(n), strict=True):
             assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
     def test_state_from_cm(self, n, rng, random_cm_factory):
         for _ in range(4):
             cm = random_cm_factory(n)
             form = matalg.canonical_form(cm.body)
             want = _ref_state(form.rotation, np.clip(form.lambdas, -1.0, 1.0), n)
             assert np.max(np.abs(oracle.state_from_cm(cm).rho - want)) < 1e-12
-        # unphysical canonical values too, which the dense-PSD test relies on
-        q, _ = np.linalg.qr(rng.standard_normal((2 * n, 2 * n)))
-        lams = rng.uniform(-1.15, 1.15, size=n)
-        got = oracle._state_from_canonical(q, lams, n)
-        assert np.max(np.abs(got - _ref_state(q, lams, n))) < 1e-12
+        # unphysical canonical values too, which the dense-PSD test relies on,
+        # and a reflection (det -1) as well as a rotation
+        q = special_orthogonal(rng, 2 * n)
+        reflection = q * np.where(np.arange(2 * n) == 0, -1.0, 1.0)
+        for lams in (rng.uniform(-1.15, 1.15, size=n), rng.uniform(-1.0, 1.0, size=n)):
+            for o in (q, reflection):
+                got = oracle._state_from_canonical(o, lams, n)
+                assert np.max(np.abs(got - _ref_state(o, lams, n))) < 1e-12
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_built_state_is_exactly_parity_even_and_hermitian(self, n, rng):
+        # the build's own output, before DenseState zeroes or checks anything
+        lams = rng.uniform(-1.0, 1.0, size=n)
+        rho = oracle._state_from_canonical(special_orthogonal(rng, 2 * n), lams, n)
+        signs = np.diag(oracle.parity_operator(n)).real
+        assert np.array_equal(rho[np.not_equal.outer(signs, signs)], np.zeros(2 ** (2 * n - 1)))
+        assert np.max(np.abs(rho - rho.conj().T)) <= 1e-15
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_cm_from_state(self, n, rng, random_cm_factory):
@@ -470,6 +486,18 @@ class TestMemoryGuard:
             oracle.jordan_wigner(12)
         assert time.perf_counter() - start < 1.0
 
+    def test_state_build_peak_at_ten_modes(self, random_cm_factory):
+        # ρ and its DenseState copy; the build itself peaks at 1.5 matrices
+        cm = random_cm_factory(10)
+        tracemalloc.start()
+        try:
+            state = oracle.state_from_cm(cm)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert state.n == 10
+        assert peak < 2.1 * 16 * 4**10
+
     def test_every_dense_allocation_checks_the_cap(self, monkeypatch, random_cm_factory):
         monkeypatch.setattr(oracle, "DENSE_BYTES_CAP", 2**10)
         with pytest.raises(TooManyModesError):
@@ -478,6 +506,14 @@ class TestMemoryGuard:
             oracle.parity_operator(11)
         with pytest.raises(TooManyModesError):
             oracle.jordan_wigner(3)
+
+
+def test_pure_state_at_ten_modes(rng):
+    # every λ = ±1: half of each sector's spectrum sits at 0, the edge of DenseState's check
+    form = matalg.CanonicalForm(special_orthogonal(rng, 20), rng.choice([-1.0, 1.0], 10))
+    cm = fgs.validate_cm(matalg.antisymmetrize(form.reconstruct()))
+    state = oracle.state_from_cm(cm)
+    assert abs(np.vdot(state.rho, state.rho).real - 1.0) < 1e-10  # Tr ρ² of a pure state
 
 
 def test_roundtrip_and_wick_pairs_at_ten_modes(random_cm_factory):

@@ -401,10 +401,28 @@ class TestMalformedConstraints:
         (((1.0, 0, 0),), [Z2, Z2], InvalidParameterError, "^warm-start variable 1 enters no constraint term$"),
         (((1.0, 0, 0), (1.0, 2, 0)), [Z2], InvalidParameterError, r"names variable 2, not in range\(1\)"),
         (((1.0, 0, 1),), [Z2], DimensionMismatchError, "variable 0 of size 2 at offset 1 in a block of size 2"),
-    ], ids=["no-term", "idle-variable", "missing-variable", "overrun"])
+        # a coefficient-0 term is no use: alone, and beside a used variable
+        (((0.0, 0, 0),), [Z2], InvalidParameterError, "^warm-start variable 0 enters no constraint term$"),
+        (((1.0, 0, 0), (0.0, 1, 0)), [Z2, Z2], InvalidParameterError,
+         "^warm-start variable 1 enters no constraint term$"),
+    ], ids=["no-term", "idle-variable", "missing-variable", "overrun", "zero-coefficient", "zero-beside-used"])
     def test_refused_before_any_solve(self, terms, warm, error, message):
         with pytest.raises(error, match=message):
             solver.max_margin([solver.MatrixConstraint(np.eye(2), 3.0 * J, terms)], warm)
+
+    def test_empty_constraint_list_refused(self):
+        with pytest.raises(InvalidParameterError, match="no constraints"):
+            solver.max_margin([], [])
+        with pytest.raises(InvalidParameterError, match="no constraints"):
+            solver.max_margin([], [Z2])
+
+    def test_zero_coefficient_beside_a_used_term_changes_nothing(self):
+        # the variable's other term has a nonzero coefficient: it is used
+        alone = solver.max_margin([solver.MatrixConstraint(np.eye(2), 3.0 * J, ((1.0, 0, 0),))], [Z2])
+        con = solver.MatrixConstraint(np.eye(2), 3.0 * J, ((0.0, 0, 0), (1.0, 0, 0)))
+        outcome = solver.max_margin([con], [Z2])
+        assert (outcome.margin, outcome.bound, outcome.iterations) == (alone.margin, alone.bound, alone.iterations)
+        assert np.array_equal(outcome.deltas[0], alone.deltas[0])
 
 
 class TestGapRule:
