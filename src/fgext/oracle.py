@@ -34,8 +34,10 @@ and multiply no dense Majorana matrices:
   Φ(r, c) that the (-Z) strings leave on it (see _state_from_canonical).
   That is O(n 4^n), against n² 4^n for the product formula
   Π_j (I + i λ_j γ̃_{2j} γ̃_{2j+1}) that the tests keep as a reference;
-* the DenseState checks, trace_distance and entropies diagonalise the
-  two sector blocks, a quarter of the work of one full eigvalsh;
+* the DenseState check factorises each sector block plus 1e-10 I by
+  Cholesky, a fraction of an eigensolve, and diagonalises a block only
+  when that fails; trace_distance and entropies diagonalise the two
+  sector blocks, a quarter of the work of one full eigvalsh;
 * cm_from_state and wick_check compose strings (XOR of the masks,
   product of the phases) and read one XOR diagonal ρ[x, x ^ m] per
   monomial, O(n² 2^n) for the whole covariance matrix;
@@ -81,36 +83,32 @@ MODE_CAP = 12
 #: Majorana matrices at MODE_CAP modes do not.
 DENSE_BYTES_CAP = 2 * 2**30
 
-#: Dense 2^n x 2^n complex matrices alive at once in state_from_cm: the
-#: built ρ and its DenseState copy; the build itself peaks at 1.5, ρ and
-#: the real Pfaffian table (tracemalloc: 1.52, 1.51 and 1.50 at 10, 11
-#: and 12 modes). A first call in a fresh process grew peak RSS by 2.06,
-#: 2.02 and 2.01 matrices.
-_STATE_BUILD_MATRICES = 2
+#: Dense 2^n x 2^n complex matrices alive at once in state_from_cm, which
+#: stores the built ρ without a copy: the build peaks at 1.5, ρ and the
+#: real Pfaffian table, and the check at 1.75, ρ, a sector block, LAPACK's
+#: copy of it and its Cholesky factor. A first call in a fresh process
+#: grew peak RSS by 1.92, 1.81 and 1.77 matrices at 10, 11 and 12 modes;
+#: the excess over 1.75 is a few MiB whatever n.
+_STATE_BUILD_MATRICES = 1.8
 
 
 @dataclass(frozen=True, eq=False)
 class DenseState:
     """An exact density matrix on the 2^n-dimensional Fock space.
 
-    n is read from ρ's dimension. Every ρ is checked: it must be
+    n is read from ρ's dimension. Every ρ is checked: it must be finite,
     Hermitian, of unit trace and commute with (-1)^N to 1e-10, and the
-    stored matrix must have no eigenvalue below -1e-10. The stored ρ is
-    read-only and exactly parity-even: its entries between the even and
-    odd sectors are zero.
+    stored matrix must have no eigenvalue below -1e-10, up to rounding of
+    order 2^n times the unit roundoff. The stored ρ is a read-only copy
+    of the given one and exactly parity-even: its entries between the
+    even and odd sectors are zero.
     """
 
     rho: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        given = np.asarray(self.rho)
-        even, odd = _sector_rows(_modes_of(given))
-        _check_state(given, even, odd)
-        rho = np.array(given, dtype=complex)  # the one copy; the caller's array is untouched
-        rho[np.ix_(even, odd)] = 0.0
-        rho[np.ix_(odd, even)] = 0.0
-        rho.setflags(write=False)
-        object.__setattr__(self, "rho", rho)
+        # the one copy; the caller's array is untouched
+        object.__setattr__(self, "rho", _own(np.array(self.rho, dtype=complex)))
 
     @property
     def n(self) -> int:
@@ -130,24 +128,67 @@ def _modes_of(rho: np.ndarray) -> int:
     return dim.bit_length() - 1
 
 
-def _check_state(rho: np.ndarray, even, odd):
-    """Require ρ Hermitian, of unit trace and parity-even to 1e-10, and
-    its sector blocks free of eigenvalues below -1e-10. The blocks are
-    all DenseState keeps, so the last test is exact for the stored ρ."""
-    # ||ρ - ρ^†||² summed over row slabs of at most 2^18 entries
-    rows = max(1, 2**18 // len(rho))
-    slabs = range(0, len(rho), rows)
-    if sum(np.linalg.norm(rho[i : i + rows] - rho[:, i : i + rows].conj().T) ** 2 for i in slabs) > 1e-20:
+def _adopt(rho: np.ndarray) -> DenseState:
+    """DenseState(rho) without its copy, for a fresh complex ρ that nothing
+    else holds: the same checks, then ρ itself is zeroed between the
+    sectors, made read-only and stored."""
+    state = object.__new__(DenseState)
+    object.__setattr__(state, "rho", _own(rho))
+    return state
+
+
+#: Entries per row slab of _own's temporaries.
+_SLAB_ENTRIES = 2**13
+
+
+def _own(rho: np.ndarray) -> np.ndarray:
+    """Require the complex ρ finite, Hermitian, of unit trace and
+    parity-even to 1e-10, and its sector blocks free of eigenvalues below
+    -1e-10; then zero its entries between the sectors and make it
+    read-only, in place. The blocks are all DenseState keeps, so the
+    eigenvalue test is exact for the stored ρ.
+
+    Every temporary but the sector blocks is a slab of about
+    _SLAB_ENTRIES entries. A block passes when the Cholesky factorisation
+    of block + 1e-10 I exists, which decides the eigenvalue test up to
+    rounding of order 2^(n-1) u ||ρ|| for the unit roundoff u (Higham,
+    Accuracy and Stability of Numerical Algorithms, §10.1); eigvalsh runs
+    only when it fails.
+    """
+    even, odd = _sector_rows(_modes_of(rho))
+    rows = max(1, _SLAB_ENTRIES // len(rho))
+    square = 0.0  # ||ρ - ρ^†||²
+    off = 0.0  # the largest entry between the sectors
+    for ours, theirs in ((even, odd), (odd, even)):
+        for i in range(0, len(ours), rows):
+            slab = rho[ours[i : i + rows]]  # a copy
+            if not np.isfinite(slab).all():
+                raise ValueError("density matrix has non-finite entries")
+            off = max(off, np.max(np.abs(slab[:, theirs])))
+            # the rows of conj(ρ) - ρ^T, as long as those of ρ - ρ^†
+            np.conjugate(slab, out=slab)
+            slab -= rho[:, ours[i : i + rows]].T
+            square += np.vdot(slab, slab).real
+    if square > 1e-20:
         raise ValueError("density matrix is not Hermitian")
     if abs(np.trace(rho).real - 1.0) > 1e-10:
         raise ValueError(f"trace is {np.trace(rho).real!r}, expected 1")
     # the largest entry of Pρ - ρP is twice the largest off-sector entry
-    off = max(np.max(np.abs(rho[np.ix_(a, b)])) for a, b in ((even, odd), (odd, even)))
     if 2.0 * off > 1e-10:
         raise ValueError("state does not commute with the parity operator")
-    low = float(np.min(_sector_eigvalsh(rho)))
-    if low < -1e-10:
-        raise ValueError(f"negative eigenvalue {low:.3e}")
+    for ours in (even, odd):
+        block = rho[np.ix_(ours, ours)]
+        block.flat[:: len(ours) + 1] += 1e-10
+        try:
+            np.linalg.cholesky(block)
+        except np.linalg.LinAlgError:
+            low = float(np.linalg.eigvalsh(rho[np.ix_(ours, ours)])[0])
+            if low < -1e-10:
+                raise ValueError(f"negative eigenvalue {low:.3e}") from None
+    rho[np.ix_(even, odd)] = 0.0
+    rho[np.ix_(odd, even)] = 0.0
+    rho.setflags(write=False)
+    return rho
 
 
 def _sector_rows(n: int) -> tuple:
@@ -336,8 +377,7 @@ def state_from_cm(m: CovarianceMatrix) -> DenseState:
     _require_modes(m.modes, matrices=_STATE_BUILD_MATRICES)
     form = matalg.canonical_form(m.body)
     lams = np.clip(form.lambdas, -1.0, 1.0)
-    rho = _state_from_canonical(form.rotation, lams, m.modes)
-    return DenseState(rho)
+    return _adopt(_state_from_canonical(form.rotation, lams, m.modes))
 
 
 def cm_from_state(state: DenseState) -> CovarianceMatrix:
@@ -420,4 +460,4 @@ def reduced_state(state: DenseState, n_keep: int, side: str = "A") -> DenseState
         rho = _partial_trace_keep_suffix(state.rho, state.n, n_keep)
     else:
         raise ValueError("side must be 'A' or 'B'")
-    return DenseState(rho)
+    return _adopt(rho)

@@ -419,6 +419,23 @@ class TestDenseState:
         rho[-4, -1] = -1e-9j
         oracle.DenseState(rho)
 
+    @pytest.mark.parametrize(
+        "entries, value",
+        [
+            ([(1, 1)], np.nan),  # the odd sector's diagonal
+            ([(0, 3), (3, 0)], np.nan),  # the even sector
+            ([(0, 3), (3, 0)], np.inf),
+            ([(1, 2), (2, 1)], np.nan),  # the odd sector
+            ([(0, 1), (1, 0)], np.nan),  # between the sectors
+        ],
+    )
+    def test_rejects_non_finite(self, entries, value):
+        rho = np.eye(4, dtype=complex) / 4.0
+        for entry in entries:
+            rho[entry] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            oracle.DenseState(rho)
+
     def test_rejects_wrong_trace(self):
         with pytest.raises(ValueError, match="trace"):
             oracle.DenseState(np.eye(2))
@@ -477,6 +494,33 @@ class TestParitySectors:
         with pytest.raises(ValueError, match="negative eigenvalue -1.000e-01"):
             oracle.DenseState(rho)
 
+    @pytest.mark.parametrize("sector", ["even", "odd"])
+    @pytest.mark.parametrize("n", [2, 9])
+    def test_smallest_eigenvalue_threshold(self, n, sector, rng):
+        # refused below -1e-10 with the eigenvalue's digits, accepted above it
+        with pytest.raises(ValueError, match="negative eigenvalue -2.000e-10"):
+            oracle.DenseState(_state_with_low_eigenvalue(rng, n, sector, -2e-10))
+        oracle.DenseState(_state_with_low_eigenvalue(rng, n, sector, -5e-11))
+
+
+def _state_with_low_eigenvalue(rng, n, sector, low):
+    """A parity-even ρ of unit trace whose `sector` block has smallest
+    eigenvalue `low`, each block in a random unitary eigenbasis."""
+    signs = np.diag(oracle.parity_operator(n)).real
+    half = 2 ** (n - 1)
+    weights = rng.uniform(0.5, 1.0, size=2 * half - 1)
+    weights *= (1.0 - low) / weights.sum()
+    spectra = {sector: np.concatenate([[low], weights[: half - 1]])}
+    spectra["odd" if sector == "even" else "even"] = weights[half - 1 :]
+    rho = np.zeros((2**n, 2**n), dtype=complex)
+    for name, sign in (("even", 1.0), ("odd", -1.0)):
+        z = rng.standard_normal((half, half)) + 1j * rng.standard_normal((half, half))
+        u, _ = np.linalg.qr(z)
+        block = (u * spectra[name]) @ u.conj().T
+        rows = np.flatnonzero(signs == sign)
+        rho[np.ix_(rows, rows)] = (block + block.conj().T) / 2.0
+    return rho
+
 
 class TestMemoryGuard:
     def test_dense_jordan_wigner_refused_before_allocation(self):
@@ -486,17 +530,22 @@ class TestMemoryGuard:
             oracle.jordan_wigner(12)
         assert time.perf_counter() - start < 1.0
 
-    def test_state_build_peak_at_ten_modes(self, random_cm_factory):
-        # ρ and its DenseState copy; the build itself peaks at 1.5 matrices
-        cm = random_cm_factory(10)
+    @pytest.mark.parametrize("n", [8, 9, 10])
+    def test_state_build_peak(self, n, random_cm_factory):
+        # ρ is stored without a copy: the build peaks at 1.5 matrices (ρ and
+        # the Pfaffian table) plus 0.26 MiB of numpy's ufunc buffers whatever
+        # n, the check below it at ρ, a sector block and its Cholesky factor
+        # (1.76, 1.57 and 1.52 matrices measured)
+        bound = {8: 1.8, 9: 1.6, 10: 1.6}[n]
+        cm = random_cm_factory(n)
         tracemalloc.start()
         try:
             state = oracle.state_from_cm(cm)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert state.n == 10
-        assert peak < 2.1 * 16 * 4**10
+        assert state.n == n and not state.rho.flags.writeable
+        assert peak < bound * 16 * 4**n
 
     def test_every_dense_allocation_checks_the_cap(self, monkeypatch, random_cm_factory):
         monkeypatch.setattr(oracle, "DENSE_BYTES_CAP", 2**10)
