@@ -16,7 +16,7 @@ from . import matalg
 from .config import RunConfig, DEFAULT_CONFIG
 from .errors import DimensionMismatchError, NotCPError, OutOfRangeError
 from .extend import ExtendQuery, FeasibilityResult, feasibility, solver_verdict
-from .fgs import _VACUUM_BLOCK, BipartiteCM, CovarianceMatrix, validate_cm
+from .fgs import _VACUUM_BLOCK, BipartiteCM, CovarianceMatrix, _bipartite, validate_cm
 
 __all__ = [
     "GaussianChannel",
@@ -100,11 +100,7 @@ def choi_cm(ch: GaussianChannel) -> BipartiteCM:
     not validated again: I + iM has the block I on the input side, whose
     Schur complement is I + iN - XX^T, so it is bona fide iff the channel
     is CP. validate_channel checks that, and so does every Choi route."""
-    d_out, d_in = 2 * ch.n_out, 2 * ch.n_in
-    m = np.zeros((d_out + d_in, d_out + d_in))
-    m[:d_out, :d_out] = ch.n_mat.mat
-    m[:d_out, d_out:] = ch.x_mat
-    m[d_out:, :d_out] = -ch.x_mat.T
+    m = _bipartite(ch.n_mat.mat, ch.x_mat, np.zeros((2 * ch.n_in, 2 * ch.n_in)))
     return BipartiteCM(CovarianceMatrix(matalg.AntisymmetricMatrix(m)), ch.n_out, ch.n_in)
 
 

@@ -18,6 +18,7 @@ sums of the extended matrix on rows free of unknown blocks.
 import enum
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Optional
 
 import numpy as np
@@ -25,7 +26,7 @@ import numpy as np
 from . import matalg
 from .config import RunConfig, DEFAULT_CONFIG
 from .errors import InvalidParameterError, NotFeasibleError
-from .fgs import BipartiteCM, CovarianceMatrix, validate_cm
+from .fgs import BipartiteCM, CovarianceMatrix, _bipartite, validate_cm
 from .solver import MatrixConstraint, margin_target, max_margin
 
 __all__ = [
@@ -53,8 +54,9 @@ class ExtendQuery:
     k2: int
 
     def __post_init__(self):
-        if self.k1 < 1 or self.k2 < 1:
-            raise InvalidParameterError("k1 and k2 must be positive integers")
+        for k in (self.k1, self.k2):
+            if isinstance(k, bool) or not isinstance(k, Integral) or k < 1:
+                raise InvalidParameterError("k1 and k2 must be positive integers")
 
 
 @dataclass(frozen=True)
@@ -134,12 +136,8 @@ def _theorem_constraints(query: ExtendQuery):
     elif k1 == 1 and not m_a.any():
         sides, sym, s = ((k2, m_b, 0),), np.eye(db) - k2 * x.T @ x, k2 * m_b
     else:
-        d = da + db
-        sides, sym, s = ((k1, m_a, 0), (k2, m_b, da)), np.eye(d), np.zeros((d, d))
-        s[:da, :da] = k1 * m_a
-        s[da:, da:] = k2 * m_b
-        s[:da, da:] = math.sqrt(k1 * k2) * x
-        s[da:, :da] = -math.sqrt(k1 * k2) * x.T
+        sides, sym = ((k1, m_a, 0), (k2, m_b, da)), np.eye(da + db)
+        s = _bipartite(k1 * m_a, math.sqrt(k1 * k2) * x, k2 * m_b)
 
     warm = []
     terms3 = []
@@ -194,10 +192,22 @@ def feasibility(query: ExtendQuery, config: RunConfig = DEFAULT_CONFIG) -> Feasi
     return solver_verdict(query, config)
 
 
+def _copies(ext: np.ndarray, k1: int, da: int, k2: int, db: int):
+    """Views (aa, bb, ab, ba) of the (A_i, A_j), (B_i, B_j), (A_i, B_j) and
+    (B_i, A_j) blocks, at [i, j], of a matrix whose modes are the copies
+    A_1..A_k1 then B_1..B_k2: the extension's mode order, stated once."""
+    a, b = (slice(None, k1 * da), k1, da), (slice(k1 * da, None), k2, db)
+    return tuple(
+        ext[rows, cols].reshape(kr, dr, kc, dc).swapaxes(1, 2)
+        for (rows, kr, dr), (cols, kc, dc) in ((a, a), (b, b), (a, b), (b, a))
+    )
+
+
 def build_extension(
     query: ExtendQuery, result: FeasibilityResult, config: RunConfig = DEFAULT_CONFIG
 ) -> CovarianceMatrix:
-    """Assemble the explicit extension on k1 n_A + k2 n_B modes.
+    """Assemble the explicit extension on k1 n_A + k2 n_B modes, written
+    through _copies, the one writer of its layout.
 
     Diagonal blocks repeat M_A / M_B; off-diagonal same-side blocks are
     Z = M_A - Δ_A and Y = M_B - Δ_B; every A-B block is X. The result is
@@ -209,23 +219,16 @@ def build_extension(
     m_a, m_b, x = query.b.block_a, query.b.block_b, query.b.block_x
     k1, k2 = query.k1, query.k2
     da, db = m_a.shape[0], m_b.shape[0]
-    z = m_a - result.delta_a.mat
-    y = m_b - result.delta_b.mat
     d = k1 * da + k2 * db
-    ext = np.zeros((d, d))
-    for i in range(k1):
-        for j in range(k1):
-            ext[i * da : (i + 1) * da, j * da : (j + 1) * da] = m_a if i == j else z
-    off = k1 * da
-    for i in range(k2):
-        for j in range(k2):
-            ext[off + i * db : off + (i + 1) * db, off + j * db : off + (j + 1) * db] = (
-                m_b if i == j else y
-            )
-    for i in range(k1):
-        for j in range(k2):
-            ext[i * da : (i + 1) * da, off + j * db : off + (j + 1) * db] = x
-            ext[off + j * db : off + (j + 1) * db, i * da : (i + 1) * da] = -x.T
+    ext = np.empty((d, d))
+    aa, bb, ab, ba = _copies(ext, k1, da, k2, db)
+    for blocks, marg, delta in ((aa, m_a, result.delta_a), (bb, m_b, result.delta_b)):
+        if len(blocks) > 1:
+            blocks[...] = marg - delta.mat
+        for i in range(len(blocks)):
+            blocks[i, i] = marg
+    ab[...] = x
+    ba[...] = -x.T
     slack = 10.0 * np.finfo(float).eps * d
     return validate_cm(matalg.AntisymmetricMatrix(ext), eps_psd=config.eps_psd + slack)
 

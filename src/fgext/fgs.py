@@ -63,7 +63,8 @@ class BipartiteCM:
     """A covariance matrix with a declared (n_A, n_B) mode split.
 
     Block layout: mat = [[M_A, X], [-X^T, M_B]] with M_A on the first
-    2 n_A Majorana indices.
+    2 n_A Majorana indices; _bipartite is its one writer (bounds writes
+    its two-mode families as literals).
     """
 
     cm: CovarianceMatrix
@@ -119,14 +120,14 @@ def validate_cm(k, eps_psd: float = EPS_PSD) -> CovarianceMatrix:
     return CovarianceMatrix(k)
 
 
-def _direct_sum(*mats: np.ndarray) -> np.ndarray:
-    total = sum(m.shape[0] for m in mats)
-    out = np.zeros((total, total))
-    pos = 0
-    for m in mats:
-        d = m.shape[0]
-        out[pos : pos + d, pos : pos + d] = m
-        pos += d
+def _bipartite(m_a: np.ndarray, x: np.ndarray, m_b: np.ndarray) -> np.ndarray:
+    """The matrix [[M_A, X], [-X^T, M_B]]."""
+    da = len(m_a)
+    out = np.empty((da + len(m_b),) * 2)
+    out[:da, :da] = m_a
+    out[:da, da:] = x
+    out[da:, :da] = -x.T
+    out[da:, da:] = m_b
     return out
 
 
@@ -144,7 +145,9 @@ def vacuum_cm(n: int) -> CovarianceMatrix:
     """Fock vacuum on n modes: direct sum of [[0, -1], [1, 0]]."""
     if n < 1:
         raise InvalidParameterError("need at least one mode")
-    return validate_cm(matalg.AntisymmetricMatrix(_direct_sum(*([_VACUUM_BLOCK] * n))))
+    body = np.zeros((n, 2, n, 2))
+    body[np.arange(n), :, np.arange(n), :] = _VACUUM_BLOCK
+    return validate_cm(matalg.AntisymmetricMatrix(body.reshape(2 * n, 2 * n)))
 
 
 def single_mode_cm(lam: float) -> CovarianceMatrix:
@@ -162,9 +165,7 @@ def bell_cm(kind: str) -> BipartiteCM:
         raise InvalidParameterError(
             f"unknown Bell kind {kind!r}; expected one of {sorted(_BELL_SIGNS)}"
         ) from None
-    m = np.zeros((4, 4))
-    m[0, 3], m[3, 0] = s14, -s14
-    m[1, 2], m[2, 1] = s23, -s23
+    m = _bipartite(np.zeros((2, 2)), np.array([[0.0, s14], [s23, 0.0]]), np.zeros((2, 2)))
     return BipartiteCM(validate_cm(matalg.AntisymmetricMatrix(m)), 1, 1)
 
 
@@ -172,8 +173,8 @@ def epr_cm(m: int) -> BipartiteCM:
     """Maximally entangled state of two m-mode registers: [[0, I], [-I, 0]]."""
     if m < 1:
         raise InvalidParameterError("need at least one mode per register")
-    d = 2 * m
-    body = np.block([[np.zeros((d, d)), np.eye(d)], [-np.eye(d), np.zeros((d, d))]])
+    zero = np.zeros((2 * m, 2 * m))
+    body = _bipartite(zero, np.eye(2 * m), zero)
     return BipartiteCM(validate_cm(matalg.AntisymmetricMatrix(body)), m, m)
 
 
@@ -187,7 +188,7 @@ def marginal(b: BipartiteCM, side: str) -> CovarianceMatrix:
 
 def product_cm(m_a: CovarianceMatrix, m_b: CovarianceMatrix) -> BipartiteCM:
     """Block-diagonal covariance matrix of the product state (X = 0)."""
-    body = _direct_sum(m_a.mat, m_b.mat)
+    body = _bipartite(m_a.mat, np.zeros((len(m_a.mat), len(m_b.mat))), m_b.mat)
     return BipartiteCM(
         validate_cm(matalg.AntisymmetricMatrix(body)), m_a.modes, m_b.modes
     )

@@ -76,6 +76,14 @@ def _header_ints(lineno, key, rest, count):
     raise ParseError(f"line {lineno}: '{key}' takes {words}")
 
 
+def _header_count(lineno, key, rest):
+    """The mode count of a header line, at least 1, or ParseError."""
+    (value,) = _header_ints(lineno, key, rest, 1)
+    if value < 1:
+        raise ParseError(f"line {lineno}: '{key}' must be at least 1, got {value}")
+    return value
+
+
 def load_cm_raw(path):
     """Parse a covariance-matrix file without the physicality check.
 
@@ -91,7 +99,7 @@ def load_cm_raw(path):
     for lineno, line in lines:
         key, *rest = line.split()
         if key == "modes":
-            (modes,) = _header_ints(lineno, key, rest, 1)
+            modes = _header_count(lineno, key, rest)
         elif key == "split":
             split = tuple(_header_ints(lineno, key, rest, 2))
         elif key == "matrix":
@@ -149,9 +157,9 @@ def load_channel(path, eps_psd: float = EPS_PSD) -> GaussianChannel:
     for lineno, line in lines:
         key, *rest = line.split()
         if key == "n_in":
-            (n_in,) = _header_ints(lineno, key, rest, 1)
+            n_in = _header_count(lineno, key, rest)
         elif key == "n_out":
-            (n_out,) = _header_ints(lineno, key, rest, 1)
+            n_out = _header_count(lineno, key, rest)
         elif key == "x_matrix":
             if n_in is None or n_out is None:
                 raise ParseError(f"line {lineno}: 'x_matrix' before mode counts")

@@ -92,11 +92,11 @@ class CanonicalForm:
     def block_matrix(self) -> np.ndarray:
         """The direct sum ⊕_j [[0, λ_j], [-λ_j, 0]]."""
         n = len(self.lambdas)
-        blocks = np.zeros((2 * n, 2 * n))
-        for j, lam in enumerate(self.lambdas):
-            blocks[2 * j, 2 * j + 1] = lam
-            blocks[2 * j + 1, 2 * j] = -lam
-        return blocks
+        blocks = np.zeros((n, 2, n, 2))
+        j = np.arange(n)
+        blocks[j, 0, j, 1] = self.lambdas
+        blocks[j, 1, j, 0] = -self.lambdas
+        return blocks.reshape(2 * n, 2 * n)
 
     def reconstruct(self) -> np.ndarray:
         o = self.rotation

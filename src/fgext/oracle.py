@@ -50,6 +50,7 @@ of their bytes against DENSE_BYTES_CAP.
 
 import functools
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -58,6 +59,7 @@ from .fgs import CovarianceMatrix, validate_cm
 from .errors import (
     DimensionMismatchError,
     IndexOutOfRangeError,
+    InvalidParameterError,
     OddSubsetError,
     TooManyModesError,
 )
@@ -418,14 +420,16 @@ def wick_check(state: DenseState, m: CovarianceMatrix, idx) -> tuple:
     return lhs, rhs
 
 
-def _partial_trace_keep_prefix(rho: np.ndarray, n: int, keep: int) -> np.ndarray:
-    da, db = 2**keep, 2 ** (n - keep)
-    return np.einsum("ijkj->ik", rho.reshape(da, db, da, db))
-
-
-def _partial_trace_keep_suffix(rho: np.ndarray, n: int, keep: int) -> np.ndarray:
-    da, db = 2 ** (n - keep), 2**keep
-    return np.einsum("ijik->jk", rho.reshape(da, db, da, db))
+def _partial_trace(rho: np.ndarray, n: int, keep: int, side: str) -> np.ndarray:
+    """Trace out all but the first (side 'A') or last (side 'B') keep of
+    the n modes: mode 0 is the leading factor of the occupation basis."""
+    if side not in ("A", "B"):
+        raise InvalidParameterError("side must be 'A' or 'B'")
+    if not (isinstance(keep, Integral) and 1 <= keep <= n):
+        raise DimensionMismatchError(f"cannot keep {keep!r} of {n} modes")
+    da = 2 ** (keep if side == "A" else n - keep)
+    db = len(rho) // da
+    return np.einsum("ijkj->ik" if side == "A" else "ijik->jk", rho.reshape(da, db, da, db))
 
 
 def _von_neumann_bits(rho: np.ndarray) -> float:
@@ -444,8 +448,8 @@ def entropies(state: DenseState, split) -> tuple:
     n_a, n_b = split
     if n_a + n_b != state.n or n_a < 1 or n_b < 1:
         raise DimensionMismatchError(f"bad split {split} for {state.n} modes")
-    rho_a = _partial_trace_keep_prefix(state.rho, state.n, n_a)
-    rho_b = _partial_trace_keep_suffix(state.rho, state.n, n_b)
+    rho_a = _partial_trace(state.rho, state.n, n_a, "A")
+    rho_b = _partial_trace(state.rho, state.n, n_b, "B")
     s_a = _von_neumann_bits(rho_a)
     s_b = _von_neumann_bits(rho_b)
     s_ab = _von_neumann_bits(state.rho)
@@ -453,11 +457,6 @@ def entropies(state: DenseState, split) -> tuple:
 
 
 def reduced_state(state: DenseState, n_keep: int, side: str = "A") -> DenseState:
-    """Dense marginal on the first (side='A') or last (side='B') n_keep modes."""
-    if side == "A":
-        rho = _partial_trace_keep_prefix(state.rho, state.n, n_keep)
-    elif side == "B":
-        rho = _partial_trace_keep_suffix(state.rho, state.n, n_keep)
-    else:
-        raise ValueError("side must be 'A' or 'B'")
-    return _adopt(rho)
+    """Dense marginal on the first (side='A') or last (side='B') n_keep
+    modes; DimensionMismatchError unless n_keep is a count in [1, n]."""
+    return _adopt(_partial_trace(state.rho, state.n, n_keep, side))

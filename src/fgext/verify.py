@@ -58,13 +58,7 @@ def twirled_extendible_instance(rng, n_a: int, n_b: int, k1: int, k2: int):
     pair (Δ_A, Δ_B) = (M_A - Z, M_B - Y).
     """
     grand = random_bona_fide_cm(rng, k1 * n_a + k2 * n_b, lam_max=0.95).mat
-    da, db = 2 * n_a, 2 * n_b
-    off = k1 * da
-
-    # [i, j] is the (i, j) block among the A copies, the B copies, and across
-    aa = grand[:off, :off].reshape(k1, da, k1, da).swapaxes(1, 2)
-    bb = grand[off:, off:].reshape(k2, db, k2, db).swapaxes(1, 2)
-    ab = grand[:off, off:].reshape(k1, da, k2, db).swapaxes(1, 2)
+    aa, bb, ab, _ = extend._copies(grand, k1, 2 * n_a, k2, 2 * n_b)
 
     def means(blocks):
         """Mean of the diagonal blocks, and of the off-diagonal ones (0 if k = 1)."""
@@ -78,8 +72,7 @@ def twirled_extendible_instance(rng, n_a: int, n_b: int, k1: int, k2: int):
     x = sum(ab[i, j] for i in range(k1) for j in range(k2)) / (k1 * k2)
     m_a, m_b = (m_a - m_a.T) / 2, (m_b - m_b.T) / 2
     z, y = (z - z.T) / 2, (y - y.T) / 2
-    body = np.block([[m_a, x], [-x.T, m_b]])
-    b = fgs.BipartiteCM(fgs.validate_cm(body), n_a, n_b)
+    b = fgs.BipartiteCM(fgs.validate_cm(fgs._bipartite(m_a, x, m_b)), n_a, n_b)
     return b, (m_a - z, m_b - y)
 
 
@@ -125,7 +118,7 @@ def _suite_sandwich(n_max, trials, rng):
 
 
 def _suite_extension(n_max, trials, rng):
-    # extension checks run at one mode per side regardless of n_max
+    # one mode per side whatever n_max: each copy has 2 Majorana indices
     worst = 0.0
     ks = [(2, 1), (1, 2), (2, 2)]
     for trial in range(trials):
@@ -140,14 +133,11 @@ def _suite_extension(n_max, trials, rng):
         spread = matalg.hermitian_spectrum(ext.body)
         worst = max(worst, float(np.max(np.abs(spread)) - 1.0))
         # every (A_i, B_j) marginal must reproduce the input exactly
-        da = 2
-        for i in range(k1):
-            for j in range(k2):
-                rows = list(range(i * da, (i + 1) * da)) + list(
-                    range(k1 * da + j * 2, k1 * da + (j + 1) * 2)
-                )
-                sub = ext.mat[np.ix_(rows, rows)]
-                worst = max(worst, float(np.max(np.abs(sub - b.mat))))
+        aa, bb, ab, ba = extend._copies(ext.mat, k1, 2, k2, 2)
+        ref = [blocks[0, 0] for blocks in extend._copies(b.mat, 1, 2, 1, 2)]
+        for i, j in itertools.product(range(k1), range(k2)):
+            pair = (aa[i, i], bb[j, j], ab[i, j], ba[j, i])
+            worst = max(worst, *(float(np.max(np.abs(p - r))) for p, r in zip(pair, ref)))
     return worst, 1e-7
 
 

@@ -135,6 +135,22 @@ class TestFeasibility:
         with pytest.raises(InvalidParameterError):
             ExtendQuery(family_cm(2, 2), 0, 1)
 
+    @pytest.mark.parametrize("k", [2.5, 2.0, True])
+    def test_non_integral_orders_refused(self, k):
+        with pytest.raises(InvalidParameterError):
+            ExtendQuery(family_cm(2, 2), k, 2)
+        with pytest.raises(InvalidParameterError):
+            ExtendQuery(family_cm(2, 2), 2, k)
+
+    def test_numpy_integer_orders_accepted(self):
+        q = ExtendQuery(family_cm(2, 2), np.int64(2), np.int32(2))
+        result = extend.feasibility(q)
+        assert result.feasible
+        assert np.array_equal(
+            extend.build_extension(q, result).mat,
+            extend.build_extension(family_query(2, 2), extend.feasibility(family_query(2, 2))).mat,
+        )
+
     def test_deterministic(self):
         r1 = extend.feasibility(family_query(2, 3))
         r2 = extend.feasibility(family_query(2, 3))
@@ -222,6 +238,30 @@ class TestBuildExtension:
             for j in range(2):
                 rows = [2 * i, 2 * i + 1, 4 + 2 * j, 4 + 2 * j + 1]
                 assert_allclose(ext.mat[np.ix_(rows, rows)], q.b.mat)
+
+    @pytest.mark.parametrize("n_a, n_b, k1, k2", [(1, 2, 3, 2), (2, 1, 2, 3), (2, 3, 2, 2)])
+    def test_every_block_of_unequal_copies(self, n_a, n_b, k1, k2):
+        b, _ = twirled_extendible_instance(np.random.default_rng(k1 + 10 * n_a), n_a, n_b, k1, k2)
+        q = ExtendQuery(b, k1, k2)
+        result = extend.feasibility(q)
+        assert result.feasible
+        ext = extend.build_extension(q, result).mat
+        da, db = 2 * n_a, 2 * n_b
+        assert ext.shape == (k1 * da + k2 * db,) * 2
+        # copy c occupies rows start(c) .. start(c) + size(c): A_1..A_k1, then B_1..B_k2
+        spans = [(i * da, da, "A") for i in range(k1)] + [(k1 * da + j * db, db, "B") for j in range(k2)]
+        z = b.block_a - result.delta_a.mat
+        y = b.block_b - result.delta_b.mat
+        for r, (r0, rd, r_side) in enumerate(spans):
+            for c, (c0, cd, c_side) in enumerate(spans):
+                block = ext[r0 : r0 + rd, c0 : c0 + cd]
+                expected = {
+                    ("A", "A"): b.block_a if r == c else z,
+                    ("B", "B"): b.block_b if r == c else y,
+                    ("A", "B"): b.block_x,
+                    ("B", "A"): -b.block_x.T,
+                }[r_side, c_side]
+                assert np.array_equal(block, expected), (r, c)
 
     def test_product_extension_block_diagonal(self, random_cm_factory):
         b = fgs.product_cm(random_cm_factory(1), random_cm_factory(1))

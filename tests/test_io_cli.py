@@ -412,6 +412,21 @@ class TestBadInputsExit3:
         err = self.assert_parse_error(capsys, "check-cm", str(path))
         assert "'modes' takes one integer" in err
 
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_modes_below_one(self, tmp_path, capsys, count):
+        path = tmp_path / "bad.cm"
+        path.write_text(f"modes {count}\nmatrix\n")
+        err = self.assert_parse_error(capsys, "check-cm", str(path))
+        assert err == f"parse error: line 1: 'modes' must be at least 1, got {count}"
+
+    @pytest.mark.parametrize("key, line", [("n_in", 1), ("n_out", 2)])
+    def test_channel_mode_count_below_one(self, tmp_path, capsys, key, line):
+        counts = {"n_in": 1, "n_out": 1, key: 0}
+        path = tmp_path / "bad.ch"
+        path.write_text(f"n_in {counts['n_in']}\nn_out {counts['n_out']}\nx_matrix\nn_matrix\n0 1\n-1 0\n")
+        err = self.assert_parse_error(capsys, "channel", str(path), "validate")
+        assert err == f"parse error: line {line}: '{key}' must be at least 1, got 0"
+
     @pytest.mark.parametrize("header", ["n_in\n", "n_in x\n"])
     def test_malformed_channel_header(self, tmp_path, capsys, header):
         path = tmp_path / "bad.ch"

@@ -13,6 +13,7 @@ from fgext.bounds import family_cm
 from fgext.errors import (
     DimensionMismatchError,
     IndexOutOfRangeError,
+    InvalidParameterError,
     OddSubsetError,
     TooManyModesError,
 )
@@ -217,6 +218,24 @@ class TestEntropies:
         assert (s_a, s_b) == (pytest.approx(1.0), pytest.approx(1.0))
         assert s_ab == pytest.approx(0.0, abs=1e-10)
         assert mi == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("n_keep", [4, -1, 0])
+    @pytest.mark.parametrize("side", ["A", "B"])
+    def test_reduced_state_refuses_a_count_outside_the_modes(self, n_keep, side):
+        state = oracle.state_from_cm(fgs.vacuum_cm(3))
+        with pytest.raises(DimensionMismatchError, match=f"cannot keep {n_keep} of 3 modes"):
+            oracle.reduced_state(state, n_keep, side)
+
+    def test_reduced_state_refuses_an_unknown_side(self):
+        state = oracle.state_from_cm(fgs.vacuum_cm(3))
+        with pytest.raises(InvalidParameterError, match="side must be 'A' or 'B'"):
+            oracle.reduced_state(state, 1, side="C")
+        assert issubclass(InvalidParameterError, ValueError)
+
+    @pytest.mark.parametrize("side", ["A", "B"])
+    def test_reduced_state_keeping_every_mode_is_the_state(self, side):
+        state = oracle.state_from_cm(fgs.bell_cm("phi+").cm)
+        assert np.array_equal(oracle.reduced_state(state, 2, side).rho, state.rho)
 
     def test_against_gaussian_formula(self, random_bipartite_factory):
         for _ in range(5):
