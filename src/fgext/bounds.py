@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fgs, matalg
+from .config import is_count
 from .errors import OutOfRangeError, WrongSplitError
 from .fgs import BipartiteCM, validate_cm
 
@@ -51,8 +52,8 @@ def definetti_bounds(n_a: int, n_b: int, k1: int, k2: int) -> DeFinettiReport:
     T is clamped at 2 (trace distance can never exceed it), which the
     min(..., sqrt(k1 k2)) term implements exactly.
     """
-    if min(n_a, n_b, k1, k2) < 1:
-        raise OutOfRangeError("mode counts and extension orders must be positive")
+    if not all(map(is_count, (n_a, n_b, k1, k2))):
+        raise OutOfRangeError("mode counts and extension orders must be positive integers")
     root = math.sqrt(k1 * k2)
     t = 2.0 * min(n_a, n_b, root) / root
     er = 0.5 * (n_a + n_b) * t + fgs.binary_entropy(t / 2.0)
@@ -83,6 +84,11 @@ def lower_bound_two_mode(b: BipartiteCM) -> float:
     return matalg.norms(b.block_x)[0]
 
 
+def _require_family_orders(k1, k2):
+    if not (is_count(k1) and is_count(k2)):
+        raise OutOfRangeError("family parameters must be positive integers")
+
+
 def family_cm(k1: int, k2: int) -> BipartiteCM:
     """The two-mode (k1, k2)-extendible state family.
 
@@ -91,8 +97,7 @@ def family_cm(k1: int, k2: int) -> BipartiteCM:
     per-side pure-loss construction on a Bell pair up to the per-mode
     Majorana swap γ_{2j-1} <-> γ_{2j}.
     """
-    if k1 < 1 or k2 < 1:
-        raise OutOfRangeError("family parameters must be positive integers")
+    _require_family_orders(k1, k2)
     a = (k1 - 1.0) / k1
     c = (k2 - 1.0) / k2
     x = 1.0 / math.sqrt(k1 * k2)
@@ -114,8 +119,7 @@ def family_spectrum(k1: int, k2: int) -> np.ndarray:
     has eigenvalue moduli r with r² = (a²+b²)/2 + 1 ± |a-b| sqrt((a+b)²+4)/2;
     dividing by sqrt(k1 k2) gives the spectrum {±r_1, ±r_2}.
     """
-    if k1 < 1 or k2 < 1:
-        raise OutOfRangeError("family parameters must be positive integers")
+    _require_family_orders(k1, k2)
     a = (k1 - 1.0) * math.sqrt(k2 / k1)
     b = (k2 - 1.0) * math.sqrt(k1 / k2)
     half = 0.5 * (a * a + b * b) + 1.0
@@ -155,8 +159,7 @@ def bosonic_strategy_lower_bound(k1: int, k2: int) -> float:
     Equals overlap(M(k1,k2), M(1,1)) - 1/2 in closed form; for k1 = k2 = k
     this is 1/(2k²), strictly weaker than the tight 1/k bound.
     """
-    if k1 < 1 or k2 < 1:
-        raise OutOfRangeError("parameters must be positive integers")
+    _require_family_orders(k1, k2)
     ov = 0.25 * ((2.0 * k1 * k2 - k1 - k2 + 2.0) / (k1 * k2)
                  + 2.0 / math.sqrt(k1 * k2))
     return ov - 0.5

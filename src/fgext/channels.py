@@ -59,11 +59,19 @@ def validate_channel(x_mat: np.ndarray, n_mat, eps_psd: float = DEFAULT_CONFIG.e
     """Construct a channel iff I + iN - X X^T >= -eps_psd.
 
     Raises:
-        NotCPError: reporting the violating eigenvalue.
+        DimensionMismatchError: X and N do not fit, or either side has no mode.
+        NotCPError: a non-finite entry, or reporting the violating eigenvalue.
     """
     x_mat = np.asarray(x_mat, dtype=float)
+    n_raw = np.asarray(getattr(n_mat, "mat", n_mat), dtype=float)
+    if 0 in x_mat.shape or n_raw.size == 0:
+        raise DimensionMismatchError(
+            f"a channel needs an input and an output mode: X is {x_mat.shape}, N is {n_raw.shape}"
+        )
+    if not (np.isfinite(x_mat).all() and np.isfinite(n_raw).all()):
+        raise NotCPError("X and N must have finite entries")
     if not isinstance(n_mat, matalg.AntisymmetricMatrix):
-        n_mat = matalg.antisymmetrize(n_mat)
+        n_mat = matalg.antisymmetrize(n_raw)
     if x_mat.ndim != 2 or x_mat.shape[0] != n_mat.dim:
         raise DimensionMismatchError(
             f"X is {x_mat.shape}, N is {n_mat.dim}x{n_mat.dim}"

@@ -1,4 +1,4 @@
-"""Run configuration and centralized tolerances.
+"""Run configuration, centralized tolerances and the one integer check.
 
 One knob per failure class: eps_psd guards physicality checks, and
 eps_feas the infeasible verdicts (looser, since those rest on optimizer
@@ -14,6 +14,11 @@ EPS_PSD = 1e-9
 
 #: Slack of the prechecks and of the solver's dual bound and ambiguous band.
 EPS_FEAS = 1e-7
+
+
+def is_count(value, low: int = 1) -> bool:
+    """True iff value is an integer of at least low; numpy integers are, bools are not."""
+    return isinstance(value, Integral) and not isinstance(value, bool) and value >= low
 
 
 @dataclass(frozen=True)
@@ -38,7 +43,7 @@ class RunConfig:
                 raise ValueError(f"{name} must be a finite positive number, not {value!r}")
         for name, low in (("max_iters", 1), ("seed", 0)):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
+            if not is_count(value, low):
                 raise ValueError(f"{name} must be an integer >= {low}, not {value!r}")
         if self.output_format not in ("json", "table"):
             raise ValueError("output_format must be 'json' or 'table'")

@@ -18,13 +18,12 @@ sums of the extended matrix on rows free of unknown blocks.
 import enum
 import math
 from dataclasses import dataclass
-from numbers import Integral
 from typing import Optional
 
 import numpy as np
 
 from . import matalg
-from .config import RunConfig, DEFAULT_CONFIG
+from .config import RunConfig, DEFAULT_CONFIG, is_count
 from .errors import InvalidParameterError, NotFeasibleError
 from .fgs import BipartiteCM, CovarianceMatrix, _bipartite, validate_cm
 from .solver import MatrixConstraint, margin_target, max_margin
@@ -55,7 +54,7 @@ class ExtendQuery:
 
     def __post_init__(self):
         for k in (self.k1, self.k2):
-            if isinstance(k, bool) or not isinstance(k, Integral) or k < 1:
+            if not is_count(k):
                 raise InvalidParameterError("k1 and k2 must be positive integers")
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matalg
-from .config import EPS_PSD
+from .config import EPS_PSD, is_count
 from .errors import (
     DimensionMismatchError,
     InvalidParameterError,
@@ -76,8 +76,8 @@ class BipartiteCM:
             raise WrongSplitError(
                 f"split ({self.n_a}, {self.n_b}) does not add up to {self.cm.modes} modes"
             )
-        if self.n_a < 1 or self.n_b < 1:
-            raise WrongSplitError("both sides of the split need at least one mode")
+        if not (is_count(self.n_a) and is_count(self.n_b)):
+            raise WrongSplitError("both sides of the split need a positive integer number of modes")
 
     @property
     def mat(self) -> np.ndarray:
@@ -106,9 +106,13 @@ def validate_cm(k, eps_psd: float = EPS_PSD) -> CovarianceMatrix:
     """Accept K as a covariance matrix iff I + iK >= -eps_psd.
 
     Raises:
-        NotBonaFideError: reporting the violating spectral radius of iK.
+        NotBonaFideError: reporting the violating spectral radius of iK,
+            or a non-finite entry.
     """
     if not isinstance(k, matalg.AntisymmetricMatrix):
+        k = np.asarray(k, dtype=float)
+        if not np.isfinite(k).all():
+            raise NotBonaFideError("covariance matrix has a non-finite entry")
         k = matalg.antisymmetrize(k)
     low = matalg.min_eigenvalue(np.eye(k.dim), k.mat)
     if not low >= -eps_psd:  # a NaN spectrum fails too
@@ -143,7 +147,7 @@ _BELL_SIGNS = {
 
 def vacuum_cm(n: int) -> CovarianceMatrix:
     """Fock vacuum on n modes: direct sum of [[0, -1], [1, 0]]."""
-    if n < 1:
+    if not is_count(n):
         raise InvalidParameterError("need at least one mode")
     body = np.zeros((n, 2, n, 2))
     body[np.arange(n), :, np.arange(n), :] = _VACUUM_BLOCK
@@ -171,7 +175,7 @@ def bell_cm(kind: str) -> BipartiteCM:
 
 def epr_cm(m: int) -> BipartiteCM:
     """Maximally entangled state of two m-mode registers: [[0, I], [-I, 0]]."""
-    if m < 1:
+    if not is_count(m):
         raise InvalidParameterError("need at least one mode per register")
     zero = np.zeros((2 * m, 2 * m))
     body = _bipartite(zero, np.eye(2 * m), zero)

@@ -19,12 +19,17 @@ Channel files:
     n_matrix
     <2 n_out rows of 2 n_out decimals>
 
-Blank lines and '#' comments are ignored. Entries must be finite, and
-matrices antisymmetric to the standard tolerance; validation happens on
-load.
+Each format is a table of its fields in file order, which one reader and
+one writer follow. A header is a line of integers, a mode count one
+integer of at least 1. A matrix is its name, then 2 rows lines of 2 cols
+finite decimals, rows and cols being counts declared above it; `matrix`
+and `n_matrix` must be antisymmetric to the standard tolerance. Blank
+lines and '#' comments are ignored; validation happens on load.
 """
 
 import math
+from collections import namedtuple
+from itertools import islice
 
 import numpy as np
 
@@ -36,52 +41,97 @@ from .fgs import BipartiteCM, validate_cm
 
 __all__ = ["load_cm", "load_cm_raw", "save_cm", "load_channel", "save_channel"]
 
+# A header takes `ints` integers, each at least `low` if that is given; a
+# matrix has `size`, the counts of its row and column modes, and may have
+# to be antisymmetric.
+_Field = namedtuple("_Field", "ints low size antisymmetric", defaults=(0, None, (), False))
 
-def _tokenize(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line
+_CM_FIELDS = {
+    "modes": _Field(ints=1, low=1),
+    "split": _Field(ints=2),
+    "matrix": _Field(size=("modes", "modes"), antisymmetric=True),
+}
+
+_CHANNEL_FIELDS = {
+    "n_in": _Field(ints=1, low=1),
+    "n_out": _Field(ints=1, low=1),
+    "x_matrix": _Field(size=("n_out", "n_in")),
+    "n_matrix": _Field(size=("n_out", "n_out"), antisymmetric=True),
+}
 
 
 def _parse_rows(lines, count, width, what):
     rows = []
-    for _ in range(count):
-        try:
-            lineno, line = next(lines)
-        except StopIteration:
-            raise ParseError(f"unexpected end of file inside {what}") from None
+    for lineno, line in islice(lines, count):
         try:
             row = [float(tok) for tok in line.split()]
         except ValueError as exc:
             raise ParseError(f"line {lineno}: {exc}") from None
         if len(row) != width:
-            raise ParseError(
-                f"line {lineno}: expected {width} entries in {what}, got {len(row)}"
-            )
+            raise ParseError(f"line {lineno}: expected {width} entries in {what}, got {len(row)}")
         if not all(map(math.isfinite, row)):
             raise ParseError(f"line {lineno}: non-finite entry in {what}")
         rows.append(row)
+    if len(rows) < count:
+        raise ParseError(f"unexpected end of file inside {what}")
     return np.array(rows)
 
 
-def _header_ints(lineno, key, rest, count):
-    """The `count` integer values of a header line, or ParseError."""
-    if len(rest) == count:
+def _read(path, fields, required):
+    """The values of a file laid out by `fields`, by name: an int or a tuple
+    per header, an array or (if marked) AntisymmetricMatrix per matrix."""
+    with open(path, "r", encoding="utf-8") as handle:
+        text = handle.read()
+    stripped = (raw.split("#", 1)[0].strip() for raw in text.splitlines())
+    lines = ((lineno, line) for lineno, line in enumerate(stripped, start=1) if line)
+    values = {}
+    for lineno, line in lines:
+        key, *rest = line.split()
+        if key not in fields:
+            raise ParseError(f"line {lineno}: unknown field {key!r}")
+        field = fields[key]
+        if field.size:
+            for count in fields:
+                if count in field.size and count not in values:
+                    raise ParseError(f"line {lineno}: '{key}' before '{count}'")
+            rows, cols = (2 * values[name] for name in field.size)
+            values[key] = _parse_rows(lines, rows, cols, key)
+            continue
         try:
-            return [int(tok) for tok in rest]
+            ints = [int(tok) for tok in rest]
         except ValueError:
-            pass
-    words = {1: "one integer", 2: "two integers"}[count]
-    raise ParseError(f"line {lineno}: '{key}' takes {words}")
+            ints = []
+        if len(ints) != field.ints:
+            words = {1: "one integer", 2: "two integers"}[field.ints]
+            raise ParseError(f"line {lineno}: '{key}' takes {words}")
+        if field.low is not None and min(ints) < field.low:
+            raise ParseError(f"line {lineno}: '{key}' must be at least {field.low}, got {min(ints)}")
+        values[key] = ints[0] if field.ints == 1 else tuple(ints)
+    if not all(key in values for key in required):
+        raise ParseError("file must declare " + " and ".join(map(repr, required)))
+    for key, field in fields.items():
+        if field.antisymmetric:
+            try:
+                values[key] = matalg.antisymmetrize(values[key])
+            except NotAntisymmetricError as exc:
+                raise ParseError(f"{key} is not antisymmetric: {exc}") from exc
+    return values
 
 
-def _header_count(lineno, key, rest):
-    """The mode count of a header line, at least 1, or ParseError."""
-    (value,) = _header_ints(lineno, key, rest, 1)
-    if value < 1:
-        raise ParseError(f"line {lineno}: '{key}' must be at least 1, got {value}")
-    return value
+def _write(path, fields, values):
+    """Write `values` by name in the layout of `fields`, leaving out None."""
+    lines = []
+    for key, field in fields.items():
+        value = values[key]
+        if value is None:
+            continue
+        if field.size:
+            lines.append(key)
+            lines.extend(" ".join(repr(float(v)) for v in row) for row in value)
+        else:
+            lines.append(" ".join([key, *map(str, value if field.ints > 1 else [value])]))
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("\n".join(lines) + "\n")
 
 
 def load_cm_raw(path):
@@ -90,33 +140,11 @@ def load_cm_raw(path):
     Returns (AntisymmetricMatrix, split-or-None); antisymmetry itself is
     still required (a violation is a malformed file).
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    lines = _tokenize(text)
-    modes = None
-    split = None
-    matrix = None
-    for lineno, line in lines:
-        key, *rest = line.split()
-        if key == "modes":
-            modes = _header_count(lineno, key, rest)
-        elif key == "split":
-            split = tuple(_header_ints(lineno, key, rest, 2))
-        elif key == "matrix":
-            if modes is None:
-                raise ParseError(f"line {lineno}: 'matrix' before 'modes'")
-            matrix = _parse_rows(lines, 2 * modes, 2 * modes, "matrix")
-        else:
-            raise ParseError(f"line {lineno}: unknown field {key!r}")
-    if modes is None or matrix is None:
-        raise ParseError("file must declare 'modes' and 'matrix'")
+    values = _read(path, _CM_FIELDS, ("modes", "matrix"))
+    modes, split = values["modes"], values.get("split")
     if split is not None and (min(split) < 1 or sum(split) != modes):
         raise ParseError(f"split {split[0]} {split[1]} is not two positive counts adding up to {modes} modes")
-    try:
-        body = matalg.antisymmetrize(matrix)
-    except NotAntisymmetricError as exc:
-        raise ParseError(f"matrix is not antisymmetric: {exc}") from exc
-    return body, split
+    return values["matrix"], split
 
 
 def load_cm(path, eps_psd: float = EPS_PSD):
@@ -133,58 +161,19 @@ def load_cm(path, eps_psd: float = EPS_PSD):
     return cm
 
 
-def _format_matrix(mat):
-    return "\n".join(" ".join(repr(float(v)) for v in row) for row in mat)
-
-
 def save_cm(path, cm):
     """Write a CovarianceMatrix, a BipartiteCM or a bare matrix in the text format."""
     mat = np.asarray(getattr(cm, "mat", cm))
-    header = f"modes {mat.shape[0] // 2}\n"
-    if isinstance(cm, BipartiteCM):
-        header += f"split {cm.n_a} {cm.n_b}\n"
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(header + "matrix\n" + _format_matrix(mat) + "\n")
+    split = (cm.n_a, cm.n_b) if isinstance(cm, BipartiteCM) else None
+    _write(path, _CM_FIELDS, {"modes": mat.shape[0] // 2, "split": split, "matrix": mat})
 
 
 def load_channel(path, eps_psd: float = EPS_PSD) -> GaussianChannel:
     """Read a channel file; complete positivity is checked at eps_psd."""
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    lines = _tokenize(text)
-    n_in = n_out = None
-    x_mat = n_mat = None
-    for lineno, line in lines:
-        key, *rest = line.split()
-        if key == "n_in":
-            n_in = _header_count(lineno, key, rest)
-        elif key == "n_out":
-            n_out = _header_count(lineno, key, rest)
-        elif key == "x_matrix":
-            if n_in is None or n_out is None:
-                raise ParseError(f"line {lineno}: 'x_matrix' before mode counts")
-            x_mat = _parse_rows(lines, 2 * n_out, 2 * n_in, "x_matrix")
-        elif key == "n_matrix":
-            if n_out is None:
-                raise ParseError(f"line {lineno}: 'n_matrix' before 'n_out'")
-            n_mat = _parse_rows(lines, 2 * n_out, 2 * n_out, "n_matrix")
-        else:
-            raise ParseError(f"line {lineno}: unknown field {key!r}")
-    if x_mat is None or n_mat is None:
-        raise ParseError("file must declare 'x_matrix' and 'n_matrix'")
-    try:
-        n_anti = matalg.antisymmetrize(n_mat)
-    except NotAntisymmetricError as exc:
-        raise ParseError(f"n_matrix is not antisymmetric: {exc}") from exc
-    return validate_channel(x_mat, n_anti, eps_psd)
+    values = _read(path, _CHANNEL_FIELDS, ("x_matrix", "n_matrix"))
+    return validate_channel(values["x_matrix"], values["n_matrix"], eps_psd)
 
 
 def save_channel(path, ch: GaussianChannel):
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(
-            f"n_in {ch.n_in}\nn_out {ch.n_out}\nx_matrix\n"
-            + _format_matrix(ch.x_mat)
-            + "\nn_matrix\n"
-            + _format_matrix(ch.n_mat.mat)
-            + "\n"
-        )
+    values = {"n_in": ch.n_in, "n_out": ch.n_out, "x_matrix": ch.x_mat, "n_matrix": ch.n_mat.mat}
+    _write(path, _CHANNEL_FIELDS, values)

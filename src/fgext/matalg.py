@@ -39,22 +39,24 @@ ANTISYM_RTOL = 1e-8
 class AntisymmetricMatrix:
     """A validated real antisymmetric matrix of even dimension.
 
-    Construction rejects asymmetry beyond 1e-12 in absolute value, then
-    projects exactly (zero diagonal included). The wrapped array is made
-    read-only; instances are safe to share.
+    Construction rejects a non-finite entry and asymmetry beyond 1e-12
+    in absolute value, then projects exactly: (K - K^T)/2 has an exactly
+    zero diagonal. The wrapped array is made read-only; instances are
+    safe to share.
     """
 
     mat: np.ndarray
 
     def __post_init__(self):
         mat = _require_even_square(self.mat)
+        if not np.isfinite(mat).all():
+            raise NotAntisymmetricError("matrix has a non-finite entry")
         residue = np.max(np.abs(mat + mat.T))
-        if residue > 1e-12:
+        if not residue <= 1e-12:
             raise NotAntisymmetricError(
                 f"asymmetry {residue:.3e} exceeds the 1e-12 construction tolerance"
             )
         mat = (mat - mat.T) / 2.0
-        np.fill_diagonal(mat, 0.0)
         mat.setflags(write=False)
         object.__setattr__(self, "mat", mat)
 

@@ -50,11 +50,11 @@ of their bytes against DENSE_BYTES_CAP.
 
 import functools
 from dataclasses import dataclass, field
-from numbers import Integral
 
 import numpy as np
 
 from . import matalg
+from .config import is_count
 from .fgs import CovarianceMatrix, validate_cm
 from .errors import (
     DimensionMismatchError,
@@ -425,7 +425,7 @@ def _partial_trace(rho: np.ndarray, n: int, keep: int, side: str) -> np.ndarray:
     the n modes: mode 0 is the leading factor of the occupation basis."""
     if side not in ("A", "B"):
         raise InvalidParameterError("side must be 'A' or 'B'")
-    if not (isinstance(keep, Integral) and 1 <= keep <= n):
+    if not (is_count(keep) and keep <= n):
         raise DimensionMismatchError(f"cannot keep {keep!r} of {n} modes")
     da = 2 ** (keep if side == "A" else n - keep)
     db = len(rho) // da

@@ -60,6 +60,17 @@ class TestDeFinettiBounds:
                 rep = bounds.definetti_bounds(2, 2, k1, k2)
                 assert 0.0 <= rep.t <= 2.0
 
+    @pytest.mark.parametrize("bad", [0, 2.5, 2.0, True])
+    @pytest.mark.parametrize("position", range(4))
+    def test_counts_and_orders_must_be_positive_integers(self, bad, position):
+        args = [1, 1, 2, 2]
+        args[position] = bad
+        with pytest.raises(OutOfRangeError):
+            bounds.definetti_bounds(*args)
+
+    def test_numpy_integers_accepted(self):
+        assert bounds.definetti_bounds(*map(np.int64, (1, 1, 2, 2))) == bounds.definetti_bounds(1, 1, 2, 2)
+
 
 class TestTraceUpper:
     def test_family(self):
@@ -160,6 +171,21 @@ class TestFamily:
 
     def test_epr_spectrum(self):
         assert_allclose(bounds.family_spectrum(1, 1), [-1, -1, 1, 1], atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "routine",
+        [bounds.family_cm, bounds.family_spectrum, bounds.bosonic_strategy_lower_bound],
+    )
+    @pytest.mark.parametrize("k1, k2", [(0, 2), (2, 0), (2.5, 2), (2, 2.5), (2.0, 2), (True, 2), (2, True)])
+    def test_orders_must_be_positive_integers(self, routine, k1, k2):
+        with pytest.raises(OutOfRangeError, match="family parameters must be positive integers"):
+            routine(k1, k2)
+
+    def test_numpy_integer_orders_accepted(self):
+        k1, k2 = np.int64(3), np.int64(2)
+        assert_allclose(bounds.family_cm(k1, k2).mat, bounds.family_cm(3, 2).mat, atol=0)
+        assert_allclose(bounds.family_spectrum(k1, k2), bounds.family_spectrum(3, 2), atol=0)
+        assert bounds.bosonic_strategy_lower_bound(k1, k2) == bounds.bosonic_strategy_lower_bound(3, 2)
 
 
 class TestEpsilonFamily:

@@ -83,10 +83,40 @@ class TestValidateChannel:
         with pytest.raises(NotCPError):
             channels.validate_channel(x, n)
 
+    @pytest.mark.parametrize("place", ["x", "n diagonal", "n off-diagonal"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_rejected(self, value, place):
+        loss = channels.pure_loss(0.4)
+        x, n = loss.x_mat.copy(), loss.n_mat.mat.copy()
+        if place == "x":
+            x[1, 0] = value
+        elif place == "n diagonal":
+            n[1, 1] = value
+        else:
+            n[0, 1], n[1, 0] = value, -value
+        with pytest.raises(NotCPError, match="finite"):
+            channels.validate_channel(x, n)
+
     def test_rectangular(self):
         x = np.zeros((2, 4))
         ch = channels.validate_channel(x, OMEGA)
         assert (ch.n_in, ch.n_out) == (2, 1)
+
+    @pytest.mark.parametrize(
+        "x_shape, n",
+        [((4, 2), OMEGA), ((2, 3), OMEGA), ((2,), OMEGA), ((2, 2), np.zeros((2, 4)))],
+        ids=["rows-not-n", "odd-columns", "one-dimensional", "n-not-square"],
+    )
+    def test_shapes_that_do_not_fit(self, x_shape, n):
+        with pytest.raises(DimensionMismatchError):
+            channels.validate_channel(np.zeros(x_shape), n)
+
+    @pytest.mark.parametrize(
+        "x_shape, n_dim", [((2, 0), 2), ((0, 2), 0), ((0, 0), 0)], ids=["no-input", "no-output", "neither"]
+    )
+    def test_no_modes_on_a_side(self, x_shape, n_dim):
+        with pytest.raises(DimensionMismatchError, match="an input and an output mode"):
+            channels.validate_channel(np.zeros(x_shape), np.zeros((n_dim, n_dim)))
 
     def test_direct_construction_freezes_a_copy_of_x(self):
         x = np.eye(2)

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from fgext import fgs, matalg, oracle
 from fgext.bounds import family_cm
 from fgext.errors import (
+    DimensionMismatchError,
     InvalidParameterError,
     NegativeDeterminantError,
     NotBonaFideError,
@@ -37,6 +38,17 @@ class TestValidateCm:
             m = random_cm_factory(n).mat
             assert np.max(np.abs(m)) <= 1.0 + 1e-9
             assert np.max(np.sum(m * m, axis=0)) <= 1.0 + 1e-9
+
+    @pytest.mark.parametrize("place", ["diagonal", "off-diagonal"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_refused(self, value, place):
+        mat = np.array([[0.0, 0.5], [-0.5, 0.0]])
+        if place == "diagonal":
+            mat[0, 0] = value
+        else:
+            mat[0, 1], mat[1, 0] = value, -value
+        with pytest.raises(NotBonaFideError, match="non-finite"):
+            fgs.validate_cm(mat)
 
 
 class TestStandardStates:
@@ -75,6 +87,16 @@ class TestStandardStates:
         with pytest.raises(InvalidParameterError):
             fgs.bell_cm("sigma+")
 
+    @pytest.mark.parametrize("build", [fgs.vacuum_cm, fgs.epr_cm])
+    @pytest.mark.parametrize("count", [0, 2.0, 2.5, True])
+    def test_mode_count_not_a_positive_integer(self, build, count):
+        with pytest.raises(InvalidParameterError):
+            build(count)
+
+    @pytest.mark.parametrize("build", [fgs.vacuum_cm, fgs.epr_cm])
+    def test_numpy_integer_mode_count(self, build):
+        assert_allclose(build(np.int64(2)).mat, build(2).mat, atol=0)
+
     def test_epr(self):
         b = fgs.epr_cm(2)
         d = 4
@@ -88,6 +110,10 @@ class TestBlocksAndMarginals:
     def test_family_marginal_a(self):
         got = fgs.marginal(family_cm(2, 2), "A")
         assert_allclose(got.mat, np.array([[0.0, 0.5], [-0.5, 0.0]]))
+
+    def test_unknown_side(self):
+        with pytest.raises(InvalidParameterError):
+            fgs.marginal(family_cm(2, 2), "C")
 
     def test_product_marginal(self, random_cm_factory):
         p = random_cm_factory(2)
@@ -143,6 +169,13 @@ class TestFrozenTypes:
         with pytest.raises(WrongSplitError):
             fgs.BipartiteCM(cm, 0, 3)
 
+    def test_split_counts_are_integers(self):
+        cm = fgs.vacuum_cm(2)
+        for n_a, n_b in ((True, 1), (1, True), (1.0, 1), (1.5, 0.5)):
+            with pytest.raises(WrongSplitError):
+                fgs.BipartiteCM(cm, n_a, n_b)
+        assert fgs.BipartiteCM(cm, np.int64(1), np.int64(1)).n_a == 1
+
 
 class TestOverlap:
     def test_family_vs_epr(self):
@@ -186,6 +219,30 @@ class TestOverlap:
 
     def test_negative_determinant_error_exists(self):
         assert issubclass(NegativeDeterminantError, ValueError)
+
+    def test_mode_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            fgs.overlap(fgs.vacuum_cm(1), fgs.vacuum_cm(2))
+
+    def test_negative_determinant_refused(self):
+        # det((M1 M2 - I)/2) is a square for antisymmetric M1, M2, so only
+        # rounding takes it below zero: on pairs far from bona fide, with
+        # M1 M2 = I on one rotated mode and entries 1e4 on the other.
+        rng = np.random.default_rng(5)
+        refused = 0
+        for _ in range(40):
+            q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+            pair = []
+            for a, b in ((1e4, 1e4), (-1e-4, 1e4)):
+                body = np.zeros((2, 2, 2, 2))
+                body[0, :, 0, :], body[1, :, 1, :] = a * VACUUM, b * VACUUM
+                mat = q @ body.reshape(4, 4) @ q.T
+                pair.append(fgs.CovarianceMatrix(matalg.AntisymmetricMatrix((mat - mat.T) / 2)))
+            try:
+                assert fgs.overlap(*pair) >= 0.0
+            except NegativeDeterminantError:
+                refused += 1
+        assert refused > 0
 
 
 class TestEntropies:

@@ -74,6 +74,77 @@ class TestChannelFormat:
         assert_allclose(back.n_mat.mat, ch.n_mat.mat, atol=1e-15)
 
 
+CM_BODY = "matrix\n0 1\n-1 0\n"
+CHANNEL_COUNTS = "n_in 1\nn_out 1\n"
+
+
+class TestReaderRefusals:
+    """The reader's refusals on each format they apply to, with their messages;
+    TestBadInputsExit3 covers counts below 1, non-integer counts, non-finite
+    entries and a split that does not fit."""
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("modes 1\nfoo 3\n" + CM_BODY, "line 2: unknown field 'foo'"),
+            (CM_BODY, "line 1: 'matrix' before 'modes'"),
+            ("modes 1 1\n" + CM_BODY, "line 1: 'modes' takes one integer"),
+            ("modes 1\nsplit 1\n" + CM_BODY, "line 2: 'split' takes two integers"),
+            ("modes 1\nmatrix\n0 1\n", "unexpected end of file inside matrix"),
+            ("modes 1\nmatrix\n0 x\n-1 0\n", "line 3: could not convert string to float: 'x'"),
+            ("modes 1\nmatrix\n0 1 2\n-1 0\n", "line 3: expected 2 entries in matrix, got 3"),
+            ("modes 1\n", "file must declare 'modes' and 'matrix'"),
+            ("modes 1\nmatrix\n0 1\n-0.9 0\n", "matrix is not antisymmetric: symmetric residue"),
+        ],
+    )
+    def test_cm_file(self, tmp_path, text, message):
+        path = tmp_path / "bad.cm"
+        path.write_text(text)
+        with pytest.raises(ParseError) as err:
+            io.load_cm_raw(path)
+        assert str(err.value).startswith(message)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("n_in 1\nmodes 1\n", "line 2: unknown field 'modes'"),
+            ("x_matrix\n1 0\n0 1\n", "line 1: 'x_matrix' before 'n_in'"),
+            ("n_out 1\nx_matrix\n1 0\n0 1\n", "line 2: 'x_matrix' before 'n_in'"),
+            ("n_in 1\nx_matrix\n1 0\n0 1\n", "line 2: 'x_matrix' before 'n_out'"),
+            ("n_in 1\nn_matrix\n0 0\n0 0\n", "line 2: 'n_matrix' before 'n_out'"),
+            ("n_in 1 2\nn_out 1\n", "line 1: 'n_in' takes one integer"),
+            (CHANNEL_COUNTS + "x_matrix\n1 0\n", "unexpected end of file inside x_matrix"),
+            (CHANNEL_COUNTS + "x_matrix\n1 y\n0 1\n", "line 4: could not convert string to float: 'y'"),
+            (CHANNEL_COUNTS + "x_matrix\n1\n0 1\n", "line 4: expected 2 entries in x_matrix, got 1"),
+            (CHANNEL_COUNTS + "n_matrix\n0 inf\n-1 0\n", "line 4: non-finite entry in n_matrix"),
+            (CHANNEL_COUNTS + "x_matrix\n1 0\n0 1\n", "file must declare 'x_matrix' and 'n_matrix'"),
+            (
+                CHANNEL_COUNTS + "x_matrix\n1 0\n0 1\nn_matrix\n0 1\n0 0\n",
+                "n_matrix is not antisymmetric: symmetric residue",
+            ),
+        ],
+    )
+    def test_channel_file(self, tmp_path, text, message):
+        path = tmp_path / "bad.ch"
+        path.write_text(text)
+        with pytest.raises(ParseError) as err:
+            io.load_channel(path)
+        assert str(err.value).startswith(message)
+
+    def test_written_files_read_back_byte_for_byte(self, tmp_path):
+        cm, ch = tmp_path / "family.cm", tmp_path / "loss.ch"
+        io.save_cm(cm, family_cm(2, 2))
+        io.save_channel(ch, channels.pure_loss(0.4))
+        assert cm.read_text() == (
+            "modes 2\nsplit 1 1\nmatrix\n0.0 0.5 0.0 0.5\n-0.5 0.0 0.5 0.0\n"
+            "0.0 -0.5 0.0 0.5\n-0.5 0.0 -0.5 0.0\n"
+        )
+        io.save_cm(tmp_path / "again.cm", io.load_cm(cm))
+        io.save_channel(tmp_path / "again.ch", io.load_channel(ch))
+        assert (tmp_path / "again.cm").read_text() == cm.read_text()
+        assert (tmp_path / "again.ch").read_text() == ch.read_text()
+
+
 def run_cli(*argv):
     return cli.main(list(argv))
 
@@ -518,6 +589,16 @@ def test_run_config_accepts_numpy_scalars():
         eps_psd=np.float64(1e-6), eps_feas=np.float32(1e-5), max_iters=np.int64(5), seed=np.int32(3)
     )
     assert (config.max_iters, config.seed) == (5, 3)
+
+
+def test_run_config_refuses_an_unknown_output_format():
+    with pytest.raises(ValueError, match="output_format must be 'json' or 'table'"):
+        RunConfig(output_format="xml")
+
+
+def test_run_suite_refuses_an_unknown_suite():
+    with pytest.raises(ValueError, match="unknown suite 'nope'"):
+        verify.run_suite("nope")
 
 
 def test_config_env_override(tmp_path, monkeypatch, capsys, family_file):

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from fgext import matalg
-from fgext.errors import DimensionOddError, NotAntisymmetricError
+from fgext.errors import DimensionMismatchError, DimensionOddError, NotAntisymmetricError
 
 from conftest import random_antisymmetric
 
@@ -55,6 +55,32 @@ class TestAntisymmetrize:
         out = matalg.antisymmetrize(J)
         with pytest.raises(ValueError):
             out.mat[0, 1] = 5.0
+
+    def test_not_square(self):
+        with pytest.raises(DimensionMismatchError):
+            matalg.antisymmetrize(np.zeros((2, 4)))
+
+
+class TestAntisymmetricMatrix:
+    def test_asymmetry_above_construction_tolerance(self):
+        with pytest.raises(NotAntisymmetricError, match="1e-12 construction tolerance"):
+            matalg.AntisymmetricMatrix(np.array([[0.0, 1.0], [-1.0 + 1e-9, 0.0]]))
+
+    def test_finite_diagonal_projected_to_exact_zero(self):
+        out = matalg.AntisymmetricMatrix(J + 4e-13 * np.eye(2))
+        assert np.all(np.diag(out.mat) == 0.0)
+        assert_allclose(out.mat, J, atol=0)
+
+    @pytest.mark.parametrize("place", ["diagonal", "off-diagonal"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_refused(self, value, place):
+        mat = J.copy()
+        if place == "diagonal":
+            mat[0, 0] = value
+        else:
+            mat[0, 1], mat[1, 0] = value, -value
+        with pytest.raises(NotAntisymmetricError, match="non-finite"):
+            matalg.AntisymmetricMatrix(mat)
 
 
 class TestHermitianSpectrum:
@@ -277,6 +303,9 @@ class TestNorms:
 
     def test_zero(self):
         assert matalg.norms(np.zeros((2, 5))) == (0.0, 0.0)
+
+    def test_empty(self):
+        assert matalg.norms(np.zeros((0, 3))) == (0.0, 0.0)
 
     def test_op_below_trace(self, rng):
         for _ in range(20):

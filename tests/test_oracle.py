@@ -206,6 +206,13 @@ class TestWick:
         with pytest.raises(IndexOutOfRangeError):
             oracle.wick_check(state, cm, (0, 7))
 
+    @pytest.mark.parametrize("idx", [(1, 0), (0, 0), (0, 2, 1, 3)])
+    def test_indices_not_strictly_increasing_rejected(self, random_cm_factory, idx):
+        cm = random_cm_factory(2)
+        state = oracle.state_from_cm(cm)
+        with pytest.raises(IndexOutOfRangeError, match="strictly increasing"):
+            oracle.wick_check(state, cm, idx)
+
 
 class TestEntropies:
     def test_pure_product(self):
@@ -225,6 +232,18 @@ class TestEntropies:
         state = oracle.state_from_cm(fgs.vacuum_cm(3))
         with pytest.raises(DimensionMismatchError, match=f"cannot keep {n_keep} of 3 modes"):
             oracle.reduced_state(state, n_keep, side)
+
+    @pytest.mark.parametrize("n_keep", [True, 1.0, 1.5])
+    def test_reduced_state_refuses_a_count_that_is_not_an_integer(self, n_keep):
+        state = oracle.state_from_cm(fgs.vacuum_cm(3))
+        with pytest.raises(DimensionMismatchError, match="cannot keep"):
+            oracle.reduced_state(state, n_keep)
+
+    @pytest.mark.parametrize("split", [(1, 2), (0, 2), (2, 0), (3, -1)])
+    def test_bad_split_rejected(self, split):
+        state = oracle.state_from_cm(fgs.vacuum_cm(2))
+        with pytest.raises(DimensionMismatchError, match="bad split"):
+            oracle.entropies(state, split)
 
     def test_reduced_state_refuses_an_unknown_side(self):
         state = oracle.state_from_cm(fgs.vacuum_cm(3))
