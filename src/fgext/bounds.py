@@ -109,7 +109,7 @@ def family_cm(k1: int, k2: int) -> BipartiteCM:
             [-x, 0.0, -c, 0.0],
         ]
     )
-    return BipartiteCM(validate_cm(matalg.AntisymmetricMatrix(m)), 1, 1)
+    return BipartiteCM(validate_cm(matalg._exact(m)), 1, 1)
 
 
 def family_spectrum(k1: int, k2: int) -> np.ndarray:
@@ -150,7 +150,7 @@ def epsilon_family(eps: float) -> BipartiteCM:
             [0.0, x, -a, 0.0],
         ]
     )
-    return BipartiteCM(validate_cm(matalg.AntisymmetricMatrix(m)), 1, 1)
+    return BipartiteCM(validate_cm(matalg._exact(m)), 1, 1)
 
 
 def bosonic_strategy_lower_bound(k1: int, k2: int) -> float:

@@ -35,7 +35,7 @@ class GaussianChannel:
     """M -> X M X^T + N; X is 2 n_out x 2 n_in, N is 2 n_out x 2 n_out.
 
     X is kept as a read-only float copy, so the channel never shares it
-    with the caller.
+    with the caller; a non-finite entry is refused (NotCPError).
     """
 
     x_mat: np.ndarray
@@ -43,6 +43,8 @@ class GaussianChannel:
 
     def __post_init__(self):
         x_mat = np.array(self.x_mat, dtype=float)
+        if not np.isfinite(x_mat).all():
+            raise NotCPError("X must have finite entries")
         x_mat.setflags(write=False)
         object.__setattr__(self, "x_mat", x_mat)
 
@@ -109,7 +111,7 @@ def choi_cm(ch: GaussianChannel) -> BipartiteCM:
     Schur complement is I + iN - XX^T, so it is bona fide iff the channel
     is CP. validate_channel checks that, and so does every Choi route."""
     m = _bipartite(ch.n_mat.mat, ch.x_mat, np.zeros((2 * ch.n_in, 2 * ch.n_in)))
-    return BipartiteCM(CovarianceMatrix(matalg.AntisymmetricMatrix(m)), ch.n_out, ch.n_in)
+    return BipartiteCM(CovarianceMatrix(matalg._exact(m)), ch.n_out, ch.n_in)
 
 
 def antidegradable(ch: GaussianChannel, config: RunConfig = DEFAULT_CONFIG) -> FeasibilityResult:

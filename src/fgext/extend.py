@@ -170,7 +170,7 @@ def solver_verdict(query: ExtendQuery, config: RunConfig) -> FeasibilityResult:
     deltas = list(outcome.deltas)
     delta_a = deltas.pop(0) if query.k1 > 1 else query.b.block_a
     delta_b = deltas.pop(0) if query.k2 > 1 else query.b.block_b
-    witnesses = [matalg.AntisymmetricMatrix(delta) for delta in (delta_a, delta_b)]
+    witnesses = [matalg._exact(delta) for delta in (delta_a, delta_b)]
     return FeasibilityResult(FeasibilityStatus.FEASIBLE, *witnesses, outcome.margin, None)
 
 
@@ -229,7 +229,7 @@ def build_extension(
     ab[...] = x
     ba[...] = -x.T
     slack = 10.0 * np.finfo(float).eps * d
-    return validate_cm(matalg.AntisymmetricMatrix(ext), eps_psd=config.eps_psd + slack)
+    return validate_cm(matalg._exact(ext), eps_psd=config.eps_psd + slack)
 
 
 def is_separable_gaussian(b: BipartiteCM, eps_psd: float = DEFAULT_CONFIG.eps_psd) -> bool:

@@ -108,12 +108,15 @@ def validate_cm(k, eps_psd: float = EPS_PSD) -> CovarianceMatrix:
     Raises:
         NotBonaFideError: reporting the violating spectral radius of iK,
             or a non-finite entry.
+        DimensionMismatchError: K has no mode.
     """
     if not isinstance(k, matalg.AntisymmetricMatrix):
         k = np.asarray(k, dtype=float)
         if not np.isfinite(k).all():
             raise NotBonaFideError("covariance matrix has a non-finite entry")
         k = matalg.antisymmetrize(k)
+    if k.dim == 0:
+        raise DimensionMismatchError("a covariance matrix needs at least one mode, got a 0x0 matrix")
     low = matalg.min_eigenvalue(np.eye(k.dim), k.mat)
     if not low >= -eps_psd:  # a NaN spectrum fails too
         radius = 1.0 - low
@@ -151,14 +154,14 @@ def vacuum_cm(n: int) -> CovarianceMatrix:
         raise InvalidParameterError("need at least one mode")
     body = np.zeros((n, 2, n, 2))
     body[np.arange(n), :, np.arange(n), :] = _VACUUM_BLOCK
-    return validate_cm(matalg.AntisymmetricMatrix(body.reshape(2 * n, 2 * n)))
+    return validate_cm(matalg._exact(body.reshape(2 * n, 2 * n)))
 
 
 def single_mode_cm(lam: float) -> CovarianceMatrix:
     """One-mode state [[0, λ], [-λ, 0]]; λ = -1 is the vacuum, λ = 0 maximally mixed."""
     if not -1.0 <= lam <= 1.0:
         raise InvalidParameterError(f"single-mode parameter {lam} outside [-1, 1]")
-    return validate_cm(matalg.AntisymmetricMatrix(np.array([[0.0, lam], [-lam, 0.0]])))
+    return validate_cm(matalg._exact(np.array([[0.0, lam], [-lam, 0.0]])))
 
 
 def bell_cm(kind: str) -> BipartiteCM:
@@ -170,7 +173,7 @@ def bell_cm(kind: str) -> BipartiteCM:
             f"unknown Bell kind {kind!r}; expected one of {sorted(_BELL_SIGNS)}"
         ) from None
     m = _bipartite(np.zeros((2, 2)), np.array([[0.0, s14], [s23, 0.0]]), np.zeros((2, 2)))
-    return BipartiteCM(validate_cm(matalg.AntisymmetricMatrix(m)), 1, 1)
+    return BipartiteCM(validate_cm(matalg._exact(m)), 1, 1)
 
 
 def epr_cm(m: int) -> BipartiteCM:
@@ -179,7 +182,7 @@ def epr_cm(m: int) -> BipartiteCM:
         raise InvalidParameterError("need at least one mode per register")
     zero = np.zeros((2 * m, 2 * m))
     body = _bipartite(zero, np.eye(2 * m), zero)
-    return BipartiteCM(validate_cm(matalg.AntisymmetricMatrix(body)), m, m)
+    return BipartiteCM(validate_cm(matalg._exact(body)), m, m)
 
 
 def marginal(b: BipartiteCM, side: str) -> CovarianceMatrix:
@@ -187,15 +190,13 @@ def marginal(b: BipartiteCM, side: str) -> CovarianceMatrix:
     if side not in ("A", "B"):
         raise InvalidParameterError("side must be 'A' or 'B'")
     block = b.block_a if side == "A" else b.block_b
-    return validate_cm(matalg.AntisymmetricMatrix(block.copy()))
+    return validate_cm(matalg._exact(block.copy()))
 
 
 def product_cm(m_a: CovarianceMatrix, m_b: CovarianceMatrix) -> BipartiteCM:
     """Block-diagonal covariance matrix of the product state (X = 0)."""
     body = _bipartite(m_a.mat, np.zeros((len(m_a.mat), len(m_b.mat))), m_b.mat)
-    return BipartiteCM(
-        validate_cm(matalg.AntisymmetricMatrix(body)), m_a.modes, m_b.modes
-    )
+    return BipartiteCM(validate_cm(matalg._exact(body)), m_a.modes, m_b.modes)
 
 
 def overlap(m1: CovarianceMatrix, m2: CovarianceMatrix) -> float:

@@ -12,6 +12,18 @@ antisymmetric matrix K:
 * Pf(K)^2 = det(K), with Pf evaluated stably by Parlett-Reid elimination.
 
 All three need numpy alone.
+
+Antisymmetry is decided once per matrix, at one of two gates:
+
+* antisymmetrize, tolerant (ANTISYM_RTOL relative), for data from outside:
+  files, and raw arrays given to validate_cm or validate_channel;
+* the AntisymmetricMatrix constructor, strict (1e-12 absolute), for
+  callers outside the package.
+
+Matrices that fgext assembles from parts already checked (the
+projection itself, witnesses, extensions, Choi and literal states) are
+exactly antisymmetric by construction and are wrapped unchecked by the
+module-private _exact.
 """
 
 from dataclasses import dataclass
@@ -40,9 +52,9 @@ class AntisymmetricMatrix:
     """A validated real antisymmetric matrix of even dimension.
 
     Construction rejects a non-finite entry and asymmetry beyond 1e-12
-    in absolute value, then projects exactly: (K - K^T)/2 has an exactly
-    zero diagonal. The wrapped array is made read-only; instances are
-    safe to share.
+    in absolute value, then projects exactly: K/2 - K^T/2 has an exactly
+    zero diagonal, and halving first keeps every finite entry finite.
+    The wrapped array is made read-only; instances are safe to share.
     """
 
     mat: np.ndarray
@@ -51,12 +63,13 @@ class AntisymmetricMatrix:
         mat = _require_even_square(self.mat)
         if not np.isfinite(mat).all():
             raise NotAntisymmetricError("matrix has a non-finite entry")
-        residue = np.max(np.abs(mat + mat.T))
+        half = mat / 2.0
+        residue = 2.0 * float(np.max(np.abs(half + half.T), initial=0.0))
         if not residue <= 1e-12:
             raise NotAntisymmetricError(
                 f"asymmetry {residue:.3e} exceeds the 1e-12 construction tolerance"
             )
-        mat = (mat - mat.T) / 2.0
+        mat = half - half.T
         mat.setflags(write=False)
         object.__setattr__(self, "mat", mat)
 
@@ -114,22 +127,39 @@ def _require_even_square(mat: np.ndarray) -> np.ndarray:
     return mat
 
 
-def antisymmetrize(raw: np.ndarray) -> AntisymmetricMatrix:
-    """Project a nearly antisymmetric matrix onto (raw - raw^T)/2.
+def _exact(mat: np.ndarray) -> AntisymmetricMatrix:
+    """AntisymmetricMatrix(mat) without its check, for a finite float array
+    that is exactly antisymmetric by construction and that nothing writes
+    to: made read-only and wrapped as it is."""
+    mat.setflags(write=False)
+    k = object.__new__(AntisymmetricMatrix)
+    object.__setattr__(k, "mat", mat)
+    return k
 
-    Rejects input whose symmetric residue exceeds ANTISYM_RTOL relative
-    to the input norm; the diagonal of the result is exactly zero.
+
+def antisymmetrize(raw: np.ndarray) -> AntisymmetricMatrix:
+    """Project a nearly antisymmetric matrix onto raw/2 - raw^T/2.
+
+    Rejects a non-finite entry, and input whose symmetric residue exceeds
+    ANTISYM_RTOL relative to max(‖raw‖_F, 1); the diagonal of the result
+    is exactly zero. Both norms are taken on raw scaled by a power of two
+    to a largest entry below 1, which rounds exactly as the unscaled norms
+    would and keeps their squares finite for entries up to the largest float.
     """
     raw = _require_even_square(raw)
-    sym = (raw + raw.T) / 2.0
-    scale = np.linalg.norm(raw)
-    residue = np.linalg.norm(sym)
-    if residue > ANTISYM_RTOL * max(scale, 1.0):
+    if not np.isfinite(raw).all():
+        raise NotAntisymmetricError("matrix has a non-finite entry")
+    unit = 2.0 ** -max(int(np.frexp(np.max(np.abs(raw), initial=0.0))[1]), 0)
+    scaled = raw * unit
+    scale = np.linalg.norm(scaled)
+    residue = np.linalg.norm((scaled + scaled.T) / 2.0)
+    if residue > ANTISYM_RTOL * max(scale, unit):
         raise NotAntisymmetricError(
-            f"symmetric residue {residue:.3e} exceeds {ANTISYM_RTOL:.1e} * max(norm, 1) = "
-            f"{ANTISYM_RTOL * max(scale, 1.0):.3e}"
+            f"symmetric residue {float(residue) / unit:.3e} exceeds {ANTISYM_RTOL:.1e} * max(norm, 1) = "
+            f"{float(ANTISYM_RTOL * max(scale, unit)) / unit:.3e}"
         )
-    return AntisymmetricMatrix((raw - raw.T) / 2.0)
+    half = raw / 2.0
+    return _exact(half - half.T)
 
 
 def _as_mat(k) -> np.ndarray:

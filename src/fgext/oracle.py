@@ -391,7 +391,7 @@ def cm_from_state(state: DenseState) -> CovarianceMatrix:
             val = (1j * _string_trace(state.rho, state.n, (p, q))).real
             m[p, q] = val
             m[q, p] = -val
-    return validate_cm(matalg.AntisymmetricMatrix(m))
+    return validate_cm(matalg._exact(m))
 
 
 def trace_distance(a: DenseState, b: DenseState) -> float:

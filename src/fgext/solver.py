@@ -65,7 +65,7 @@ Otherwise the run stops at the first θ_k that meets it, or once the dual
 bound Re tr(F(0) X) is below -eps_feas within 1e-8 · max(1, |bound|) of
 f(θ_k), or within 1e-6 · max(1, |bound|) at a breakdown (X, Z or the
 Schur matrix no longer numerically definite). A returned margin is thus
-accepted or below -100 eps_feas: one in the band between, any other
+accepted or below -100 eps_feas: one in the band between or NaN, any other
 breakdown and max_iters iterations raise SolverStalledError. A run over
 SOLVER_BYTES_CAP (estimated) raises TooManyModesError before allocating.
 """
@@ -444,8 +444,8 @@ def margin_target(config: RunConfig) -> float:
 
 
 def _checked(outcome, eps, target):
-    """The outcome, unless its margin lies in the ambiguous band."""
-    if -100.0 * eps <= outcome.margin < target:
+    """The outcome, unless its margin lies in the ambiguous band or is NaN."""
+    if not (outcome.margin >= target or outcome.margin < -100.0 * eps):
         raise SolverStalledError(
             f"converged margin {outcome.margin:.3e} lies in the ambiguous band "
             f"[{-100.0 * eps:.1e}, {target:.1e}) after {outcome.iterations} iterations"
@@ -469,7 +469,7 @@ def max_margin(constraints, warm_start, config: RunConfig = DEFAULT_CONFIG):
             enters no term with a nonzero coefficient.
         DimensionMismatchError: a term's variable overruns its constraint.
         SolverStalledError: a converged margin inside the ambiguous band
-            [-100 eps_feas, margin_target(config)), a breakdown before
+            [-100 eps_feas, margin_target(config)) or NaN, a breakdown before
             convergence, or max_iters iterations without a stopping rule.
         TooManyModesError: the run's estimated bytes exceed
             SOLVER_BYTES_CAP; nothing large has been allocated.

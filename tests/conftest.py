@@ -6,6 +6,20 @@ from fgext.bounds import family_cm
 from fgext.verify import random_bona_fide_cm, random_bipartite_cm
 
 
+@pytest.fixture(autouse=True)
+def exact_antisymmetry_guard(monkeypatch):
+    """Check what the library trusts without checking: every matrix wrapped
+    by matalg._exact is finite and exactly antisymmetric."""
+    exact = matalg._exact
+
+    def guarded(mat):
+        assert np.isfinite(mat).all(), "matalg._exact got a non-finite entry"
+        assert np.array_equal(mat, -mat.T), "matalg._exact got a matrix that is not exactly antisymmetric"
+        return exact(mat)
+
+    monkeypatch.setattr(matalg, "_exact", guarded)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

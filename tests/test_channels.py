@@ -126,6 +126,15 @@ class TestValidateChannel:
         x[0, 0] = 5.0
         assert ch.x_mat[0, 0] == 1.0
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_direct_construction_refuses_non_finite_x(self, value):
+        # the Choi matrix wraps X unchecked, so the channel itself refuses it
+        x = np.eye(2)
+        x[0, 1] = value
+        with pytest.raises(NotCPError, match="finite"):
+            channels.GaussianChannel(x, matalg.AntisymmetricMatrix(np.zeros((2, 2))))
+
 
 class TestApply:
     def test_identity(self, random_cm_factory):

@@ -50,6 +50,18 @@ class TestValidateCm:
         with pytest.raises(NotBonaFideError, match="non-finite"):
             fgs.validate_cm(mat)
 
+    @pytest.mark.filterwarnings("error")
+    def test_huge_entries_refused_without_warning(self):
+        with pytest.raises(NotBonaFideError):
+            fgs.validate_cm(np.array([[0.0, 1e200], [-1e200, 0.0]]))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("checked", [False, True])
+    def test_no_mode_refused(self, checked):
+        k = matalg.AntisymmetricMatrix(np.zeros((0, 0))) if checked else np.zeros((0, 0))
+        with pytest.raises(DimensionMismatchError, match="at least one mode"):
+            fgs.validate_cm(k)
+
 
 class TestStandardStates:
     def test_vacuum_three_modes(self):

@@ -518,6 +518,13 @@ class TestBadInputsExit3:
             argv = ("channel", str(path), "validate")
         assert "non-finite entry" in self.assert_parse_error(capsys, *argv)
 
+    @pytest.mark.filterwarnings("error")
+    def test_huge_symmetric_matrix(self, tmp_path, capsys):
+        # both Frobenius norms of a 1e200 matrix overflow unless scaled first
+        path = tmp_path / "bad.cm"
+        path.write_text("modes 1\nmatrix\n0 1e200\n1e200 0\n")
+        assert "matrix is not antisymmetric" in self.assert_parse_error(capsys, "check-cm", str(path))
+
     def test_family_empty_range(self, capsys):
         self.assert_parse_error(capsys, "family", "3", "3", "--k1-max", "2")
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import fgext
 from fgext import matalg
 from fgext.errors import DimensionMismatchError, DimensionOddError, NotAntisymmetricError
 
@@ -60,6 +61,63 @@ class TestAntisymmetrize:
         with pytest.raises(DimensionMismatchError):
             matalg.antisymmetrize(np.zeros((2, 4)))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_refused_before_arithmetic(self, value):
+        # an antisymmetric pair of infinities: inf + -inf would warn
+        with pytest.raises(NotAntisymmetricError, match="non-finite"):
+            matalg.antisymmetrize(np.array([[0.0, value], [-value, 0.0]]))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("big", [1e200, 1e308, np.finfo(float).max])
+    def test_huge_entries(self, big):
+        with pytest.raises(NotAntisymmetricError, match="exceeds"):
+            matalg.antisymmetrize(np.array([[0.0, big], [big, 0.0]]))
+        out = matalg.antisymmetrize(np.array([[0.0, big], [-big, 0.0]]))
+        assert out.mat[0, 1] == big and out.mat[1, 0] == -big
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 3.0, 1e100])
+    def test_residue_message_as_unscaled(self, rng, scale):
+        # the power-of-two scale leaves the reported residue and bound as the
+        # unscaled norms give them wherever those do not overflow
+        bad = scale * rng.standard_normal((4, 4))
+        sym = np.linalg.norm((bad + bad.T) / 2.0)
+        bound = matalg.ANTISYM_RTOL * max(np.linalg.norm(bad), 1.0)
+        with pytest.raises(NotAntisymmetricError) as err:
+            matalg.antisymmetrize(bad)
+        assert str(err.value) == f"symmetric residue {sym:.3e} exceeds 1.0e-08 * max(norm, 1) = {bound:.3e}"
+
+    def test_residue_message_past_overflow(self):
+        with pytest.raises(NotAntisymmetricError) as err:
+            matalg.antisymmetrize(np.array([[0.0, 1e200], [1e200, 0.0]]))
+        assert str(err.value) == "symmetric residue 1.414e+200 exceeds 1.0e-08 * max(norm, 1) = 1.414e+192"
+
+    def test_empty(self):
+        assert matalg.antisymmetrize(np.zeros((0, 0))).dim == 0
+
+
+class TestExactGuard:
+    """The Tier-1 guard on matalg._exact, from conftest."""
+
+    @pytest.mark.parametrize(
+        "mat",
+        [np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([[0.0, 1.0], [-1.0 + 1e-16, 0.0]]),
+         np.array([[0.0, np.nan], [np.nan, 0.0]])],
+        ids=["symmetric", "last-bit", "nan"],
+    )
+    def test_fires(self, mat):
+        with pytest.raises(AssertionError, match="matalg._exact got"):
+            matalg._exact(mat)
+
+    def test_passes_and_wraps_read_only(self):
+        mat = J.copy()
+        out = matalg._exact(mat)
+        assert isinstance(out, matalg.AntisymmetricMatrix) and out.mat is mat
+        assert not mat.flags.writeable
+
+    def test_not_exported(self):
+        assert "_exact" not in matalg.__all__ and not hasattr(fgext, "_exact")
+
 
 class TestAntisymmetricMatrix:
     def test_asymmetry_above_construction_tolerance(self):
@@ -81,6 +139,23 @@ class TestAntisymmetricMatrix:
             mat[0, 1], mat[1, 0] = value, -value
         with pytest.raises(NotAntisymmetricError, match="non-finite"):
             matalg.AntisymmetricMatrix(mat)
+
+    @pytest.mark.filterwarnings("error")
+    def test_largest_entries_stay_finite(self):
+        big = np.finfo(float).max
+        out = matalg.AntisymmetricMatrix(np.array([[0.0, big], [-big, 0.0]]))
+        assert out.mat[0, 1] == big and out.mat[1, 0] == -big
+        out = matalg.AntisymmetricMatrix(np.array([[0.0, 1e308], [-1e308, 0.0]]))
+        assert out.mat[0, 1] == 1e308 and out.mat[1, 0] == -1e308
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_asymmetry_refused_without_overflow_warning(self):
+        with pytest.raises(NotAntisymmetricError, match="construction tolerance"):
+            matalg.AntisymmetricMatrix(np.array([[0.0, 1e308], [1e308, 0.0]]))
+
+    def test_empty(self):
+        out = matalg.AntisymmetricMatrix(np.zeros((0, 0)))
+        assert out.dim == 0 and matalg.pfaffian(out) == 1.0
 
 
 class TestHermitianSpectrum:

@@ -388,6 +388,21 @@ class TestStallExits:
         assert solver.GAP_TOL < gap <= solver.BREAKDOWN_GAP_TOL
         assert decide(b, 3, 2).status is FeasibilityStatus.INFEASIBLE_NUMERICAL
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "margin, passes",
+        [(math.nan, False), (-1e-9, True), (0.5, True), (-1e-7, False), (-2e-5, True)],
+        ids=["nan", "target", "feasible", "band", "below-band"],
+    )
+    def test_checked_fails_closed(self, margin, passes):
+        # eps_feas = 1e-7 and target -1e-9: the band is [-1e-5, -1e-9)
+        outcome = solver.SolverOutcome(margin, (), 3, margin)
+        if passes:
+            assert solver._checked(outcome, 1e-7, -1e-9) is outcome
+        else:
+            with pytest.raises(SolverStalledError, match="ambiguous band"):
+                solver._checked(outcome, 1e-7, -1e-9)
+
 
 J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 Z2 = np.zeros((2, 2))
