@@ -14,7 +14,7 @@ import numpy as np
 
 from . import matalg
 from .config import RunConfig, DEFAULT_CONFIG
-from .errors import DimensionMismatchError, NotCPError, OutOfRangeError
+from .errors import DimensionMismatchError, NotAntisymmetricError, NotCPError, OutOfRangeError
 from .extend import ExtendQuery, FeasibilityResult, feasibility, solver_verdict
 from .fgs import _VACUUM_BLOCK, BipartiteCM, CovarianceMatrix, _bipartite, validate_cm
 
@@ -35,7 +35,9 @@ class GaussianChannel:
     """M -> X M X^T + N; X is 2 n_out x 2 n_in, N is 2 n_out x 2 n_out.
 
     X is kept as a read-only float copy, so the channel never shares it
-    with the caller; a non-finite entry is refused (NotCPError).
+    with the caller; a non-finite entry is refused (NotCPError), and so are
+    an N that is not an AntisymmetricMatrix (NotAntisymmetricError) and an
+    X that does not fit it (DimensionMismatchError).
     """
 
     x_mat: np.ndarray
@@ -45,6 +47,16 @@ class GaussianChannel:
         x_mat = np.array(self.x_mat, dtype=float)
         if not np.isfinite(x_mat).all():
             raise NotCPError("X must have finite entries")
+        if not isinstance(self.n_mat, matalg.AntisymmetricMatrix):
+            raise NotAntisymmetricError(
+                f"N must be an AntisymmetricMatrix, not {type(self.n_mat).__name__}; "
+                "validate_channel checks and wraps a raw N"
+            )
+        dim = self.n_mat.dim
+        if x_mat.ndim != 2 or x_mat.shape[0] != dim:
+            raise DimensionMismatchError(f"X is {x_mat.shape}, N is {dim}x{dim}")
+        if x_mat.shape[1] % 2 != 0:
+            raise DimensionMismatchError("X must have an even number of columns")
         x_mat.setflags(write=False)
         object.__setattr__(self, "x_mat", x_mat)
 
@@ -74,14 +86,9 @@ def validate_channel(x_mat: np.ndarray, n_mat, eps_psd: float = DEFAULT_CONFIG.e
         raise NotCPError("X and N must have finite entries")
     if not isinstance(n_mat, matalg.AntisymmetricMatrix):
         n_mat = matalg.antisymmetrize(n_raw)
-    if x_mat.ndim != 2 or x_mat.shape[0] != n_mat.dim:
-        raise DimensionMismatchError(
-            f"X is {x_mat.shape}, N is {n_mat.dim}x{n_mat.dim}"
-        )
-    if x_mat.shape[1] % 2 != 0:
-        raise DimensionMismatchError("X must have an even number of columns")
-    _require_cp(x_mat, n_mat, eps_psd)
-    return GaussianChannel(x_mat, n_mat)
+    channel = GaussianChannel(x_mat, n_mat)
+    _require_cp(channel.x_mat, channel.n_mat, eps_psd)
+    return channel
 
 
 def _require_cp(x_mat, n_mat, eps_psd):

@@ -27,17 +27,17 @@ the two sectors and flips one label bit (none for the last mode). The
 routines work on these blocks, on Pauli strings or on Majorana moments,
 and multiply no dense Majorana matrices:
 
-* state_from_cm writes ρ from its Majorana moments, the Pfaffians of M's
-  principal submatrices (Wick's theorem): one table of all 4^n of them,
-  n(2n-1) vectorised multiply-adds, then one 2 x 2 butterfly per mode
-  that turns the Pfaffians into matrix entries, each carrying the sign
-  Φ(r, c) that the (-Z) strings leave on it (see _state_from_canonical).
-  That is O(n 4^n), against n² 4^n for the product formula
-  Π_j (I + i λ_j γ̃_{2j} γ̃_{2j+1}) that the tests keep as a reference;
-* the DenseState check factorises each sector block plus 1e-10 I by
-  Cholesky, a fraction of an eigensolve, and diagonalises a block only
-  when that fails; trace_distance and entropies diagonalise the two
-  sector blocks, a quarter of the work of one full eigvalsh;
+* state_from_cm builds the sector blocks from ρ's Majorana moments, the
+  Pfaffians of M's principal submatrices (Wick's theorem): one table of
+  all 4^n of them, n(2n-1) vectorised multiply-adds, then one 2 x 2
+  butterfly per mode on the nonzero half that turns them into entries,
+  each carrying the sign Φ(r, c) that the (-Z) strings leave on it (see
+  _state_blocks). That is O(n 4^n), against n² 4^n for the product
+  formula Π_j (I + i λ_j γ̃_{2j} γ̃_{2j+1}) that the tests keep;
+* DenseState checks the sector blocks before it makes ρ of them: each
+  plus 1e-10 I is factorised by Cholesky, a fraction of an eigensolve,
+  and diagonalised only when that fails; trace_distance and entropies
+  diagonalise the blocks, a quarter of the work of one full eigvalsh;
 * cm_from_state and wick_check compose strings (XOR of the masks,
   product of the phases) and read one XOR diagonal ρ[x, x ^ m] per
   monomial, O(n² 2^n) for the whole covariance matrix;
@@ -85,32 +85,31 @@ MODE_CAP = 12
 #: Majorana matrices at MODE_CAP modes do not.
 DENSE_BYTES_CAP = 2 * 2**30
 
-#: Dense 2^n x 2^n complex matrices alive at once in state_from_cm, which
-#: stores the built ρ without a copy: the build peaks at 1.5, ρ and the
-#: real Pfaffian table, and the check at 1.75, ρ, a sector block, LAPACK's
-#: copy of it and its Cholesky factor. A first call in a fresh process
-#: grew peak RSS by 1.92, 1.81 and 1.77 matrices at 10, 11 and 12 modes;
-#: the excess over 1.75 is a few MiB whatever n.
-_STATE_BUILD_MATRICES = 1.8
+#: Dense 2^n x 2^n complex matrices alive at once in state_from_cm: 1.25 in
+#: the build (the real Pfaffian table, the sector blocks, the rows they
+#: trade) and in the check (the blocks, a shifted block, LAPACK's copy and
+#: the factor), 1.5 once ρ is made of the blocks. A first call in a fresh
+#: process grew peak RSS by 1.63, 1.55 and 1.52 matrices at 10, 11 and 12
+#: modes; the excess over 1.5 is a few MiB whatever n.
+_STATE_BUILD_MATRICES = 1.55
 
 
 @dataclass(frozen=True, eq=False)
 class DenseState:
     """An exact density matrix on the 2^n-dimensional Fock space.
 
-    n is read from ρ's dimension. Every ρ is checked: it must be finite,
-    Hermitian, of unit trace and commute with (-1)^N to 1e-10, and the
-    stored matrix must have no eigenvalue below -1e-10, up to rounding of
-    order 2^n times the unit roundoff. The stored ρ is a read-only copy
-    of the given one and exactly parity-even: its entries between the
-    even and odd sectors are zero.
+    n is read from ρ's dimension. Every ρ is checked: it must be finite and
+    commute with (-1)^N to 1e-10, and its sector blocks Hermitian and of
+    unit trace to 1e-10, with no eigenvalue below -1e-10 up to rounding of
+    order 2^n times the unit roundoff. The stored ρ is read-only and its
+    own: the given sector blocks and exact zeros between the sectors.
     """
 
     rho: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        # the one copy; the caller's array is untouched
-        object.__setattr__(self, "rho", _own(np.array(self.rho, dtype=complex)))
+        # the given array is only read
+        object.__setattr__(self, "rho", _stored(_sector_blocks(np.asarray(self.rho, dtype=complex))))
 
     @property
     def n(self) -> int:
@@ -130,36 +129,23 @@ def _modes_of(rho: np.ndarray) -> int:
     return dim.bit_length() - 1
 
 
-def _adopt(rho: np.ndarray) -> DenseState:
-    """DenseState(rho) without its copy, for a fresh complex ρ that nothing
-    else holds: the same checks, then ρ itself is zeroed between the
-    sectors, made read-only and stored."""
+def _adopt(blocks: np.ndarray) -> DenseState:
+    """DenseState from the stack of its sector blocks, with the same checks."""
     state = object.__new__(DenseState)
-    object.__setattr__(state, "rho", _own(rho))
+    object.__setattr__(state, "rho", _stored(blocks))
     return state
 
 
-#: Entries per row slab of _own's temporaries.
+#: Entries per row slab of _sector_blocks' temporaries.
 _SLAB_ENTRIES = 2**13
 
 
-def _own(rho: np.ndarray) -> np.ndarray:
-    """Require the complex ρ finite, Hermitian, of unit trace and
-    parity-even to 1e-10, and its sector blocks free of eigenvalues below
-    -1e-10; then zero its entries between the sectors and make it
-    read-only, in place. The blocks are all DenseState keeps, so the
-    eigenvalue test is exact for the stored ρ.
-
-    Every temporary but the sector blocks is a slab of about
-    _SLAB_ENTRIES entries. A block passes when the Cholesky factorisation
-    of block + 1e-10 I exists, which decides the eigenvalue test up to
-    rounding of order 2^(n-1) u ||ρ|| for the unit roundoff u (Higham,
-    Accuracy and Stability of Numerical Algorithms, §10.1); eigvalsh runs
-    only when it fails.
-    """
-    even, odd = _sector_rows(_modes_of(rho))
+def _sector_blocks(rho: np.ndarray) -> np.ndarray:
+    """The stack of the complex ρ's sector blocks, once ρ is finite and
+    parity-even to 1e-10; every temporary is a row slab."""
+    n = _modes_of(rho)
+    even, odd = _sector_rows(n)
     rows = max(1, _SLAB_ENTRIES // len(rho))
-    square = 0.0  # ||ρ - ρ^†||²
     off = 0.0  # the largest entry between the sectors
     for ours, theirs in ((even, odd), (odd, even)):
         for i in range(0, len(ours), rows):
@@ -167,28 +153,42 @@ def _own(rho: np.ndarray) -> np.ndarray:
             if not np.isfinite(slab).all():
                 raise ValueError("density matrix has non-finite entries")
             off = max(off, np.max(np.abs(slab[:, theirs])))
-            # the rows of conj(ρ) - ρ^T, as long as those of ρ - ρ^†
-            np.conjugate(slab, out=slab)
-            slab -= rho[:, ours[i : i + rows]].T
-            square += np.vdot(slab, slab).real
-    if square > 1e-20:
-        raise ValueError("density matrix is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > 1e-10:
-        raise ValueError(f"trace is {np.trace(rho).real!r}, expected 1")
     # the largest entry of Pρ - ρP is twice the largest off-sector entry
     if 2.0 * off > 1e-10:
         raise ValueError("state does not commute with the parity operator")
-    for ours in (even, odd):
-        block = rho[np.ix_(ours, ours)]
-        block.flat[:: len(ours) + 1] += 1e-10
+    return rho[_sectors(n)]
+
+
+def _stored(blocks: np.ndarray) -> np.ndarray:
+    """_full(blocks) once the blocks are finite, Hermitian and of unit trace
+    to 1e-10 and each block + 1e-10 I has a Cholesky factor, which decides
+    that no eigenvalue is below -1e-10 up to rounding of order 2^(n-1) u ||ρ||
+    (u the unit roundoff; Higham, Accuracy and Stability of Numerical
+    Algorithms, §10.1); eigvalsh runs only where that fails. The check's
+    temporaries, of a block's size each, are freed before ρ is made."""
+    if not np.isfinite(blocks).all():
+        raise ValueError("density matrix has non-finite entries")
+    square = sum(np.vdot(r, r).real for r in (b - b.conj().T for b in blocks))  # ||ρ - ρ^†||²
+    if square > 1e-20:
+        raise ValueError("density matrix is not Hermitian")
+    trace = np.trace(blocks, axis1=1, axis2=2).sum().real
+    if abs(trace - 1.0) > 1e-10:
+        raise ValueError(f"trace is {trace!r}, expected 1")
+    for block in blocks:
         try:
-            np.linalg.cholesky(block)
+            np.linalg.cholesky(block + 1e-10 * np.eye(len(block)))
         except np.linalg.LinAlgError:
-            low = float(np.linalg.eigvalsh(rho[np.ix_(ours, ours)])[0])
+            low = float(np.linalg.eigvalsh(block)[0])
             if low < -1e-10:
                 raise ValueError(f"negative eigenvalue {low:.3e}") from None
-    rho[np.ix_(even, odd)] = 0.0
-    rho[np.ix_(odd, even)] = 0.0
+    return _full(blocks)
+
+
+def _full(blocks: np.ndarray) -> np.ndarray:
+    """The read-only 2^n x 2^n matrix of these sector blocks and zeros."""
+    dim = 2 * blocks.shape[-1]
+    rho = np.zeros((dim, dim), dtype=complex)
+    rho[_sectors(dim.bit_length() - 1)] = blocks
     rho.setflags(write=False)
     return rho
 
@@ -204,11 +204,15 @@ def _sector_rows(n: int) -> tuple:
     return twice + label_odd, twice + ~label_odd
 
 
+def _sectors(n: int) -> tuple:
+    """rho[_sectors(n)] is the (2, 2^(n-1), 2^(n-1)) stack of sector blocks."""
+    rows = np.array(_sector_rows(n))
+    return rows[:, :, None], rows[:, None, :]
+
+
 def _sector_eigvalsh(rho: np.ndarray) -> np.ndarray:
     """Eigenvalues of a parity-even Hermitian ρ, from its two sector blocks."""
-    return np.concatenate(
-        [np.linalg.eigvalsh(rho[np.ix_(rows, rows)]) for rows in _sector_rows(_modes_of(rho))]
-    )
+    return np.linalg.eigvalsh(rho[_sectors(_modes_of(rho))]).ravel()
 
 
 def _require_modes(n: int, matrices: int):
@@ -318,9 +322,14 @@ def _pfaffian_table(m: np.ndarray, scale: float) -> tuple:
 
 
 def _state_from_canonical(rotation: np.ndarray, lambdas, n: int) -> np.ndarray:
-    """Dense ρ = 2^-n Σ_{x even} i^(|x|/2) Pf(M[x]) γ_{x_1} ⋯ γ_{x_k} for
-    M = R (⊕_j λ_j [[0, 1], [-1, 0]]) R^T: by Wick's theorem the
-    Pfaffians are the Majorana moments of the Gaussian state.
+    """Dense ρ built by _state_blocks, read-only; no physicality check."""
+    return _full(_state_blocks(rotation, lambdas, n))
+
+
+def _state_blocks(rotation: np.ndarray, lambdas, n: int) -> np.ndarray:
+    """The sector blocks of ρ = 2^-n Σ_{x even} i^(|x|/2) Pf(M[x]) γ_{x_1} ⋯
+    γ_{x_k} for M = R (⊕_j λ_j [[0, 1], [-1, 0]]) R^T: by Wick's theorem
+    the Pfaffians are the Majorana moments of the Gaussian state.
 
     Entry by entry, ρ[r, c] = 2^-n Φ(r, c) Σ_x i^(|x|/2) Pf(M[x])
     Π_j σ_{s_j}[r_j, c_j], with σ = (I, X, Y, XY) for s_j = (bit 2j,
@@ -329,34 +338,38 @@ def _state_from_canonical(rotation: np.ndarray, lambdas, n: int) -> np.ndarray:
     it, and (-Z)[c, c] = -(-1)^c; hence
     Φ(r, c) = (-1)^{Σ_k (k + Σ_{j<k} c_j)(r_k ⊕ c_k)}.
 
-    The table is copied into ρ with bit 2j+1 of x at r_j and bit 2j at
-    c_j. One 2 x 2 butterfly per mode then turns each (r_j, c_j) quartet
-    into entries: i·XY = -Z on the diagonal pair, e^{iπ/4}(X, Y) on the
+    The table is copied in with bit 2j+1 of x at r_j and bit 2j at c_j.
+    One 2 x 2 butterfly per mode then turns each (r_j, c_j) quartet into
+    entries: i·XY = -Z on the diagonal pair, e^{iπ/4}(X, Y) on the
     off-diagonal pair. Splitting i^(|x|/2) into i per XY and e^{iπ/4} per
     X or Y keeps it a product over modes; mode j's factor of Φ depends on
-    c_0 … c_{j-1} only, final by then, and rides on its e^{iπ/4}. No
-    physicality check; callers wanting a guaranteed state go through
-    state_from_cm.
+    c_0 … c_{j-1} only, final by then, and rides on its e^{iπ/4}.
+
+    Only the nonzero half, |r| + |c| even, is built: block i holds its
+    entries with r_{n-1} = i, labelled as in _sector_rows. Modes 0 … n-2
+    flip a label bit of r and c, so their butterflies stay in each block;
+    the last pairs the blocks. Then the rows with odd labels trade blocks.
     """
     m = (rotation[:, 0::2] * np.asarray(lambdas, dtype=float)) @ rotation[:, 1::2].T
     halves = _pfaffian_table(m - m.T, 2.0**-n)
-    rho = np.empty((2**n, 2**n), dtype=complex)
-    # bit 2n-1 of x is r_{n-1}, the half; the other bits of x run from 2n-2
-    # down, while ρ's run r_0 … r_{n-2}, c_0 … c_{n-1}
-    axes = [2 * (n - 1 - j) - 1 for j in range(n - 1)] + [2 * (n - 1 - j) for j in range(n)]
-    for r_last, half in enumerate(halves):
-        rows = rho.reshape((2,) * 2 * n)[(slice(None),) * (n - 1) + (r_last,)]
-        np.copyto(rows, half.reshape((2,) * (2 * n - 1)).transpose(axes))
-    # the halves become the butterflies' two quarter-size scratch arrays: the
-    # build peaks at 1.5 dense matrices, and no call below writes where its
-    # inputs lie, so numpy makes no hidden copies of the interleaved quarters
+    dim = 2 ** (n - 1)
+    blocks = np.empty((2, dim, dim), dtype=complex)
+    # bit 2n-1 of x is r_{n-1}; a half's quarters (c_{n-1}), each zero where the other
+    # is not, add up to the block, whose bits run r_0 … r_{n-2}, c_0 … c_{n-2}
+    axes = [2 * (n - 2 - j) for j in range(n - 1)] + [2 * (n - 2 - j) + 1 for j in range(n - 1)]
+    for block, half in zip(blocks, halves):
+        quarter = np.add(half[: dim * dim], half[dim * dim :], out=half[: dim * dim])
+        np.copyto(block.reshape((2,) * (2 * n - 2)), quarter.reshape((2,) * (2 * n - 2)).transpose(axes))
+    # the halves become the butterflies' scratch arrays, and no call below
+    # writes where its inputs lie, so numpy makes no hidden copies
     scratch = [half.view(complex) for half in halves]
     # e^{iπ/4} (-1)^{c_0 + … + c_{k-1}} over the first 2^k entries, for mode k
-    phases = np.exp(0.25j * np.pi) * _parity_signs(n - 1)
-    for k in range(n):
-        shape = (2**k, 2, 2 ** (n - 1 - k), 2**k, 2, 2 ** (n - 1 - k))
-        a, b, c, d = (rho.reshape(shape)[:, i, :, :, j] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
-        t1, t2 = (t.reshape(a.shape) for t in scratch)
+    signs = _parity_signs(n - 1)
+    phases = np.exp(0.25j * np.pi) * signs
+    for k in range(n - 1):
+        shape = (2, 2**k, 2, 2 ** (n - 2 - k), 2**k, 2, 2 ** (n - 2 - k))
+        a, b, c, d = (blocks.reshape(shape)[:, :, i, :, :, j] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
+        t1, t2 = (t[: a.size].reshape(a.shape) for t in scratch)
         np.subtract(a, d, out=t1)
         np.add(a, d, out=t2)
         np.copyto(a, t1)
@@ -366,7 +379,19 @@ def _state_from_canonical(rotation: np.ndarray, lambdas, n: int) -> np.ndarray:
         np.multiply(c, 1j * phase, out=t2)
         np.subtract(t1, t2, out=b)
         np.add(t1, t2, out=c)
-    return rho
+    # last mode: the blocks pair at equal labels, as (b, c) where their parities differ, else (a, d)
+    odd = signs < 0
+    pair_bc = np.not_equal.outer(odd, odd)[..., None]
+    u, v = blocks.reshape(2, dim, dim, 1)
+    t1, t2 = (t.reshape(u.shape) for t in scratch)
+    t1[...], t2[...] = u, v
+    phase = (-1) ** (n - 1) * phases[:, None]
+    np.multiply(u, phase, out=t1, where=pair_bc)
+    np.multiply(v, 1j * phase, out=t2, where=pair_bc)
+    np.subtract(t1, t2, out=u)
+    np.add(t1, t2, out=v)
+    blocks[:, odd] = blocks[::-1, odd]
+    return blocks
 
 
 def state_from_cm(m: CovarianceMatrix) -> DenseState:
@@ -379,18 +404,18 @@ def state_from_cm(m: CovarianceMatrix) -> DenseState:
     _require_modes(m.modes, matrices=_STATE_BUILD_MATRICES)
     form = matalg.canonical_form(m.body)
     lams = np.clip(form.lambdas, -1.0, 1.0)
-    return _adopt(_state_from_canonical(form.rotation, lams, m.modes))
+    return _adopt(_state_blocks(form.rotation, lams, m.modes))
 
 
 def cm_from_state(state: DenseState) -> CovarianceMatrix:
-    """Covariance matrix M_pq = Re Tr(i γ_p γ_q ρ) of a dense state."""
-    d = 2 * state.n
-    m = np.zeros((d, d))
-    for p in range(d):
-        for q in range(p + 1, d):
-            val = (1j * _string_trace(state.rho, state.n, (p, q))).real
-            m[p, q] = val
-            m[q, p] = -val
+    """M_pq = Re Tr(i γ_p γ_q ρ), all p < q at once by _string_trace's arithmetic."""
+    masks, phases = _majorana_strings(state.n)
+    masks, x, m = np.array(masks), np.arange(len(state.rho)), np.zeros((2 * state.n,) * 2)
+    for q in range(1, len(m)):
+        phase = np.ones(len(x), dtype=complex) * phases[q] * phases[:q, x ^ masks[q]]
+        traces = np.sum(phase * state.rho[x, x ^ masks[q] ^ masks[:q, None]], axis=1)
+        m[:q, q] = (1j * traces).real
+        m[q, :q] = -m[:q, q]
     return validate_cm(matalg._exact(m))
 
 
@@ -459,4 +484,4 @@ def entropies(state: DenseState, split) -> tuple:
 def reduced_state(state: DenseState, n_keep: int, side: str = "A") -> DenseState:
     """Dense marginal on the first (side='A') or last (side='B') n_keep
     modes; DimensionMismatchError unless n_keep is a count in [1, n]."""
-    return _adopt(_partial_trace(state.rho, state.n, n_keep, side))
+    return DenseState(_partial_trace(state.rho, state.n, n_keep, side))

@@ -8,7 +8,13 @@ from conftest import stinespring
 from fgext import channels, extend, fgs, matalg, solver
 from fgext.bounds import family_cm
 from fgext.config import DEFAULT_CONFIG
-from fgext.errors import DimensionMismatchError, NotCPError, OutOfRangeError, SolverStalledError
+from fgext.errors import (
+    DimensionMismatchError,
+    NotAntisymmetricError,
+    NotCPError,
+    OutOfRangeError,
+    SolverStalledError,
+)
 from fgext.extend import FeasibilityStatus
 
 #: Single-mode vacuum covariance block.
@@ -125,6 +131,24 @@ class TestValidateChannel:
             ch.x_mat[0, 0] = 5.0
         x[0, 0] = 5.0
         assert ch.x_mat[0, 0] == 1.0
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "x, match",
+        [(np.eye(4), r"X is \(4, 4\), N is 2x2"), (np.ones(2), r"X is \(2,\), N is 2x2"),
+         (np.ones((2, 3)), "even number of columns")],
+        ids=["too-many-rows", "not-a-matrix", "odd-columns"],
+    )
+    def test_direct_construction_refuses_an_x_that_does_not_fit(self, x, match):
+        # before the fit moved into the channel, choi_cm and antidegradable
+        # ended in numpy's bare broadcasting errors
+        with pytest.raises(DimensionMismatchError, match=match):
+            channels.GaussianChannel(x, matalg.AntisymmetricMatrix(np.zeros((2, 2))))
+
+    @pytest.mark.filterwarnings("error")
+    def test_direct_construction_refuses_a_raw_n(self):
+        with pytest.raises(NotAntisymmetricError, match="validate_channel"):
+            channels.GaussianChannel(np.eye(2), np.zeros((2, 2)))
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])

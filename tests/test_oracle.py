@@ -382,9 +382,20 @@ class TestDenseReference:
                 got = oracle._state_from_canonical(o, lams, n)
                 assert np.max(np.abs(got - _ref_state(o, lams, n))) < 1e-12
 
+    def test_state_from_cm_at_eight_modes(self, rng, random_cm_factory):
+        # one state, and one reflection with canonical values outside [-1, 1]
+        cm = random_cm_factory(8)
+        form = matalg.canonical_form(cm.body)
+        want = _ref_state(form.rotation, np.clip(form.lambdas, -1.0, 1.0), 8)
+        assert np.max(np.abs(oracle.state_from_cm(cm).rho - want)) < 1e-12
+        reflection = special_orthogonal(rng, 16) * np.where(np.arange(16) == 0, -1.0, 1.0)
+        lams = rng.uniform(-1.15, 1.15, size=8)
+        got = oracle._state_from_canonical(reflection, lams, 8)
+        assert np.max(np.abs(got - _ref_state(reflection, lams, 8))) < 1e-12
+
     @pytest.mark.parametrize("n", range(1, 10))
     def test_built_state_is_exactly_parity_even_and_hermitian(self, n, rng):
-        # the build's own output, before DenseState zeroes or checks anything
+        # the build's own output, before DenseState checks anything
         lams = rng.uniform(-1.0, 1.0, size=n)
         rho = oracle._state_from_canonical(special_orthogonal(rng, 2 * n), lams, n)
         signs = np.diag(oracle.parity_operator(n)).real
@@ -540,6 +551,19 @@ class TestParitySectors:
             oracle.DenseState(_state_with_low_eigenvalue(rng, n, sector, -2e-10))
         oracle.DenseState(_state_with_low_eigenvalue(rng, n, sector, -5e-11))
 
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_built_blocks_are_checked(self, n, rng):
+        # canonical values outside [-1, 1] build a unit-trace Hermitian ρ with a
+        # negative eigenvalue, which the check of the built blocks refuses
+        lams = np.full(n, 0.5)
+        lams[-1] = 1.2
+        blocks = oracle._state_blocks(special_orthogonal(rng, 2 * n), lams, n)
+        with pytest.raises(ValueError, match=r"negative eigenvalue -[0-9.]+e-0[0-9]"):
+            oracle._adopt(blocks)
+        blocks[1, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            oracle._adopt(blocks)
+
 
 def _state_with_low_eigenvalue(rng, n, sector, low):
     """A parity-even ρ of unit trace whose `sector` block has smallest
@@ -570,11 +594,10 @@ class TestMemoryGuard:
 
     @pytest.mark.parametrize("n", [8, 9, 10])
     def test_state_build_peak(self, n, random_cm_factory):
-        # ρ is stored without a copy: the build peaks at 1.5 matrices (ρ and
-        # the Pfaffian table) plus 0.26 MiB of numpy's ufunc buffers whatever
-        # n, the check below it at ρ, a sector block and its Cholesky factor
-        # (1.76, 1.57 and 1.52 matrices measured)
-        bound = {8: 1.8, 9: 1.6, 10: 1.6}[n]
+        # the sector blocks are checked before ρ is made of them: the call
+        # peaks at 1.5 matrices (ρ and the blocks) plus about 0.13 MiB of
+        # numpy's indexing buffers whatever n (1.637, 1.534 and 1.509 measured)
+        bound = {8: 1.66, 9: 1.56, 10: 1.53}[n]
         cm = random_cm_factory(n)
         tracemalloc.start()
         try:
