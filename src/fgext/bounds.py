@@ -12,9 +12,10 @@ transmissivity-1/k losses realizes the scaling: distance to the
 separable set is between 1/sqrt(k1 k2) and 2/sqrt(k1 k2).
 
 For a covariance matrix with cross block X both sides of that bracket
-are singular values of X: ||X||_op is the closed-form lower bound on a
-1 + 1 split (lower_bound_two_mode) and ||X||_1 bounds the distance to
-the marginal product from above (trace_upper_from_cm).
+are singular values of X, at every split: ||X||_op bounds the distance
+to the separable set from below (lower_bound_two_mode) and ||X||_1
+bounds the distance to the marginal product from above
+(trace_upper_from_cm).
 """
 
 import math
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import fgs, matalg
 from .config import is_count
-from .errors import OutOfRangeError, WrongSplitError
+from .errors import OutOfRangeError
 from .fgs import BipartiteCM, validate_cm
 
 __all__ = [
@@ -71,16 +72,15 @@ def trace_upper_from_cm(b: BipartiteCM) -> float:
 
 
 def lower_bound_two_mode(b: BipartiteCM) -> float:
-    """inf over separable CMs diag(aJ, bJ), |a|,|b| <= 1 of ||M - M_sep||_op.
+    """inf over bona fide CMs diag(D_A, D_B) of ||M - diag(D_A, D_B)||_op.
 
     Separable fermionic states have block-diagonal covariance matrices,
-    so this infimum lower-bounds the trace distance to the separable
-    set. It equals ||X||_op: X is the off-diagonal block of every
-    M - M_sep, and a block has no larger operator norm than the whole;
-    the marginal product diag(M_A, M_B), which is bona fide, attains it.
+    and ||M - M'||_op <= ||ρ - ρ'||_1, so this infimum lower-bounds the
+    trace distance to the separable set at every split. It equals
+    ||X||_op: X is the off-diagonal block of every M - diag(D_A, D_B),
+    and a block has no larger operator norm than the whole; the marginal
+    product diag(M_A, M_B), which is bona fide, attains it.
     """
-    if b.n_a != 1 or b.n_b != 1:
-        raise WrongSplitError("closed-form lower bound needs one mode per side")
     return matalg.norms(b.block_x)[0]
 
 

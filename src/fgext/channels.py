@@ -36,8 +36,8 @@ class GaussianChannel:
 
     X is kept as a read-only float copy, so the channel never shares it
     with the caller; a non-finite entry is refused (NotCPError), and so are
-    an N that is not an AntisymmetricMatrix (NotAntisymmetricError) and an
-    X that does not fit it (DimensionMismatchError).
+    an N that is not an AntisymmetricMatrix (NotAntisymmetricError), a
+    side without modes and an X that does not fit N (DimensionMismatchError).
     """
 
     x_mat: np.ndarray
@@ -51,6 +51,10 @@ class GaussianChannel:
             raise NotAntisymmetricError(
                 f"N must be an AntisymmetricMatrix, not {type(self.n_mat).__name__}; "
                 "validate_channel checks and wraps a raw N"
+            )
+        if 0 in x_mat.shape or self.n_mat.dim == 0:
+            raise DimensionMismatchError(
+                f"a channel needs an input and an output mode: X is {x_mat.shape}, N is {self.n_mat.mat.shape}"
             )
         dim = self.n_mat.dim
         if x_mat.ndim != 2 or x_mat.shape[0] != dim:
@@ -76,15 +80,10 @@ def validate_channel(x_mat: np.ndarray, n_mat, eps_psd: float = DEFAULT_CONFIG.e
         DimensionMismatchError: X and N do not fit, or either side has no mode.
         NotCPError: a non-finite entry, or reporting the violating eigenvalue.
     """
-    x_mat = np.asarray(x_mat, dtype=float)
-    n_raw = np.asarray(getattr(n_mat, "mat", n_mat), dtype=float)
-    if 0 in x_mat.shape or n_raw.size == 0:
-        raise DimensionMismatchError(
-            f"a channel needs an input and an output mode: X is {x_mat.shape}, N is {n_raw.shape}"
-        )
-    if not (np.isfinite(x_mat).all() and np.isfinite(n_raw).all()):
-        raise NotCPError("X and N must have finite entries")
     if not isinstance(n_mat, matalg.AntisymmetricMatrix):
+        n_raw = np.asarray(n_mat, dtype=float)
+        if not np.isfinite(n_raw).all():
+            raise NotCPError("N must have finite entries")
         n_mat = matalg.antisymmetrize(n_raw)
     channel = GaussianChannel(x_mat, n_mat)
     _require_cp(channel.x_mat, channel.n_mat, eps_psd)

@@ -153,8 +153,7 @@ def _bounds_record(n_a, n_b, k1, k2, cm=None):
     }
     if cm is not None:
         record["trace_upper_cm"] = bounds_mod.trace_upper_from_cm(cm)
-        if cm.n_a == 1 and cm.n_b == 1:
-            record["trace_lower"] = bounds_mod.lower_bound_two_mode(cm)
+        record["trace_lower"] = bounds_mod.lower_bound_two_mode(cm)
     return record
 
 

@@ -47,7 +47,7 @@ class IndexOutOfRangeError(FgextError, IndexError):
 
 
 class WrongSplitError(FgextError, ValueError):
-    """Operation requires a specific bipartition (e.g. one mode per side)."""
+    """Mode split that does not add up to the matrix or leaves a side without modes."""
 
 
 class OutOfRangeError(FgextError, ValueError):

@@ -81,8 +81,8 @@ __all__ = [
 MODE_CAP = 12
 
 #: Largest estimated size of the dense matrices one call may allocate: a
-#: state at MODE_CAP modes (about 0.5 GiB) fits, the 6 GiB of dense
-#: Majorana matrices at MODE_CAP modes do not.
+#: state at MODE_CAP modes (2^24 complex entries, 0.25 GiB) fits, the
+#: 6 GiB of dense Majorana matrices at MODE_CAP modes do not.
 DENSE_BYTES_CAP = 2 * 2**30
 
 #: Dense 2^n x 2^n complex matrices alive at once in state_from_cm: 1.25 in

@@ -5,7 +5,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from fgext import bounds, extend, fgs, matalg, oracle
-from fgext.errors import OutOfRangeError, WrongSplitError
+from fgext.errors import OutOfRangeError
+
+#: Every split with n_A + n_B <= 6.
+SPLITS = [(n_a, n_b) for n_a in range(1, 6) for n_b in range(1, 7 - n_a)]
 
 
 class TestBinaryEntropy:
@@ -97,23 +100,21 @@ class TestLowerBoundTwoMode:
         assert got == pytest.approx(1.0 / math.sqrt(k1 * k2), abs=1e-12)
 
     @pytest.mark.parametrize("lam_max", [1.0, 0.999, 0.9, 0.5, 0.1])
-    def test_is_minimum_over_separable_box(self, random_bipartite_factory, rng, lam_max):
-        # ||M - diag(aJ, bJ)||_op from a dense eigensolve never undercuts the
-        # bound on the box |a|, |b| <= 1, and the marginal product attains it
-        jmat = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    def test_is_minimum_over_separable_box(self, random_bipartite_factory, random_cm_factory, lam_max):
+        # ||M - diag(D_A, D_B)||_op from a dense eigensolve never undercuts the
+        # bound over random bona fide D_A, D_B, and the marginal product attains it
+        def opnorm(m, sep):
+            return float(np.max(np.abs(np.linalg.eigvalsh(1j * (m - sep.mat)))))
 
-        def opnorm_shifted(m, a, c):
-            shift = np.zeros((4, 4))
-            shift[:2, :2], shift[2:, 2:] = a * jmat, c * jmat
-            return float(np.max(np.abs(np.linalg.eigvalsh(1j * (m - shift)))))
-
-        for _ in range(20):
-            b = random_bipartite_factory(1, 1, lam_max)
-            m = b.mat
-            low = bounds.lower_bound_two_mode(b)
-            for a, c in rng.uniform(-1.0, 1.0, size=(10, 2)):
-                assert opnorm_shifted(m, a, c) >= low - 1e-12
-            assert opnorm_shifted(m, m[0, 1], m[2, 3]) == pytest.approx(low, abs=1e-12)
+        for n_a, n_b in SPLITS:
+            seps = [fgs.product_cm(random_cm_factory(n_a), random_cm_factory(n_b)) for _ in range(10)]
+            for _ in range(20):
+                b = random_bipartite_factory(n_a, n_b, lam_max)
+                low = bounds.lower_bound_two_mode(b)
+                for sep in seps:
+                    assert opnorm(b.mat, sep) >= low - 1e-12
+                marginals = fgs.product_cm(fgs.marginal(b, "A"), fgs.marginal(b, "B"))
+                assert opnorm(b.mat, marginals) == pytest.approx(low, abs=1e-12)
 
     def test_epr(self):
         assert bounds.lower_bound_two_mode(bounds.family_cm(1, 1)) == pytest.approx(1.0)
@@ -123,22 +124,32 @@ class TestLowerBoundTwoMode:
         assert bounds.lower_bound_two_mode(b) == pytest.approx(0.0, abs=1e-10)
 
     def test_wrong_split(self, random_bipartite_factory):
-        with pytest.raises(WrongSplitError):
-            bounds.lower_bound_two_mode(random_bipartite_factory(2, 1))
+        # a 2 + 1 state gets its ||X||_op: the bound holds at every split
+        b = random_bipartite_factory(2, 1)
+        assert bounds.lower_bound_two_mode(b) == pytest.approx(np.linalg.norm(b.block_x, 2), abs=1e-12)
 
-    def test_below_dense_distance(self, random_bipartite_factory):
-        # lower bound <= trace distance to the marginal product state <= upper
-        cases = [bounds.family_cm(k1, k2) for k1 in (1, 2, 3) for k2 in (1, 2, 3)]
-        cases += [random_bipartite_factory(1, 1) for _ in range(100)]
-        for b in cases:
+    def test_below_dense_distance(self, random_bipartite_factory, random_cm_factory):
+        # lower bound <= trace distance to the marginal product state <= upper,
+        # and the lower bound also stays below the distance to random products
+        def dense_distance(b, sep):
+            return oracle.trace_distance(oracle.state_from_cm(b.cm), oracle.state_from_cm(sep.cm))
+
+        cases = [(bounds.family_cm(k1, k2), 0) for k1 in (1, 2, 3) for k2 in (1, 2, 3)]
+        cases += [(random_bipartite_factory(1, 1), 0) for _ in range(100)]
+        cases += [
+            (random_bipartite_factory(n_a, n_b, lam_max), 3)
+            for n_a, n_b in SPLITS
+            for lam_max in (1.0, 0.9, 0.5)
+            for _ in range(4)
+        ]
+        for b, n_products in cases:
             low = bounds.lower_bound_two_mode(b)
-            prod = fgs.product_cm(fgs.marginal(b, "A"), fgs.marginal(b, "B"))
-            dist = oracle.trace_distance(
-                oracle.state_from_cm(b.cm), oracle.state_from_cm(prod.cm)
-            )
-            upper = bounds.trace_upper_from_cm(b)
+            dist = dense_distance(b, fgs.product_cm(fgs.marginal(b, "A"), fgs.marginal(b, "B")))
             assert low <= dist + 1e-9
-            assert dist <= upper + 1e-9
+            assert dist <= bounds.trace_upper_from_cm(b) + 1e-9
+            for _ in range(n_products):
+                sep = fgs.product_cm(random_cm_factory(b.n_a), random_cm_factory(b.n_b))
+                assert low <= dense_distance(b, sep) + 1e-9
 
 
 class TestFamily:

@@ -159,6 +159,15 @@ class TestValidateChannel:
         with pytest.raises(NotCPError, match="finite"):
             channels.GaussianChannel(x, matalg.AntisymmetricMatrix(np.zeros((2, 2))))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "x_shape, n_dim", [((2, 0), 2), ((0, 2), 0), ((0, 0), 0)], ids=["no-input", "no-output", "neither"]
+    )
+    def test_direct_construction_refuses_a_side_without_modes(self, x_shape, n_dim):
+        # the Choi state and the CP test need a mode on each side
+        with pytest.raises(DimensionMismatchError, match="an input and an output mode"):
+            channels.GaussianChannel(np.zeros(x_shape), matalg.AntisymmetricMatrix(np.zeros((n_dim, n_dim))))
+
 
 class TestApply:
     def test_identity(self, random_cm_factory):

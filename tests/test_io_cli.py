@@ -329,6 +329,15 @@ class TestBoundsCmd:
         assert out["trace_upper_cm"] == pytest.approx(1.0)
         assert out["trace_lower"] == pytest.approx(0.5, abs=1e-8)
 
+    def test_with_cm_at_two_plus_one(self, tmp_path, random_bipartite_factory, capsys):
+        # trace_lower is ||X||_op at every split, not only on 1 + 1
+        b = random_bipartite_factory(2, 1)
+        path = tmp_path / "state21.cm"
+        io.save_cm(path, b)
+        assert run_cli("bounds", "2", "2", "--cm", str(path)) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["trace_lower"] == pytest.approx(np.linalg.norm(b.block_x, 2), abs=1e-12)
+
 
 class TestFamilyCmd:
     def test_single(self, capsys):
