@@ -8,6 +8,7 @@ oracle-verify. Output is JSON by default (stable key set, sorted keys);
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -128,8 +129,8 @@ def _cmd_extendible(args, config):
             io.save_cm(args.emit_extension, extend_mod.build_extension(query, result, config))
             payload["extension_file"] = args.emit_extension
         if args.emit_witness:
-            io.save_cm(args.emit_witness + ".deltaA.cm", result.delta_a.mat)
-            io.save_cm(args.emit_witness + ".deltaB.cm", result.delta_b.mat)
+            io.save_cm(args.emit_witness + ".deltaA.cm", result.delta_a)
+            io.save_cm(args.emit_witness + ".deltaB.cm", result.delta_b)
             payload["witness_files"] = [
                 args.emit_witness + ".deltaA.cm",
                 args.emit_witness + ".deltaB.cm",
@@ -228,16 +229,7 @@ def _cmd_oracle_verify(args, config):
         if value < 1:
             raise ParseError(f"{flag} {value} must be at least 1")
     report = verify.run_suite(args.suite, args.n_max, args.trials, config.seed)
-    _emit(
-        {
-            "suite": report.suite,
-            "trials": report.trials,
-            "max_residual": report.max_residual,
-            "tolerance": report.tolerance,
-            "passed": report.passed,
-        },
-        config,
-    )
+    _emit(dataclasses.asdict(report), config)
     return EXIT_OK if report.passed else EXIT_INFEASIBLE
 
 

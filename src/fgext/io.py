@@ -162,8 +162,9 @@ def load_cm(path, eps_psd: float = EPS_PSD):
 
 
 def save_cm(path, cm):
-    """Write a CovarianceMatrix, a BipartiteCM or a bare matrix in the text format."""
-    mat = np.asarray(getattr(cm, "mat", cm))
+    """Write a CovarianceMatrix, a BipartiteCM, an AntisymmetricMatrix or a bare
+    matrix that passes the AntisymmetricMatrix check, in the text format."""
+    mat = cm.mat if hasattr(cm, "mat") else matalg.AntisymmetricMatrix(cm).mat
     split = (cm.n_a, cm.n_b) if isinstance(cm, BipartiteCM) else None
     _write(path, _CM_FIELDS, {"modes": mat.shape[0] // 2, "split": split, "matrix": mat})
 

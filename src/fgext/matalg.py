@@ -18,7 +18,8 @@ Antisymmetry is decided once per matrix, at one of two gates:
 * antisymmetrize, tolerant (ANTISYM_RTOL relative), for data from outside:
   files, and raw arrays given to validate_cm or validate_channel;
 * the AntisymmetricMatrix constructor, strict (1e-12 absolute), for
-  callers outside the package.
+  callers outside the package, and for raw arrays given to
+  hermitian_spectrum, pfaffian or canonical_form.
 
 Matrices that fgext assembles from parts already checked (the
 projection itself, witnesses, extensions, Choi and literal states) are
@@ -163,7 +164,7 @@ def antisymmetrize(raw: np.ndarray) -> AntisymmetricMatrix:
 
 
 def _as_mat(k) -> np.ndarray:
-    return k.mat if isinstance(k, AntisymmetricMatrix) else _require_even_square(k)
+    return (k if isinstance(k, AntisymmetricMatrix) else AntisymmetricMatrix(k)).mat
 
 
 def hermitian_spectrum(k) -> np.ndarray:

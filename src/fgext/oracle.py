@@ -37,7 +37,8 @@ and multiply no dense Majorana matrices:
 * DenseState checks the sector blocks before it makes ρ of them: each
   plus 1e-10 I is factorised by Cholesky, a fraction of an eigensolve,
   and diagonalised only when that fails; trace_distance and entropies
-  diagonalise the blocks, a quarter of the work of one full eigvalsh;
+  diagonalise the blocks, a quarter of the work of one full eigvalsh, and
+  trace_distance subtracts the two states' blocks, not their full ρ;
 * cm_from_state and wick_check compose strings (XOR of the masks,
   product of the phases) and read one XOR diagonal ρ[x, x ^ m] per
   monomial, O(n² 2^n) for the whole covariance matrix;
@@ -49,7 +50,7 @@ of their bytes against DENSE_BYTES_CAP.
 """
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -105,7 +106,7 @@ class DenseState:
     own: the given sector blocks and exact zeros between the sectors.
     """
 
-    rho: np.ndarray = field(repr=False)
+    rho: np.ndarray
 
     def __post_init__(self):
         # the given array is only read
@@ -208,11 +209,6 @@ def _sectors(n: int) -> tuple:
     """rho[_sectors(n)] is the (2, 2^(n-1), 2^(n-1)) stack of sector blocks."""
     rows = np.array(_sector_rows(n))
     return rows[:, :, None], rows[:, None, :]
-
-
-def _sector_eigvalsh(rho: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a parity-even Hermitian ρ, from its two sector blocks."""
-    return np.linalg.eigvalsh(rho[_sectors(_modes_of(rho))]).ravel()
 
 
 def _require_modes(n: int, matrices: int):
@@ -321,11 +317,6 @@ def _pfaffian_table(m: np.ndarray, scale: float) -> tuple:
     return halves
 
 
-def _state_from_canonical(rotation: np.ndarray, lambdas, n: int) -> np.ndarray:
-    """Dense ρ built by _state_blocks, read-only; no physicality check."""
-    return _full(_state_blocks(rotation, lambdas, n))
-
-
 def _state_blocks(rotation: np.ndarray, lambdas, n: int) -> np.ndarray:
     """The sector blocks of ρ = 2^-n Σ_{x even} i^(|x|/2) Pf(M[x]) γ_{x_1} ⋯
     γ_{x_k} for M = R (⊕_j λ_j [[0, 1], [-1, 0]]) R^T: by Wick's theorem
@@ -423,7 +414,10 @@ def trace_distance(a: DenseState, b: DenseState) -> float:
     """||ρ_a - ρ_b||_1, the sum of absolute eigenvalues of the difference."""
     if a.n != b.n:
         raise DimensionMismatchError(f"mode mismatch: {a.n} vs {b.n}")
-    return float(np.sum(np.abs(_sector_eigvalsh(a.rho - b.rho))))
+    s = _sectors(a.n)
+    diff = a.rho[s]
+    diff -= b.rho[s]
+    return float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
 
 
 def wick_check(state: DenseState, m: CovarianceMatrix, idx) -> tuple:
@@ -458,7 +452,7 @@ def _partial_trace(rho: np.ndarray, n: int, keep: int, side: str) -> np.ndarray:
 
 
 def _von_neumann_bits(rho: np.ndarray) -> float:
-    eigs = _sector_eigvalsh(rho)
+    eigs = np.linalg.eigvalsh(rho[_sectors(_modes_of(rho))]).ravel()
     eigs = eigs[eigs > 1e-14]
     return float(-np.sum(eigs * np.log2(eigs)))
 

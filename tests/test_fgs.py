@@ -337,8 +337,6 @@ class TestHamiltonian:
 
 def test_validate_matches_dense_psd(rng):
     # acceptance of validate_cm coincides with dense-state positivity
-    from fgext.oracle import _state_from_canonical
-
     for _ in range(40):
         n = int(rng.integers(1, 4))
         q, _ = np.linalg.qr(rng.standard_normal((2 * n, 2 * n)))
@@ -352,6 +350,6 @@ def test_validate_matches_dense_psd(rng):
             fgs.validate_cm(body)
         except NotBonaFideError:
             accepted = False
-        rho = _state_from_canonical(q, lams, n)
+        rho = oracle._full(oracle._state_blocks(q, lams, n))
         dense_ok = bool(np.linalg.eigvalsh(rho)[0] >= -1e-10)
         assert accepted == dense_ok

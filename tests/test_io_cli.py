@@ -9,7 +9,7 @@ from conftest import copies, family22_direct_sum, family22_x_scaled
 from fgext import channels, cli, fgs, io, verify
 from fgext.bounds import epsilon_family, family_cm
 from fgext.config import RunConfig
-from fgext.errors import ParseError
+from fgext.errors import DimensionOddError, NotAntisymmetricError, ParseError
 
 
 @pytest.fixture
@@ -50,6 +50,21 @@ class TestCmFormat:
         path.write_text("modes 1\nmatrix\n0 1\n-0.9 0\n")
         with pytest.raises(ParseError):
             io.load_cm(path)
+
+    @pytest.mark.parametrize(
+        "bare, error",
+        [
+            (np.zeros((3, 3)), DimensionOddError),
+            (np.array([[0.0, 1.0], [1.0, 0.0]]), NotAntisymmetricError),
+            (np.array([[0.0, np.nan], [-np.nan, 0.0]]), NotAntisymmetricError),
+        ],
+        ids=["odd", "symmetric", "nan"],
+    )
+    def test_save_refuses_what_load_refuses(self, tmp_path, bare, error):
+        path = tmp_path / "bad.cm"
+        with pytest.raises(error):
+            io.save_cm(path, bare)
+        assert not path.exists()
 
     def test_missing_fields(self, tmp_path):
         path = tmp_path / "bad.cm"

@@ -157,6 +157,14 @@ class TestAntisymmetricMatrix:
         out = matalg.AntisymmetricMatrix(np.zeros((0, 0)))
         assert out.dim == 0 and matalg.pfaffian(out) == 1.0
 
+    @pytest.mark.parametrize("routine", ["hermitian_spectrum", "pfaffian", "canonical_form"])
+    @pytest.mark.parametrize(
+        "raw", [[[0.0, 1.0], [1.0, 0.0]], [[0.0, 2.0], [5.0, 0.0]]], ids=["symmetric", "asymmetric"]
+    )
+    def test_raw_array_passes_the_strict_gate(self, routine, raw):
+        with pytest.raises(NotAntisymmetricError, match="construction tolerance"):
+            getattr(matalg, routine)(np.array(raw))
+
 
 class TestHermitianSpectrum:
     def test_vacuum(self):

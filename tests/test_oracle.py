@@ -379,7 +379,7 @@ class TestDenseReference:
         reflection = q * np.where(np.arange(2 * n) == 0, -1.0, 1.0)
         for lams in (rng.uniform(-1.15, 1.15, size=n), rng.uniform(-1.0, 1.0, size=n)):
             for o in (q, reflection):
-                got = oracle._state_from_canonical(o, lams, n)
+                got = oracle._full(oracle._state_blocks(o, lams, n))
                 assert np.max(np.abs(got - _ref_state(o, lams, n))) < 1e-12
 
     def test_state_from_cm_at_eight_modes(self, rng, random_cm_factory):
@@ -390,14 +390,14 @@ class TestDenseReference:
         assert np.max(np.abs(oracle.state_from_cm(cm).rho - want)) < 1e-12
         reflection = special_orthogonal(rng, 16) * np.where(np.arange(16) == 0, -1.0, 1.0)
         lams = rng.uniform(-1.15, 1.15, size=8)
-        got = oracle._state_from_canonical(reflection, lams, 8)
+        got = oracle._full(oracle._state_blocks(reflection, lams, 8))
         assert np.max(np.abs(got - _ref_state(reflection, lams, 8))) < 1e-12
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_built_state_is_exactly_parity_even_and_hermitian(self, n, rng):
         # the build's own output, before DenseState checks anything
         lams = rng.uniform(-1.0, 1.0, size=n)
-        rho = oracle._state_from_canonical(special_orthogonal(rng, 2 * n), lams, n)
+        rho = oracle._full(oracle._state_blocks(special_orthogonal(rng, 2 * n), lams, n))
         signs = np.diag(oracle.parity_operator(n)).real
         assert np.array_equal(rho[np.not_equal.outer(signs, signs)], np.zeros(2 ** (2 * n - 1)))
         assert np.max(np.abs(rho - rho.conj().T)) <= 1e-15
@@ -606,6 +606,21 @@ class TestMemoryGuard:
         finally:
             tracemalloc.stop()
         assert state.n == n and not state.rho.flags.writeable
+        assert peak < bound * 16 * 4**n
+
+    @pytest.mark.parametrize("n", [8, 9, 10])
+    def test_trace_distance_peak(self, n, random_cm_factory):
+        # the difference is taken on the gathered sector blocks, half a matrix
+        # each, and never as a full 2^n x 2^n matrix: the call peaks at one
+        # matrix plus the eigensolve's work (1.131, 1.033 and 1.009 measured)
+        bound = {8: 1.16, 9: 1.06, 10: 1.04}[n]
+        a, b = (oracle.state_from_cm(random_cm_factory(n)) for _ in range(2))
+        tracemalloc.start()
+        try:
+            oracle.trace_distance(a, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
         assert peak < bound * 16 * 4**n
 
     def test_every_dense_allocation_checks_the_cap(self, monkeypatch, random_cm_factory):
