@@ -2,15 +2,15 @@
 
 Subcommands: check-cm, extendible, bounds, family, channel,
 oracle-verify. Output is JSON by default (stable key set, sorted keys);
-`--format table` prints aligned text. Exit codes: 0 success/feasible,
-1 infeasible, 2 not bona fide, 3 parse error, 4 solver stalled,
-5 too large.
+`--format table` prints aligned text. Settings come from the global flags
+alone: --eps-psd, --eps-feas and --max-iters make the RunConfig; --seed and
+--format are read from the parsed arguments. Exit codes: 0 success/feasible,
+1 infeasible, 2 not bona fide, 3 parse error, 4 solver stalled, 5 too large.
 """
 
 import argparse
 import dataclasses
 import json
-import os
 import sys
 
 import numpy as np
@@ -19,7 +19,7 @@ from . import bounds as bounds_mod
 from . import channels as channels_mod
 from . import extend as extend_mod
 from . import fgs, io, matalg, verify
-from .config import RunConfig
+from .config import DEFAULT_CONFIG, RunConfig
 from .errors import (
     FgextError,
     NotBonaFideError,
@@ -38,27 +38,18 @@ EXIT_TOO_LARGE = 5
 
 
 def _config_from_args(args) -> RunConfig:
-    """RunConfig from FGEXT_CONFIG and the global flags; ParseError if invalid."""
-    defaults = {}
-    override = os.environ.get("FGEXT_CONFIG")
-    if override:
-        with open(override, "r", encoding="utf-8") as handle:
-            try:
-                defaults.update(json.load(handle))
-            except (TypeError, ValueError) as exc:  # bad JSON, or not an object
-                raise ParseError(f"FGEXT_CONFIG {override}: {exc}") from None
-    for key in ("eps_psd", "eps_feas", "max_iters", "seed", "output_format"):
-        val = getattr(args, key, None)
-        if val is not None:
-            defaults[key] = val
+    """RunConfig from the global flags, once --seed is at least 0; ParseError if invalid."""
     try:
-        return RunConfig(**defaults)
-    except (TypeError, ValueError) as exc:
+        config = RunConfig(args.eps_psd, args.eps_feas, args.max_iters)
+    except ValueError as exc:
         raise ParseError(f"run configuration: {exc}") from None
+    if args.seed < 0:
+        raise ParseError(f"run configuration: seed must be an integer >= 0, not {args.seed!r}")
+    return config
 
 
-def _emit(payload, config: RunConfig):
-    if config.output_format == "table":
+def _emit(payload, args):
+    if args.format == "table":
         rows = payload if isinstance(payload, list) else [payload]
         keys = sorted({k for row in rows for k in row})
         widths = {
@@ -105,17 +96,12 @@ def _cmd_check_cm(args, config):
         lams = [float(v) for v in form.lambdas]
         report["lambdas"] = lams
         report["pure"] = bool(min(abs(v) for v in lams) >= 1.0 - config.eps_psd)
-    _emit(report, config)
+    _emit(report, args)
     return EXIT_OK if valid else EXIT_NOT_BONA_FIDE
 
 
 def _result_payload(result):
-    payload = {
-        "status": result.status.value,
-        "margin": result.margin,
-        "certificate": result.certificate,
-    }
-    return payload
+    return {"status": result.status.value, "margin": result.margin, "certificate": result.certificate}
 
 
 def _cmd_extendible(args, config):
@@ -135,7 +121,7 @@ def _cmd_extendible(args, config):
                 args.emit_witness + ".deltaA.cm",
                 args.emit_witness + ".deltaB.cm",
             ]
-    _emit(payload, config)
+    _emit(payload, args)
     return EXIT_OK if result.feasible else EXIT_INFEASIBLE
 
 
@@ -164,7 +150,7 @@ def _cmd_bounds(args, config):
         record = _bounds_record(b.n_a, b.n_b, args.k1, args.k2, cm=b)
     else:
         record = _bounds_record(args.na, args.nb, args.k1, args.k2)
-    _emit(record, config)
+    _emit(record, args)
     return EXIT_OK
 
 
@@ -188,14 +174,14 @@ def _cmd_family(args, config):
             raise ParseError("--emit requires a single (k1, k2) tuple")
         io.save_cm(args.emit, bounds_mod.family_cm(*tuples[0]))
     records = [_family_record(*t) for t in tuples]
-    _emit(records if len(records) > 1 else records[0], config)
+    _emit(records if len(records) > 1 else records[0], args)
     return EXIT_OK
 
 
 def _cmd_channel(args, config):
     ch = io.load_channel(args.path, config.eps_psd)
     if args.action == "validate":
-        _emit({"valid": True, "n_in": ch.n_in, "n_out": ch.n_out}, config)
+        _emit({"valid": True, "n_in": ch.n_in, "n_out": ch.n_out}, args)
         return EXIT_OK
     if args.action == "choi":
         b = channels_mod.choi_cm(ch)
@@ -208,19 +194,18 @@ def _cmd_channel(args, config):
                 "spectrum": [float(v) for v in matalg.hermitian_spectrum(b.cm.body)],
                 "choi_file": args.out,
             },
-            config,
+            args,
         )
         return EXIT_OK
     if args.action == "eb":
         flag = channels_mod.is_entanglement_breaking(ch, config.eps_psd)
-        _emit({"entanglement_breaking": bool(flag)}, config)
+        _emit({"entanglement_breaking": bool(flag)}, args)
         return EXIT_OK
     if args.action == "antidegradable":
         result = channels_mod.antidegradable(ch, config)
     else:
         result = channels_mod.channel_k_extendible(ch, args.k, config)
-    payload = _result_payload(result)
-    _emit(payload, config)
+    _emit(_result_payload(result), args)
     return EXIT_OK if result.feasible else EXIT_INFEASIBLE
 
 
@@ -228,8 +213,8 @@ def _cmd_oracle_verify(args, config):
     for flag, value in (("--n-max", args.n_max), ("--trials", args.trials)):
         if value < 1:
             raise ParseError(f"{flag} {value} must be at least 1")
-    report = verify.run_suite(args.suite, args.n_max, args.trials, config.seed)
-    _emit(dataclasses.asdict(report), config)
+    report = verify.run_suite(args.suite, args.n_max, args.trials, args.seed)
+    _emit(dataclasses.asdict(report), args)
     return EXIT_OK if report.passed else EXIT_INFEASIBLE
 
 
@@ -238,13 +223,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="fgext",
         description="Extendibility and de Finetti bounds for fermionic Gaussian states",
     )
-    parser.add_argument("--eps-psd", dest="eps_psd", type=float, default=None)
-    parser.add_argument("--eps-feas", dest="eps_feas", type=float, default=None)
-    parser.add_argument("--max-iters", dest="max_iters", type=int, default=None)
-    parser.add_argument("--seed", dest="seed", type=int, default=None)
-    parser.add_argument(
-        "--format", dest="output_format", choices=("json", "table"), default=None
-    )
+    parser.add_argument("--eps-psd", type=float, default=DEFAULT_CONFIG.eps_psd)
+    parser.add_argument("--eps-feas", type=float, default=DEFAULT_CONFIG.eps_feas)
+    parser.add_argument("--max-iters", type=int, default=DEFAULT_CONFIG.max_iters)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--format", choices=("json", "table"), default="json")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check-cm", help="validate a covariance-matrix file")

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import matalg
 from .config import RunConfig, DEFAULT_CONFIG, is_count
-from .errors import InvalidParameterError, NotFeasibleError
+from .errors import InvalidParameterError, NotFeasibleError, WrongSplitError
 from .fgs import BipartiteCM, CovarianceMatrix, _bipartite, validate_cm
 from .solver import MatrixConstraint, margin_target, max_margin
 
@@ -48,11 +48,16 @@ class FeasibilityStatus(enum.Enum):
 
 @dataclass(frozen=True)
 class ExtendQuery:
+    """Is b (k1, k2)-extendible? WrongSplitError unless b is a BipartiteCM, which
+    declares the split; InvalidParameterError unless k1 and k2 are positive integers."""
+
     b: BipartiteCM
     k1: int
     k2: int
 
     def __post_init__(self):
+        if not isinstance(self.b, BipartiteCM):
+            raise WrongSplitError(f"b must be a BipartiteCM, not {type(self.b).__name__}")
         for k in (self.k1, self.k2):
             if not is_count(k):
                 raise InvalidParameterError("k1 and k2 must be positive integers")

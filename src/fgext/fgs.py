@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matalg
-from .config import EPS_PSD, is_count
+from .config import DEFAULT_CONFIG, is_count
 from .errors import (
     DimensionMismatchError,
     InvalidParameterError,
@@ -102,7 +102,7 @@ class BipartiteCM:
         return f"BipartiteCM(n_a={self.n_a}, n_b={self.n_b})"
 
 
-def validate_cm(k, eps_psd: float = EPS_PSD) -> CovarianceMatrix:
+def validate_cm(k, eps_psd: float = DEFAULT_CONFIG.eps_psd) -> CovarianceMatrix:
     """Accept K as a covariance matrix iff I + iK >= -eps_psd.
 
     Raises:

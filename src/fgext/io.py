@@ -35,7 +35,7 @@ import numpy as np
 
 from . import matalg
 from .channels import GaussianChannel, validate_channel
-from .config import EPS_PSD
+from .config import DEFAULT_CONFIG
 from .errors import NotAntisymmetricError, ParseError
 from .fgs import BipartiteCM, validate_cm
 
@@ -147,7 +147,7 @@ def load_cm_raw(path):
     return values["matrix"], split
 
 
-def load_cm(path, eps_psd: float = EPS_PSD):
+def load_cm(path, eps_psd: float = DEFAULT_CONFIG.eps_psd):
     """Read a covariance-matrix file.
 
     Returns a BipartiteCM when the file declares a split, else a
@@ -169,7 +169,7 @@ def save_cm(path, cm):
     _write(path, _CM_FIELDS, {"modes": mat.shape[0] // 2, "split": split, "matrix": mat})
 
 
-def load_channel(path, eps_psd: float = EPS_PSD) -> GaussianChannel:
+def load_channel(path, eps_psd: float = DEFAULT_CONFIG.eps_psd) -> GaussianChannel:
     """Read a channel file; complete positivity is checked at eps_psd."""
     values = _read(path, _CHANNEL_FIELDS, ("x_matrix", "n_matrix"))
     return validate_channel(values["x_matrix"], values["n_matrix"], eps_psd)

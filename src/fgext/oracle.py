@@ -86,7 +86,8 @@ MODE_CAP = 12
 #: 6 GiB of dense Majorana matrices at MODE_CAP modes do not.
 DENSE_BYTES_CAP = 2 * 2**30
 
-#: Dense 2^n x 2^n complex matrices alive at once in state_from_cm: 1.25 in
+#: Dense 2^n x 2^n complex matrices alive at once in state_from_cm, and
+#: above the given ρ in DenseState(ρ), which runs the same check: 1.25 in
 #: the build (the real Pfaffian table, the sector blocks, the rows they
 #: trade) and in the check (the blocks, a shifted block, LAPACK's copy and
 #: the factor), 1.5 once ρ is made of the blocks. A first call in a fresh
@@ -104,12 +105,15 @@ class DenseState:
     unit trace to 1e-10, with no eigenvalue below -1e-10 up to rounding of
     order 2^n times the unit roundoff. The stored ρ is read-only and its
     own: the given sector blocks and exact zeros between the sectors.
+    TooManyModesError for n over MODE_CAP, or when the check's matrices
+    would exceed DENSE_BYTES_CAP, before any of them is allocated.
     """
 
     rho: np.ndarray
 
     def __post_init__(self):
         # the given array is only read
+        _require_modes(_modes_of(np.asarray(self.rho)), matrices=_STATE_BUILD_MATRICES)
         object.__setattr__(self, "rho", _stored(_sector_blocks(np.asarray(self.rho, dtype=complex))))
 
     @property
@@ -424,12 +428,15 @@ def wick_check(state: DenseState, m: CovarianceMatrix, idx) -> tuple:
     """(lhs, rhs) of the moment identity Tr(i^(|x|/2) γ(x) ρ) = Pf(M[x]).
 
     idx must be a strictly increasing, even-sized tuple of Majorana
-    indices; for Gaussian states the two sides agree.
+    indices; for Gaussian states the two sides agree. M must have the
+    state's mode count (DimensionMismatchError).
     """
+    d = 2 * state.n
+    if len(m.mat) != d:
+        raise DimensionMismatchError(f"mode mismatch: state {state.n} vs covariance matrix {len(m.mat) // 2}")
     idx = tuple(idx)
     if len(idx) % 2 != 0:
         raise OddSubsetError(f"index subset {idx} has odd size")
-    d = 2 * state.n
     if any(not 0 <= i < d for i in idx):
         raise IndexOutOfRangeError(f"indices {idx} outside [0, {d})")
     if list(idx) != sorted(set(idx)):

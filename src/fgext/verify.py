@@ -12,6 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import extend, fgs, matalg, oracle
+from .config import is_count
+from .errors import InvalidParameterError
 
 __all__ = [
     "SuiteReport",
@@ -53,8 +55,11 @@ def twirled_extendible_instance(rng, n_a: int, n_b: int, k1: int, k2: int):
     Draw a random bona fide matrix on k1 n_A + k2 n_B modes, average its
     blocks over the two permutation groups (the twirl stays bona fide by
     convexity), and read off the pair marginal together with the witness
-    pair (Δ_A, Δ_B) = (M_A - Z, M_B - Y).
+    pair (Δ_A, Δ_B) = (M_A - Z, M_B - Y). InvalidParameterError unless
+    n_a, n_b, k1 and k2 are integers of at least 1.
     """
+    if not all(is_count(v) for v in (n_a, n_b, k1, k2)):
+        raise InvalidParameterError(f"mode counts and orders must be integers >= 1, not {(n_a, n_b, k1, k2)}")
     grand = random_bona_fide_cm(rng, k1 * n_a + k2 * n_b, lam_max=0.95).mat
     aa, bb, ab, _ = extend._copies(grand, k1, 2 * n_a, k2, 2 * n_b)
 
@@ -148,9 +153,13 @@ _SUITES = {
 
 
 def run_suite(suite: str, n_max: int = 3, trials: int = 50, seed: int = 0) -> SuiteReport:
-    """Run a named property suite and report the worst residual."""
+    """Run a named property suite and report the worst residual. ValueError for an unknown
+    suite; InvalidParameterError unless n_max, trials >= 1 and seed >= 0 are integers."""
     if suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {sorted(_SUITES)}")
+    for name, value, low in (("n_max", n_max, 1), ("trials", trials, 1), ("seed", seed, 0)):
+        if not is_count(value, low):
+            raise InvalidParameterError(f"{name} must be an integer >= {low}, not {value!r}")
     rng = np.random.default_rng(seed)
     worst, tol = _SUITES[suite](n_max, trials, rng)
     return SuiteReport(

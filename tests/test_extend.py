@@ -6,7 +6,7 @@ from conftest import copies, stinespring
 from fgext import channels, extend, fgs, matalg, oracle, solver
 from fgext.bounds import epsilon_family, family_cm
 from fgext.config import DEFAULT_CONFIG
-from fgext.errors import InvalidParameterError, NotFeasibleError
+from fgext.errors import InvalidParameterError, NotFeasibleError, WrongSplitError
 from fgext.extend import ExtendQuery, FeasibilityStatus, _theorem_constraints
 from fgext.verify import twirled_extendible_instance
 
@@ -134,6 +134,9 @@ class TestFeasibility:
     def test_invalid_parameters(self):
         with pytest.raises(InvalidParameterError):
             ExtendQuery(family_cm(2, 2), 0, 1)
+        # a CM with no declared split
+        with pytest.raises(WrongSplitError):
+            ExtendQuery(fgs.vacuum_cm(2), 1, 1)
 
     @pytest.mark.parametrize("k", [2.5, 2.0, True])
     def test_non_integral_orders_refused(self, k):

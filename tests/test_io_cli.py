@@ -9,7 +9,7 @@ from conftest import copies, family22_direct_sum, family22_x_scaled
 from fgext import channels, cli, fgs, io, verify
 from fgext.bounds import epsilon_family, family_cm
 from fgext.config import RunConfig
-from fgext.errors import DimensionOddError, NotAntisymmetricError, ParseError
+from fgext.errors import DimensionOddError, InvalidParameterError, NotAntisymmetricError, ParseError
 
 
 @pytest.fixture
@@ -583,23 +583,6 @@ class TestBadInputsExit3:
     def test_invalid_run_config(self, capsys, family_file, flag, value):
         self.assert_parse_error(capsys, flag, value, "check-cm", family_file)
 
-    @pytest.mark.parametrize(
-        "text",
-        [
-            '{"no_such_key": 1}',
-            "{not json",
-            "[1, 2]",
-            '{"max_iters": 2.5}',
-            '{"eps_psd": true}',
-            '{"seed": true}',
-        ],
-    )
-    def test_invalid_config_file(self, tmp_path, monkeypatch, capsys, family_file, text):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(text)
-        monkeypatch.setenv("FGEXT_CONFIG", str(cfg))
-        self.assert_parse_error(capsys, "check-cm", family_file)
-
 
 class TestOtherErrorsExit3:
     def test_family_below_one(self, capsys):
@@ -616,15 +599,8 @@ class TestOtherErrorsExit3:
 
 
 def test_run_config_accepts_numpy_scalars():
-    config = RunConfig(
-        eps_psd=np.float64(1e-6), eps_feas=np.float32(1e-5), max_iters=np.int64(5), seed=np.int32(3)
-    )
-    assert (config.max_iters, config.seed) == (5, 3)
-
-
-def test_run_config_refuses_an_unknown_output_format():
-    with pytest.raises(ValueError, match="output_format must be 'json' or 'table'"):
-        RunConfig(output_format="xml")
+    config = RunConfig(eps_psd=np.float64(1e-6), eps_feas=np.float32(1e-5), max_iters=np.int64(5))
+    assert (config.eps_psd, config.eps_feas, config.max_iters) == (1e-6, np.float32(1e-5), 5)
 
 
 def test_run_suite_refuses_an_unknown_suite():
@@ -632,11 +608,33 @@ def test_run_suite_refuses_an_unknown_suite():
         verify.run_suite("nope")
 
 
-def test_config_env_override(tmp_path, monkeypatch, capsys, family_file):
+@pytest.mark.parametrize(
+    "kwargs", [{"trials": -1}, {"trials": 0}, {"n_max": 0}, {"n_max": 2.0}, {"seed": -1}, {"seed": True}]
+)
+def test_run_suite_refuses_bad_counts(kwargs):
+    # trials=-1 used to report a passed suite that ran nothing
+    with pytest.raises(InvalidParameterError, match=next(iter(kwargs))):
+        verify.run_suite("wick", **kwargs)
+
+
+@pytest.mark.parametrize("counts", [(1, 1, 1, 0), (1, 1, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 2.0, 1)])
+def test_twirled_instance_refuses_bad_counts(counts):
+    with pytest.raises(InvalidParameterError):
+        verify.twirled_extendible_instance(np.random.default_rng(0), *counts)
+
+
+def test_fgext_config_is_ignored(tmp_path, monkeypatch, capsys, family_file):
+    # settings come from the global flags alone; no file named in the environment changes them
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"output_format": "table"}))
-    monkeypatch.setenv("FGEXT_CONFIG", str(cfg))
-    assert run_cli("check-cm", family_file) == 0
-    text = capsys.readouterr().out
-    with pytest.raises(json.JSONDecodeError):
-        json.loads(text)
+    cfg.write_text(json.dumps({"output_format": "table", "eps_psd": 0.5, "seed": 3}))
+    outputs = []
+    for value in (None, str(cfg), str(tmp_path / "absent.json")):
+        if value is not None:
+            monkeypatch.setenv("FGEXT_CONFIG", value)
+        for argv in (("check-cm", family_file), ("oracle-verify", "roundtrip", "--trials", "3")):
+            assert run_cli(*argv) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            outputs.append(captured.out)
+    assert outputs[2:4] == outputs[:2] and outputs[4:] == outputs[:2]
+    json.loads(outputs[0])

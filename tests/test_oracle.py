@@ -205,6 +205,11 @@ class TestWick:
             oracle.wick_check(state, cm, (0, 1, 2))
         with pytest.raises(IndexOutOfRangeError):
             oracle.wick_check(state, cm, (0, 7))
+        # a CM on other modes than the state's: moments of two different states
+        with pytest.raises(DimensionMismatchError):
+            oracle.wick_check(oracle.state_from_cm(fgs.vacuum_cm(1)), fgs.epr_cm(1).cm, (0, 1))
+        with pytest.raises(DimensionMismatchError):
+            oracle.wick_check(state, fgs.vacuum_cm(1), (0, 3))
 
     @pytest.mark.parametrize("idx", [(1, 0), (0, 0), (0, 2, 1, 3)])
     def test_indices_not_strictly_increasing_rejected(self, random_cm_factory, idx):
@@ -631,6 +636,8 @@ class TestMemoryGuard:
             oracle.parity_operator(11)
         with pytest.raises(TooManyModesError):
             oracle.jordan_wigner(3)
+        with pytest.raises(TooManyModesError):
+            oracle.DenseState(np.eye(8) / 8)
 
 
 def test_pure_state_at_ten_modes(rng):

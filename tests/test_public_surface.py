@@ -1,6 +1,7 @@
 """The exported names: what `fgext` and its modules promise to callers."""
 
 import ast
+import dataclasses
 import importlib
 import pathlib
 
@@ -10,8 +11,8 @@ import fgext
 
 MODULES = ["bounds", "channels", "extend", "fgs", "io", "matalg", "oracle", "solver", "verify"]
 
-#: Public names removed from the API: aliases, a pass-through wrapper and
-#: routines without a caller.
+#: Public names removed from the API: aliases, a pass-through wrapper,
+#: routines without a caller and constants that restated RunConfig's defaults.
 REMOVED = [
     ("extend", "one_sided_feasibility"),
     ("bounds", "binary_entropy"),
@@ -19,6 +20,8 @@ REMOVED = [
     ("fgs", "hamiltonian_from_cm"),
     ("errors", "SingularStateError"),
     ("oracle", "dense_product"),
+    ("config", "EPS_PSD"),
+    ("config", "EPS_FEAS"),
     ("", "e_cq"),
     ("", "hamiltonian_from_cm"),
     ("", "one_sided_feasibility"),
@@ -46,7 +49,7 @@ def test_package_imports_only_listed_names():
     unlisted = [
         (module, name)
         for module, name in package_imports()
-        # config holds the tolerances and RunConfig and keeps no __all__
+        # config holds RunConfig and is_count and keeps no __all__
         if module != "config"
         and name not in importlib.import_module(f"fgext.{module}").__all__
     ]
@@ -61,3 +64,7 @@ def test_removed_name_is_gone(module, name):
 
 def test_definetti_report_has_no_trace_upper_alias():
     assert not hasattr(fgext.definetti_bounds(1, 1, 2, 2), "trace_upper")
+
+
+def test_run_config_holds_only_what_the_library_reads():
+    assert [f.name for f in dataclasses.fields(fgext.RunConfig)] == ["eps_psd", "eps_feas", "max_iters"]
