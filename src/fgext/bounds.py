@@ -68,7 +68,7 @@ def trace_upper_from_cm(b: BipartiteCM) -> float:
     Clamped at 2, the largest trace distance: a state admitted at a loose
     eps_psd can have ||X||_1 just above it.
     """
-    return min(2.0, matalg.norms(b.block_x)[1])
+    return min(2.0, matalg.norms(fgs._split(b).block_x)[1])
 
 
 def lower_bound_two_mode(b: BipartiteCM) -> float:
@@ -81,7 +81,7 @@ def lower_bound_two_mode(b: BipartiteCM) -> float:
     and a block has no larger operator norm than the whole; the marginal
     product diag(M_A, M_B), which is bona fide, attains it.
     """
-    return matalg.norms(b.block_x)[0]
+    return matalg.norms(fgs._split(b).block_x)[0]
 
 
 def _require_family_orders(k1, k2):

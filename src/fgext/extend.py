@@ -13,6 +13,13 @@ k1 n_A + k2 n_B modes whose pair marginals reproduce the input exactly.
 Two analytic prechecks refute infeasible queries without optimization:
 the cross-correlation bound λ_max(X^T X) <= 4/(k1 k2), and row-square
 sums of the extended matrix on rows free of unknown blocks.
+
+The solver starts at the marginals, except for one mode per side: there
+the last constraint reduces to a concave search in one variable, and a
+query whose marginals miss a margin of 0 starts at that search's point
+(_one_mode_start). The one rule that accepts a witness is unchanged:
+margin >= margin_target(config), so a feasible 1+1 query whose start
+meets it needs no interior-point iteration.
 """
 
 import enum
@@ -24,9 +31,9 @@ import numpy as np
 
 from . import matalg
 from .config import RunConfig, DEFAULT_CONFIG, is_count
-from .errors import InvalidParameterError, NotFeasibleError, WrongSplitError
-from .fgs import BipartiteCM, CovarianceMatrix, _bipartite, validate_cm
-from .solver import MatrixConstraint, margin_target, max_margin
+from .errors import InvalidParameterError, NotFeasibleError
+from .fgs import BipartiteCM, CovarianceMatrix, _bipartite, _split, validate_cm
+from .solver import MatrixConstraint, _objective, margin_target, max_margin
 
 __all__ = [
     "ExtendQuery",
@@ -56,8 +63,7 @@ class ExtendQuery:
     k2: int
 
     def __post_init__(self):
-        if not isinstance(self.b, BipartiteCM):
-            raise WrongSplitError(f"b must be a BipartiteCM, not {type(self.b).__name__}")
+        _split(self.b)
         for k in (self.k1, self.k2):
             if not is_count(k):
                 raise InvalidParameterError("k1 and k2 must be positive integers")
@@ -159,15 +165,104 @@ def _theorem_constraints(query: ExtendQuery):
     return constraints, warm
 
 
+#: Golden-section steps of _one_mode_start: they shrink a p range of
+#: width at most 2 to 2 · 0.618⁷⁵ < 5e-16.
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_STEPS = 75
+
+
+def _one_mode_start(query: ExtendQuery, constraints, config: RunConfig):
+    """A start point in closed form for one mode per side and some k > 1, or None.
+
+    Write M_A = aJ, M_B = bJ, Δ_A = αJ and Δ_B = βJ with J = [[0, 1], [-1, 0]],
+    p = k1 a - (k1-1) α, q = k2 b - (k2-1) β, s² = k1 k2, d = det X and
+    x1 >= x2 the singular values of X. For |p| < 1 the Schur complement of
+    I + ipJ in the last constraint (Boyd & Vandenberghe, App. A.5.5; XᵀJX = dJ)
+    leaves |q + c p d| <= r, c = s²/(1 - p²), r = sqrt((1 - c x1²)(1 - c x2²)),
+    which needs |p| <= w = sqrt(1 - s² x1²). |α|, |β| <= 1 bound p and q to
+    [k a - (k-1), k a + (k-1)]; a side with k = 1 stays at its marginal.
+
+    None when the marginals already have a margin >= 0, tested in scalars:
+    the last constraint's skew part K at the marginals has largest |eigenvalue|
+    ν with ν² = (S + sqrt(S² - 4P²))/2, S = a² + b² + s²‖X‖²_F and P = Pf K
+    = ab - s² d. Otherwise golden-section search maximises over p the length
+    of the overlap of q's window with q's range, which is concave in p, and
+    takes q at the overlap's middle. None if the overlap is empty, unless
+    the point still meets margin_target(config): at a single feasible point
+    (family_cm(k1, k2) at its own order, pure loss below 1/2 at (2, 1))
+    rounding alone decides the overlap's sign. With k1 = 1 the sides are
+    swapped first (a ↔ b, X → Xᵀ), so a query and its swapped copy compute
+    the same floats. max_margin's warm-start test accepts the start.
+    """
+    b, k1, k2 = query.b, query.k1, query.k2
+    if b.n_a != 1 or b.n_b != 1 or k1 == k2 == 1:
+        return None
+    (_, a, x00, x01), (_, _, x10, x11), (_, _, _, m_b), _ = b.mat.tolist()
+    if k1 == 1:
+        k1, k2, a, m_b, x01, x10 = k2, k1, m_b, a, x10, x01
+    s2 = k1 * k2
+    f, d = x00 * x00 + x01 * x01 + x10 * x10 + x11 * x11, x00 * x11 - x01 * x10
+    big, pf = a * a + m_b * m_b + s2 * f, a * m_b - s2 * d
+    if big + math.sqrt(max(big * big - 4.0 * pf * pf, 0.0)) <= 2.0:
+        return None
+    sq1 = (f + math.sqrt(max(f * f - 4.0 * d * d, 0.0))) / 2.0
+    sq2 = max(f - sq1, 0.0)
+    w = math.sqrt(max(1.0 - s2 * sq1, 0.0))
+    p_lo, p_hi = max(k1 * a - (k1 - 1), -w), min(k1 * a + (k1 - 1), w)
+    q_lo, q_hi = k2 * m_b - (k2 - 1), k2 * m_b + (k2 - 1)
+    if not p_lo <= p_hi or w >= 1.0:
+        return None
+
+    def window(p):
+        # 1 - c x1² < 0 (s² x1² > 1, or rounding at |p| = w) turns it inside out
+        c = s2 / (1.0 - p * p)
+        e1, e2 = 1.0 - c * sq1, 1.0 - c * sq2
+        r = math.sqrt(e1 * e2) if e1 >= 0.0 else e1
+        return max(-c * p * d - r, q_lo), min(-c * p * d + r, q_hi)
+
+    def overlap(p):
+        low, high = window(p)
+        return high - low
+
+    # golden-section search: each step keeps the bracket around the larger
+    # of two inner points and reuses the other inner point
+    lo, hi = p_lo, p_hi
+    left, right = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
+    at_left, at_right = overlap(left), overlap(right)
+    for _ in range(_GOLDEN_STEPS):
+        if at_left < at_right:
+            lo, left, at_left = left, right, at_right
+            right = lo + _GOLDEN * (hi - lo)
+            at_right = overlap(right)
+        else:
+            hi, right, at_right = right, left, at_left
+            left = hi - _GOLDEN * (hi - lo)
+            at_left = overlap(left)
+    p = (lo + hi) / 2.0
+    low, high = window(p)
+    starts = [(k1 * a - p) / (k1 - 1)]
+    if k2 > 1:
+        starts.append((k2 * m_b - (low + high) / 2.0) / (k2 - 1))
+    start = [np.array([[0.0, t], [-t, 0.0]]) for t in starts]
+    if low > high and _objective(constraints, start) < margin_target(config):
+        return None
+    return start
+
+
 def solver_verdict(query: ExtendQuery, config: RunConfig) -> FeasibilityResult:
     """Decide a query by max_margin alone, without the prechecks.
 
     FEASIBLE, carrying the witnesses, iff the margin is at least
     margin_target(config); INFEASIBLE_NUMERICAL otherwise. The witnesses
     are exactly antisymmetric; a side with k = 1 carries its marginal.
+    A query with one mode per side and some k > 1 whose marginals miss a
+    margin of 0 starts at _one_mode_start's point, found in closed form,
+    when there is one; every other query starts at the marginals. Either
+    way max_margin's one rule, margin >= margin_target(config), accepts a
+    witness, and a start that meets it returns after 0 iterations.
     """
     constraints, warm = _theorem_constraints(query)
-    outcome = max_margin(constraints, warm, config)
+    outcome = max_margin(constraints, _one_mode_start(query, constraints, config) or warm, config)
     if outcome.margin < margin_target(config):
         return FeasibilityResult(
             FeasibilityStatus.INFEASIBLE_NUMERICAL, None, None, outcome.margin, None
@@ -239,4 +334,4 @@ def build_extension(
 
 def is_separable_gaussian(b: BipartiteCM, eps_psd: float = DEFAULT_CONFIG.eps_psd) -> bool:
     """Gaussian separability is exactly the product structure: ||X||_op <= eps."""
-    return matalg.norms(b.block_x)[0] <= eps_psd
+    return matalg.norms(_split(b).block_x)[0] <= eps_psd

@@ -102,6 +102,13 @@ class BipartiteCM:
         return f"BipartiteCM(n_a={self.n_a}, n_b={self.n_b})"
 
 
+def _split(b) -> BipartiteCM:
+    """b itself; WrongSplitError unless it is a BipartiteCM, which declares the split."""
+    if not isinstance(b, BipartiteCM):
+        raise WrongSplitError(f"b must be a BipartiteCM, not {type(b).__name__}")
+    return b
+
+
 def validate_cm(k, eps_psd: float = DEFAULT_CONFIG.eps_psd) -> CovarianceMatrix:
     """Accept K as a covariance matrix iff I + iK >= -eps_psd.
 
@@ -187,6 +194,7 @@ def epr_cm(m: int) -> BipartiteCM:
 
 def marginal(b: BipartiteCM, side: str) -> CovarianceMatrix:
     """Reduced covariance matrix of side 'A' or 'B' (a principal submatrix)."""
+    _split(b)
     if side not in ("A", "B"):
         raise InvalidParameterError("side must be 'A' or 'B'")
     block = b.block_a if side == "A" else b.block_b

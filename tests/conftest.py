@@ -54,6 +54,13 @@ def special_orthogonal(rng, d):
     return q
 
 
+def random_pure(rng, n_a, n_b):
+    """Random SO(2n) conjugation of a canonical form with every λ = ±1."""
+    n = n_a + n_b
+    form = matalg.CanonicalForm(special_orthogonal(rng, 2 * n), rng.choice([-1.0, 1.0], n))
+    return bipartite(form.reconstruct(), n_a, n_b)
+
+
 def stinespring(rng, n_in, n_env, n_out):
     """Keep n_out modes of a random SO(2(n_in + n_env)) rotation of the input
     beside a random bona fide environment: X = O[out, in], N = E M_E E^T."""

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from fgext import bounds, extend, fgs, matalg, oracle
-from fgext.errors import OutOfRangeError
+from fgext.errors import OutOfRangeError, WrongSplitError
 
 #: Every split with n_A + n_B <= 6.
 SPLITS = [(n_a, n_b) for n_a in range(1, 6) for n_b in range(1, 7 - n_a)]
@@ -127,6 +127,10 @@ class TestLowerBoundTwoMode:
         # a 2 + 1 state gets its ||X||_op: the bound holds at every split
         b = random_bipartite_factory(2, 1)
         assert bounds.lower_bound_two_mode(b) == pytest.approx(np.linalg.norm(b.block_x, 2), abs=1e-12)
+        # a CM without a declared split is refused
+        for routine in (bounds.lower_bound_two_mode, bounds.trace_upper_from_cm):
+            with pytest.raises(WrongSplitError):
+                routine(fgs.vacuum_cm(2))
 
     def test_below_dense_distance(self, random_bipartite_factory, random_cm_factory):
         # lower bound <= trace distance to the marginal product state <= upper,

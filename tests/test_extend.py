@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import copies, stinespring
+from conftest import copies, random_pure, stinespring
 from fgext import channels, extend, fgs, matalg, oracle, solver
 from fgext.bounds import epsilon_family, family_cm
 from fgext.config import DEFAULT_CONFIG
-from fgext.errors import InvalidParameterError, NotFeasibleError, WrongSplitError
+from fgext.errors import InvalidParameterError, NotFeasibleError, SolverStalledError, WrongSplitError
 from fgext.extend import ExtendQuery, FeasibilityStatus, _theorem_constraints
-from fgext.verify import twirled_extendible_instance
+from fgext.verify import random_bipartite_cm, twirled_extendible_instance
 
 
 def family_query(k1, k2, q1=None, q2=None):
@@ -137,6 +138,8 @@ class TestFeasibility:
         # a CM with no declared split
         with pytest.raises(WrongSplitError):
             ExtendQuery(fgs.vacuum_cm(2), 1, 1)
+        with pytest.raises(WrongSplitError):
+            extend.is_separable_gaussian(fgs.vacuum_cm(2))
 
     @pytest.mark.parametrize("k", [2.5, 2.0, True])
     def test_non_integral_orders_refused(self, k):
@@ -351,3 +354,38 @@ class TestZeroMarginalElimination:
         b = twirled_extendible_instance(rng, 1, 2, 2, 1)[0]
         cons, _ = _theorem_constraints(ExtendQuery(b, 2, 1))
         assert cons[-1].dim == 6
+
+
+def one_mode_state(kind, seed):
+    """A 1+1 state: random mixed or pure, family_cm, or a random 1→1 channel's Choi state."""
+    rng = np.random.default_rng(seed)
+    if kind == "mixed":
+        return random_bipartite_cm(rng, 1, 1, rng.uniform(0.2, 1.0))
+    if kind == "pure":
+        return random_pure(rng, 1, 1)
+    if kind == "family":
+        return family_cm(*(int(k) for k in rng.integers(1, 6, 2)))
+    return channels.choi_cm(stinespring(rng, 1, int(rng.integers(1, 3)), 1))
+
+
+class TestOneModeStart:
+    """_one_mode_start against max_margin run from the marginals."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(st.sampled_from(["mixed", "pure", "family", "choi"]), st.integers(0, 2**32 - 1),
+           st.integers(1, 4), st.integers(1, 4))
+    def test_start_is_a_witness_and_keeps_the_verdict(self, kind, seed, k1, k2):
+        query = ExtendQuery(one_mode_state(kind, seed), k1, k2)
+        cons, warm = _theorem_constraints(query)
+        target = solver.margin_target(DEFAULT_CONFIG)
+        start = extend._one_mode_start(query, cons, DEFAULT_CONFIG)
+        if start is not None:
+            assert solver._objective(cons, start) >= target
+        try:
+            margin = solver.max_margin(cons, warm).margin
+        except SolverStalledError:
+            return
+        if margin < -1e-6:
+            assert start is None
+        if abs(margin) > 1e-6:
+            assert extend.solver_verdict(query, DEFAULT_CONFIG).feasible == (margin >= target)

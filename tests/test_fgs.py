@@ -180,6 +180,10 @@ class TestFrozenTypes:
             fgs.BipartiteCM(cm, 1, 1)
         with pytest.raises(WrongSplitError):
             fgs.BipartiteCM(cm, 0, 3)
+        # a CM without a declared split
+        for routine in (fgs.mutual_information, lambda b: fgs.marginal(b, "A")):
+            with pytest.raises(WrongSplitError):
+                routine(fgs.vacuum_cm(2))
 
     def test_split_counts_are_integers(self):
         cm = fgs.vacuum_cm(2)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import bipartite, copies, family22_direct_sum, family22_x_scaled, special_orthogonal
+from conftest import copies, family22_direct_sum, family22_x_scaled, random_pure
 from fgext import channels, extend, fgs, matalg, solver, verify
 from fgext.bounds import family_cm
 from fgext.config import RunConfig
@@ -24,17 +24,13 @@ FAMILY_UP = (
     ((2, 1), (3, 2)), ((2, 2), (3, 2)),
 )
 
+#: M(k1, k2) at its own order: a single feasible point, on the boundary.
+FAMILY_OWN = ((1, 2), (2, 2), (2, 3), (3, 3), (4, 4), (1, 4), (3, 1))
+
 
 def solve(query, config=RunConfig()):
     cons, warm = _theorem_constraints(query)
     return solver.max_margin(cons, warm, config)
-
-
-def random_pure(rng, n_a, n_b):
-    """Random SO(2n) conjugation of a canonical form with every λ = ±1."""
-    n = n_a + n_b
-    form = matalg.CanonicalForm(special_orthogonal(rng, 2 * n), rng.choice([-1.0, 1.0], n))
-    return bipartite(form.reconstruct(), n_a, n_b)
 
 
 def not_22_by_rows(b):
@@ -53,7 +49,7 @@ class TestClosedForms:
         assert outcome.margin <= closed + 1e-12 <= outcome.bound + 1e-12
         assert outcome.bound - outcome.margin <= 1e-7
 
-    @pytest.mark.parametrize("k1, k2", [(1, 2), (2, 2), (2, 3), (3, 3), (4, 4), (1, 4), (3, 1)])
+    @pytest.mark.parametrize("k1, k2", FAMILY_OWN)
     def test_family_at_own_order_is_a_boundary_witness(self, k1, k2):
         outcome = solve(ExtendQuery(family_cm(k1, k2), k1, k2))
         assert -1e-9 <= outcome.margin <= 0.0 <= outcome.bound + 1e-12
@@ -468,7 +464,15 @@ class TestFormerNonConvergence:
             assert result.status is base.status
             assert result.margin == pytest.approx(base.margin, abs=1e-9)
 
-    def test_antidegradable_pure_loss_few_iterations(self, monkeypatch):
+    def test_antidegradable_pure_loss_few_iterations(self):
+        # from the marginals: solver_verdict starts these queries at the
+        # closed-form 1+1 point instead, which takes 0 iterations
+        for lam in np.arange(1, 50) / 100.0:
+            outcome = solve(ExtendQuery(channels.choi_cm(channels.pure_loss(lam)), 2, 1))
+            assert outcome.margin >= solver.margin_target(RunConfig()), lam
+            assert outcome.iterations <= 6, lam
+
+    def test_one_mode_boundary_queries_start_at_an_accepted_witness(self, monkeypatch):
         outcomes = []
 
         def spy(*args, **kwargs):
@@ -476,9 +480,13 @@ class TestFormerNonConvergence:
             return outcomes[-1]
 
         monkeypatch.setattr(extend, "max_margin", spy)
+        for k1, k2 in FAMILY_OWN:
+            assert extend.feasibility(ExtendQuery(family_cm(k1, k2), k1, k2)).feasible
+            assert outcomes[-1].iterations == 0, (k1, k2)
         for lam in np.arange(1, 50) / 100.0:
             assert channels.antidegradable(channels.pure_loss(lam)).feasible
-            assert outcomes[-1].iterations <= 6, lam
+            assert outcomes[-1].iterations == 0, lam
+        assert len(outcomes) == len(FAMILY_OWN) + 49
 
 
 def decide(b, k1, k2):
