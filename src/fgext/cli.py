@@ -210,9 +210,6 @@ def _cmd_channel(args, config):
 
 
 def _cmd_oracle_verify(args, config):
-    for flag, value in (("--n-max", args.n_max), ("--trials", args.trials)):
-        if value < 1:
-            raise ParseError(f"{flag} {value} must be at least 1")
     report = verify.run_suite(args.suite, args.n_max, args.trials, args.seed)
     _emit(dataclasses.asdict(report), args)
     return EXIT_OK if report.passed else EXIT_INFEASIBLE

@@ -80,8 +80,16 @@ class BipartiteCM:
             raise WrongSplitError("both sides of the split need a positive integer number of modes")
 
     @property
+    def body(self) -> matalg.AntisymmetricMatrix:
+        return self.cm.body
+
+    @property
     def mat(self) -> np.ndarray:
         return self.cm.mat
+
+    @property
+    def modes(self) -> int:
+        return self.cm.modes
 
     @property
     def block_a(self) -> np.ndarray:

@@ -442,7 +442,7 @@ def wick_check(state: DenseState, m: CovarianceMatrix, idx) -> tuple:
     if list(idx) != sorted(set(idx)):
         raise IndexOutOfRangeError(f"indices {idx} must be strictly increasing")
     lhs = float(((1j) ** (len(idx) // 2) * _string_trace(state.rho, state.n, idx)).real)
-    rhs = matalg.pfaffian(m.mat[np.ix_(idx, idx)]) if idx else 1.0
+    rhs = matalg.pfaffian(m.mat[np.ix_(idx, idx)])
     return lhs, rhs
 
 

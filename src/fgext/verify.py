@@ -1,9 +1,11 @@
 """Randomized oracle-vs-covariance-matrix property suites.
 
-Each suite draws seeded random Gaussian states, runs one structural
-identity through both the covariance-matrix layer and the dense
-Fock-space oracle, and reports the worst residual. These back the
-`oracle-verify` command and the heavier regression tests.
+Each suite is the residual of one seeded trial: it draws random Gaussian
+states, runs one structural identity through both the covariance-matrix
+layer and the dense Fock-space oracle, and returns how far the two sides
+disagree. run_suite runs the trials from one generator and reports the
+worst residual; a NaN residual is the worst, so it fails the suite. These
+back the `oracle-verify` command and the heavier regression tests.
 """
 
 import itertools
@@ -79,93 +81,76 @@ def twirled_extendible_instance(rng, n_a: int, n_b: int, k1: int, k2: int):
     return b, (m_a - z, m_b - y)
 
 
-def _suite_roundtrip(n_max, trials, rng):
-    worst = 0.0
-    for _ in range(trials):
-        n = int(rng.integers(1, n_max + 1))
-        cm = random_bona_fide_cm(rng, n)
-        back = oracle.cm_from_state(oracle.state_from_cm(cm))
-        worst = max(worst, float(np.max(np.abs(back.mat - cm.mat))))
-    return worst, 1e-9
+def _roundtrip(rng, n_max, trial):
+    n = int(rng.integers(1, n_max + 1))
+    cm = random_bona_fide_cm(rng, n)
+    back = oracle.cm_from_state(oracle.state_from_cm(cm))
+    return np.max(np.abs(back.mat - cm.mat))
 
 
-def _suite_wick(n_max, trials, rng):
-    worst = 0.0
-    for _ in range(trials):
-        n = int(rng.integers(1, n_max + 1))
-        cm = random_bona_fide_cm(rng, n)
-        state = oracle.state_from_cm(cm)
-        indices = range(2 * n)
-        for size in (2, 4, 6):
-            if size > 2 * n:
-                break
-            for idx in itertools.combinations(indices, size):
-                lhs, rhs = oracle.wick_check(state, cm, idx)
-                worst = max(worst, abs(lhs - rhs))
-    return worst, 1e-8
+def _wick(rng, n_max, trial):
+    n = int(rng.integers(1, n_max + 1))
+    cm = random_bona_fide_cm(rng, n)
+    state = oracle.state_from_cm(cm)
+    moments = (
+        oracle.wick_check(state, cm, idx)
+        for size in (2, 4, 6)
+        if size <= 2 * n
+        for idx in itertools.combinations(range(2 * n), size)
+    )
+    return np.max([abs(lhs - rhs) for lhs, rhs in moments])
 
 
-def _suite_sandwich(n_max, trials, rng):
-    worst = 0.0
-    for _ in range(trials):
-        n = int(rng.integers(1, n_max + 1))
-        cm1 = random_bona_fide_cm(rng, n)
-        cm2 = random_bona_fide_cm(rng, n)
-        dist = oracle.trace_distance(
-            oracle.state_from_cm(cm1), oracle.state_from_cm(cm2)
-        )
-        diff = cm1.mat - cm2.mat
-        op, tr = matalg.norms(diff)
-        worst = max(worst, op - dist, dist - 0.5 * tr)
-    return worst, 1e-9
+def _sandwich(rng, n_max, trial):
+    n = int(rng.integers(1, n_max + 1))
+    cm1 = random_bona_fide_cm(rng, n)
+    cm2 = random_bona_fide_cm(rng, n)
+    dist = oracle.trace_distance(oracle.state_from_cm(cm1), oracle.state_from_cm(cm2))
+    op, tr = matalg.norms(cm1.mat - cm2.mat)
+    return np.max([op - dist, dist - 0.5 * tr])
 
 
-def _suite_extension(n_max, trials, rng):
+def _extension(rng, n_max, trial):
     # one mode per side whatever n_max: each copy has 2 Majorana indices
-    worst = 0.0
-    ks = [(2, 1), (1, 2), (2, 2)]
-    for trial in range(trials):
-        k1, k2 = ks[trial % len(ks)]
-        b, (delta_a, delta_b) = twirled_extendible_instance(rng, 1, 1, k1, k2)
-        query = extend.ExtendQuery(b, k1, k2)
-        result = extend.feasibility(query)
-        if not result.feasible:
-            worst = max(worst, 1.0)
-            continue
-        ext = extend.build_extension(query, result)
-        spread = matalg.hermitian_spectrum(ext.body)
-        worst = max(worst, float(np.max(np.abs(spread)) - 1.0))
-        # every (A_i, B_j) marginal must reproduce the input exactly
-        aa, bb, ab, ba = extend._copies(ext.mat, k1, 2, k2, 2)
-        ref = [blocks[0, 0] for blocks in extend._copies(b.mat, 1, 2, 1, 2)]
-        for i, j in itertools.product(range(k1), range(k2)):
-            pair = (aa[i, i], bb[j, j], ab[i, j], ba[j, i])
-            worst = max(worst, *(float(np.max(np.abs(p - r))) for p, r in zip(pair, ref)))
-    return worst, 1e-7
+    k1, k2 = [(2, 1), (1, 2), (2, 2)][trial % 3]
+    b, _ = twirled_extendible_instance(rng, 1, 1, k1, k2)
+    query = extend.ExtendQuery(b, k1, k2)
+    result = extend.feasibility(query)
+    if not result.feasible:
+        return 1.0
+    ext = extend.build_extension(query, result)
+    spread = np.max(np.abs(matalg.hermitian_spectrum(ext.body))) - 1.0
+    # every (A_i, B_j) marginal must reproduce the input exactly
+    aa, bb, ab, ba = extend._copies(ext.mat, k1, 2, k2, 2)
+    ref = (b.block_a, b.block_b, b.block_x, -b.block_x.T)
+    gaps = [
+        np.max(np.abs(p - r))
+        for i, j in itertools.product(range(k1), range(k2))
+        for p, r in zip((aa[i, i], bb[j, j], ab[i, j], ba[j, i]), ref)
+    ]
+    return np.max([spread, *gaps])
 
 
+# each suite: the residual of one seeded trial (rng, n_max, trial) -> float, and its tolerance
 _SUITES = {
-    "roundtrip": _suite_roundtrip,
-    "wick": _suite_wick,
-    "sandwich": _suite_sandwich,
-    "extension": _suite_extension,
+    "roundtrip": (_roundtrip, 1e-9),
+    "wick": (_wick, 1e-8),
+    "sandwich": (_sandwich, 1e-9),
+    "extension": (_extension, 1e-7),
 }
 
 
 def run_suite(suite: str, n_max: int = 3, trials: int = 50, seed: int = 0) -> SuiteReport:
-    """Run a named property suite and report the worst residual. ValueError for an unknown
-    suite; InvalidParameterError unless n_max, trials >= 1 and seed >= 0 are integers."""
+    """Run a named property suite and report the worst residual over its trials; a NaN
+    residual is the worst and fails the suite. ValueError for an unknown suite;
+    InvalidParameterError unless n_max, trials >= 1 and seed >= 0 are integers."""
     if suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {sorted(_SUITES)}")
     for name, value, low in (("n_max", n_max, 1), ("trials", trials, 1), ("seed", seed, 0)):
         if not is_count(value, low):
             raise InvalidParameterError(f"{name} must be an integer >= {low}, not {value!r}")
     rng = np.random.default_rng(seed)
-    worst, tol = _SUITES[suite](n_max, trials, rng)
-    return SuiteReport(
-        suite=suite,
-        trials=trials,
-        max_residual=float(worst),
-        tolerance=tol,
-        passed=bool(worst < tol),
-    )
+    residual, tol = _SUITES[suite]
+    # np.max, not max: Python's max drops a NaN that is not its first argument
+    worst = float(np.max([0.0, *(residual(rng, n_max, trial) for trial in range(trials))]))
+    return SuiteReport(suite=suite, trials=trials, max_residual=worst, tolerance=tol, passed=worst < tol)

@@ -185,6 +185,21 @@ class TestFrozenTypes:
             with pytest.raises(WrongSplitError):
                 routine(fgs.vacuum_cm(2))
 
+    @pytest.mark.parametrize(
+        "routine",
+        [
+            lambda m: oracle.state_from_cm(m).rho,
+            fgs.gaussian_entropy,
+            lambda m: fgs.overlap(m, m),
+            lambda m: fgs.product_cm(m, m).mat,
+        ],
+        ids=["state_from_cm", "gaussian_entropy", "overlap", "product_cm"],
+    )
+    def test_bipartite_cm_reads_as_its_cm(self, routine):
+        # a BipartiteCM is accepted wherever a covariance matrix is read
+        b = family_cm(2, 2)
+        assert np.asarray(routine(b)).tobytes() == np.asarray(routine(b.cm)).tobytes()
+
     def test_split_counts_are_integers(self):
         cm = fgs.vacuum_cm(2)
         for n_a, n_b in ((True, 1), (1, True), (1.0, 1), (1.5, 0.5)):

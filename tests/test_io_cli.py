@@ -1,12 +1,13 @@
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from conftest import copies, family22_direct_sum, family22_x_scaled
-from fgext import channels, cli, fgs, io, verify
+from fgext import channels, cli, fgs, io, matalg, oracle, verify
 from fgext.bounds import epsilon_family, family_cm
 from fgext.config import RunConfig
 from fgext.errors import DimensionOddError, InvalidParameterError, NotAntisymmetricError, ParseError
@@ -567,8 +568,13 @@ class TestBadInputsExit3:
 
     @pytest.mark.parametrize("flag", ["--n-max", "--trials"])
     def test_oracle_verify_below_one(self, capsys, flag):
-        # zero trials would report an empty suite as passed
-        self.assert_parse_error(capsys, "oracle-verify", "roundtrip", flag, "0")
+        # zero trials would report an empty suite as passed; run_suite refuses it
+        assert run_cli("oracle-verify", "roundtrip", flag, "0") == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert flag[2:].replace("-", "_") in lines[0]
 
     @pytest.mark.parametrize(
         "flag, value",
@@ -615,6 +621,25 @@ def test_run_suite_refuses_bad_counts(kwargs):
     # trials=-1 used to report a passed suite that ran nothing
     with pytest.raises(InvalidParameterError, match=next(iter(kwargs))):
         verify.run_suite("wick", **kwargs)
+
+
+@pytest.mark.parametrize(
+    "suite, module, name, fake",
+    [
+        ("roundtrip", oracle, "cm_from_state", lambda state: SimpleNamespace(mat=np.full((2 * state.n,) * 2, math.nan))),
+        ("wick", oracle, "wick_check", lambda state, cm, idx: (math.nan, 0.0)),
+        ("sandwich", oracle, "trace_distance", lambda a, b: math.nan),
+        ("extension", matalg, "hermitian_spectrum", lambda k: np.array([math.nan])),
+    ],
+    ids=["roundtrip", "wick", "sandwich", "extension"],
+)
+def test_nan_residual_fails_the_suite(monkeypatch, capsys, suite, module, name, fake):
+    # Python's max(worst, nan) keeps worst, which reported these suites as passed
+    monkeypatch.setattr(module, name, fake)
+    report = verify.run_suite(suite, n_max=2, trials=3)
+    assert report.passed is False and math.isnan(report.max_residual)
+    assert run_cli("oracle-verify", suite, "--n-max", "2", "--trials", "3") == 1
+    assert json.loads(capsys.readouterr().out)["passed"] is False
 
 
 @pytest.mark.parametrize("counts", [(1, 1, 1, 0), (1, 1, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 2.0, 1)])

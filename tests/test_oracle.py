@@ -177,6 +177,11 @@ class TestWick:
         assert rhs == pytest.approx(1.0)
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
+    def test_empty_subset(self):
+        # the empty monomial is the identity: Tr ρ = 1 = Pf of the 0 x 0 matrix
+        b = fgs.bell_cm("phi+")
+        assert oracle.wick_check(oracle.state_from_cm(b.cm), b.cm, ()) == (1.0, 1.0)
+
     def test_odd_monomials_vanish(self, random_cm_factory):
         cm = random_cm_factory(2)
         state = oracle.state_from_cm(cm)
