@@ -2,7 +2,8 @@
 
 Subcommands: check-cm, extendible, bounds, family, channel,
 oracle-verify. Output is JSON by default (stable key set, sorted keys);
-`--format table` prints aligned text. Settings come from the global flags
+`--format table` prints aligned text. JSON output is strict: a non-finite
+float is written as null. Settings come from the global flags
 alone: --eps-psd, --eps-feas and --max-iters make the RunConfig; --seed and
 --format are read from the parsed arguments. Exit codes: 0 success/feasible,
 1 infeasible, 2 not bona fide, 3 parse error, 4 solver stalled, 5 too large.
@@ -11,6 +12,7 @@ alone: --eps-psd, --eps-feas and --max-iters make the RunConfig; --seed and
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
@@ -59,7 +61,18 @@ def _emit(payload, args):
         for row in rows:
             print("  ".join(_cell(row.get(k)).ljust(widths[k]) for k in keys))
     else:
-        print(json.dumps(payload, sort_keys=True))
+        print(json.dumps(_json_value(payload), sort_keys=True, allow_nan=False))
+
+
+def _json_value(value):
+    """value with every non-finite float replaced by None (JSON's null)."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _json_value(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_value(v) for v in value]
+    return value
 
 
 def _cell(value) -> str:

@@ -29,11 +29,12 @@ and multiply no dense Majorana matrices:
 
 * state_from_cm builds the sector blocks from ρ's Majorana moments, the
   Pfaffians of M's principal submatrices (Wick's theorem): one table of
-  all 4^n of them, n(2n-1) vectorised multiply-adds, then one 2 x 2
-  butterfly per mode on the nonzero half that turns them into entries,
-  each carrying the sign Φ(r, c) that the (-Z) strings leave on it (see
-  _state_blocks). That is O(n 4^n), against n² 4^n for the product
-  formula Π_j (I + i λ_j γ̃_{2j} γ̃_{2j+1}) that the tests keep;
+  the 2^(2n-1) even ones (the odd ones vanish), n(2n-1) vectorised
+  multiply-adds, gathered straight into the two blocks, whose entries
+  they number exactly; then one 2 x 2 butterfly per mode turns them into
+  entries, each carrying the sign Φ(r, c) that the (-Z) strings leave on
+  it (see _state_blocks). That is O(n 4^n), against n² 4^n for the
+  product formula Π_j (I + i λ_j γ̃_{2j} γ̃_{2j+1}) that the tests keep;
 * DenseState checks the sector blocks before it makes ρ of them: each
   plus 1e-10 I is factorised by Cholesky, a fraction of an eigensolve,
   and diagonalised only when that fails; trace_distance and entropies
@@ -87,12 +88,13 @@ MODE_CAP = 12
 DENSE_BYTES_CAP = 2 * 2**30
 
 #: Dense 2^n x 2^n complex matrices alive at once in state_from_cm, and
-#: above the given ρ in DenseState(ρ), which runs the same check: 1.25 in
-#: the build (the real Pfaffian table, the sector blocks, the rows they
-#: trade) and in the check (the blocks, a shifted block, LAPACK's copy and
-#: the factor), 1.5 once ρ is made of the blocks. A first call in a fresh
-#: process grew peak RSS by 1.63, 1.55 and 1.52 matrices at 10, 11 and 12
-#: modes; the excess over 1.5 is a few MiB whatever n.
+#: above the given ρ in DenseState(ρ), which runs the same check: 1.0 in
+#: the build (the sector blocks, the real Pfaffian table and a spare block;
+#: the table's index into the blocks, a quarter, is freed before the blocks
+#: are made), 1.25 in the check (the blocks, a shifted block, LAPACK's copy
+#: and the factor), 1.5 once ρ is made of the blocks. A first call in a
+#: fresh process grew peak RSS by 1.64, 1.55 and 1.52 matrices at 10, 11
+#: and 12 modes; the excess over 1.5 is a few MiB whatever n.
 _STATE_BUILD_MATRICES = 1.55
 
 
@@ -246,10 +248,11 @@ def _majorana_strings(n: int):
 
 
 def _parity_signs(n: int) -> np.ndarray:
-    """(-1)^N on each occupation basis state."""
-    signs = np.ones(1)
-    for _ in range(n):
-        signs = np.concatenate([signs, -signs])
+    """(-1)^N on each occupation basis state, filled in place: freeing
+    intermediate arrays would lift glibc's mmap threshold (see _pfaffian_table)."""
+    signs = np.ones(2**n)
+    for k in range(n):
+        np.negative(signs[: 2**k], out=signs[2**k : 2 ** (k + 1)])
     return signs
 
 
@@ -289,36 +292,58 @@ def _string_trace(rho: np.ndarray, n: int, idx) -> complex:
     return complex(np.sum(phase * rho[x, x ^ flip]))
 
 
-def _pfaffian_table(m: np.ndarray, scale: float) -> tuple:
-    """scale · Pf(m[x]) for every subset x of m's d indices, at x = Σ_{p∈x} 2^p,
-    as two halves of 2^(d-1) entries: the subsets without and with d - 1.
+def _pfaffian_table(m: np.ndarray, scale: float) -> np.ndarray:
+    """scale · Pf(m[x]) for every even subset x of m's d indices, at x >> 1 for
+    x = Σ_{p∈x} 2^p: 2^(d-1) entries, bit 0 of x being the parity of the rest
+    (odd subsets have Pf = 0 and no entry).
 
     Expansion along the top element a of x,
     Pf(m[x]) = Σ_{b∈x, b<a} (-1)^{#{c∈x : c<b}} m[b, a] Pf(m[x∖{a, b}]),
-    fills the subsets topped by a, the slice [2^a, 2^(a+1)), from the
-    slice below it: one multiply-add per pair b < a. Odd subsets stay 0,
-    so on every nonzero Pf(m[x∖{a, b}]) the parity of the bits below b is
-    that of the bits between b and a; the sign is read from the shorter.
+    fills the subsets topped by a, the slice [2^(a-1), 2^a), from the slice
+    below it: one multiply-add per pair b < a, b = 0 first. For b = 0 the
+    source x∖{a, 0} has bit 0 clear, so only the even-parity entries below
+    contribute; for b ≥ 1, bit b of x is bit b-1 of the entry. Every source
+    is even, so the parity of its bits below b is that of its bits between
+    b and a.
     """
     d = len(m)
-    # two buffers, not one: freeing a half dense matrix would lift glibc's mmap
-    # threshold above DenseState's quarter-matrix temporaries, which would then
-    # stay resident (a first 10-mode state grew peak RSS by 2.56 matrices, not 2.06)
-    halves = np.zeros(2 ** (d - 1)), np.zeros(2 ** (d - 1))
-    halves[0][0] = scale
-    signs = _parity_signs(d // 2)
-    term = np.empty(2 ** (d - 2))
+    table = np.zeros(2 ** (d - 1))
+    table[0] = scale
+    # the signs and both products share one buffer of the table's size: freeing smaller
+    # ones would lift glibc's mmap threshold above DenseState's bool temporaries, which
+    # would then stay resident (a first 12-mode state grew peak RSS by 1.551 matrices, not 1.521)
+    signs, term, coef = np.split(np.empty(2 ** (d - 1)), [2 ** (d - 2), 2 ** (d - 2) + 2**d // 8])
+    signs[...] = _parity_signs(d - 2)
+    even = signs > 0
     for a in range(1, d):
-        low = halves[0][: 2**a]
-        top = halves[0][2**a : 2 ** (a + 1)] if a < d - 1 else halves[1]
-        for b in range(a):
-            above, below = 2 ** (a - 1 - b), 2**b
-            shape = (above, 2, below)  # the middle axis is bit b
-            sign = signs[:below] if below <= above else signs[:above, None]
-            out = term[: 2 ** (a - 1)].reshape(above, below)
-            np.multiply(low.reshape(shape)[:, 0], m[b, a] * sign, out=out)
+        half = 2 ** (a - 1)
+        low, top = table[:half], table[half : 2 * half]
+        np.multiply(low, even[:half], out=top)
+        top *= m[0, a]
+        for b in range(1, a):
+            above, below = 2 ** (a - 1 - b), 2 ** (b - 1)
+            shape = (above, 2, below)  # the middle axis is bit b of x
+            out = term[: half // 2].reshape(above, below)
+            sign = np.multiply(signs[:above], m[b, a], out=coef[:above])
+            np.multiply(low.reshape(shape)[:, 0], sign[:, None], out=out)
             top.reshape(shape)[:, 1] += out
-    return halves
+    return table
+
+
+def _block_index(n: int) -> np.ndarray:
+    """_pfaffian_table's index of every entry of the (2, 2^(n-1), 2^(n-1))
+    stack of sector blocks, as _state_blocks lays them out: x >> 1 for x
+    with bit 2j+1 = r_j and bit 2j = c_j, r_{n-1} the block and c_{n-1} the
+    bit that makes x even."""
+    bits = np.arange(2 ** (n - 1))[:, None] >> np.arange(n - 2, -1, -1) & 1  # column j: mode j's bit
+    step = 4 ** np.arange(n - 1)
+    rows, cols = bits @ (2 * step), bits @ step
+    odd = _parity_signs(n - 1) < 0
+    # c_{n-1}, below r_{n-1}, is r_{n-1} ⊕ parity(row label) ⊕ parity(column label):
+    # the rows and the columns each carry their share, and the XOR joins them
+    last = 1 << (2 * n - 2)
+    rows = np.array([rows | odd * last, rows | ~odd * last | 2 * last])
+    return np.bitwise_xor.outer(rows >> 1, (cols | odd * last) >> 1)
 
 
 def _state_blocks(rotation: np.ndarray, lambdas, n: int) -> np.ndarray:
@@ -333,59 +358,64 @@ def _state_blocks(rotation: np.ndarray, lambdas, n: int) -> np.ndarray:
     it, and (-Z)[c, c] = -(-1)^c; hence
     Φ(r, c) = (-1)^{Σ_k (k + Σ_{j<k} c_j)(r_k ⊕ c_k)}.
 
-    The table is copied in with bit 2j+1 of x at r_j and bit 2j at c_j.
-    One 2 x 2 butterfly per mode then turns each (r_j, c_j) quartet into
-    entries: i·XY = -Z on the diagonal pair, e^{iπ/4}(X, Y) on the
+    The table's entries are gathered with bit 2j+1 of x at r_j and bit 2j
+    at c_j. One 2 x 2 butterfly per mode then turns each (r_j, c_j) quartet
+    into entries: i·XY = -Z on the diagonal pair, e^{iπ/4}(X, Y) on the
     off-diagonal pair. Splitting i^(|x|/2) into i per XY and e^{iπ/4} per
     X or Y keeps it a product over modes; mode j's factor of Φ depends on
     c_0 … c_{j-1} only, final by then, and rides on its e^{iπ/4}.
 
     Only the nonzero half, |r| + |c| even, is built: block i holds its
-    entries with r_{n-1} = i, labelled as in _sector_rows. Modes 0 … n-2
-    flip a label bit of r and c, so their butterflies stay in each block;
-    the last pairs the blocks. Then the rows with odd labels trade blocks.
+    entries with r_{n-1} = i, labelled as in _sector_rows, so the table's
+    entries are exactly the blocks'. Modes 0 … n-2 flip a label bit of r
+    and c, so their butterflies stay in each block; the last pairs the
+    blocks, and the rows with odd labels trade blocks as it writes them.
     """
     m = (rotation[:, 0::2] * np.asarray(lambdas, dtype=float)) @ rotation[:, 1::2].T
-    halves = _pfaffian_table(m - m.T, 2.0**-n)
+    table = _pfaffian_table(m - m.T, 2.0**-n)
     dim = 2 ** (n - 1)
-    blocks = np.empty((2, dim, dim), dtype=complex)
-    # bit 2n-1 of x is r_{n-1}; a half's quarters (c_{n-1}), each zero where the other
-    # is not, add up to the block, whose bits run r_0 … r_{n-2}, c_0 … c_{n-2}
-    axes = [2 * (n - 2 - j) for j in range(n - 1)] + [2 * (n - 2 - j) + 1 for j in range(n - 1)]
-    for block, half in zip(blocks, halves):
-        quarter = np.add(half[: dim * dim], half[dim * dim :], out=half[: dim * dim])
-        np.copyto(block.reshape((2,) * (2 * n - 2)), quarter.reshape((2,) * (2 * n - 2)).transpose(axes))
-    # the halves become the butterflies' scratch arrays, and no call below
-    # writes where its inputs lie, so numpy makes no hidden copies
-    scratch = [half.view(complex) for half in halves]
+    # the blocks' real entries are gathered into `spare`, which the last mode reuses;
+    # np.take's mode "clip" (every index is in range) writes into `out` unbuffered
+    spare = np.empty((dim, dim), dtype=complex)
+    entries = np.take(table, _block_index(n), out=spare.view(float).reshape(2, dim, dim), mode="clip")
+    blocks = entries.astype(complex)
+    # the table becomes the butterflies' scratch; a + d is written into d, a view
+    # numpy proves disjoint from a, so it makes no hidden copy
+    scratch = table.view(complex)
     # e^{iπ/4} (-1)^{c_0 + … + c_{k-1}} over the first 2^k entries, for mode k
     signs = _parity_signs(n - 1)
     phases = np.exp(0.25j * np.pi) * signs
     for k in range(n - 1):
         shape = (2, 2**k, 2, 2 ** (n - 2 - k), 2**k, 2, 2 ** (n - 2 - k))
         a, b, c, d = (blocks.reshape(shape)[:, :, i, :, :, j] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
-        t1, t2 = (t[: a.size].reshape(a.shape) for t in scratch)
+        t1, t2 = scratch.reshape((2,) + a.shape)
         np.subtract(a, d, out=t1)
-        np.add(a, d, out=t2)
+        np.add(a, d, out=d)
         np.copyto(a, t1)
-        np.copyto(d, t2)
         phase = (-1) ** k * phases[: 2**k, None]
         np.multiply(b, phase, out=t1)
         np.multiply(c, 1j * phase, out=t2)
         np.subtract(t1, t2, out=b)
         np.add(t1, t2, out=c)
-    # last mode: the blocks pair at equal labels, as (b, c) where their parities differ, else (a, d)
+    # last mode: the blocks u, v pair at equal labels, as (a, d) where the labels'
+    # parities agree and as (b, c) where they differ. A row of even label keeps
+    # (u', v') = (α u - β v, α u + β v), with (α, β) = (1, 1) for (a, d) and the
+    # mode's (phase, i phase) for (b, c); a row of odd label trades them, which
+    # negating its β does. Both coefficients are rows picked by the row's parity.
     odd = signs < 0
-    pair_bc = np.not_equal.outer(odd, odd)[..., None]
-    u, v = blocks.reshape(2, dim, dim, 1)
-    t1, t2 = (t.reshape(u.shape) for t in scratch)
-    t1[...], t2[...] = u, v
-    phase = (-1) ** (n - 1) * phases[:, None]
-    np.multiply(u, phase, out=t1, where=pair_bc)
-    np.multiply(v, 1j * phase, out=t2, where=pair_bc)
+    phase = (-1) ** (n - 1) * phases
+    same = np.equal.outer([False, True], odd)
+    alpha = np.where(same, 1.0, phase)
+    beta = np.where(same, 1.0, 1j * phase) * [[1.0], [-1.0]]
+    t1, t2 = scratch.reshape(dim, dim), spare
+    parity = odd.astype(np.intp)
+    np.take(alpha, parity, axis=0, out=t1, mode="clip")
+    np.take(beta, parity, axis=0, out=t2, mode="clip")
+    u, v = blocks
+    np.multiply(u, t1, out=t1)  # u first: numpy's complex product is not bitwise commutative
+    np.multiply(v, t2, out=t2)
     np.subtract(t1, t2, out=u)
     np.add(t1, t2, out=v)
-    blocks[:, odd] = blocks[::-1, odd]
     return blocks
 
 

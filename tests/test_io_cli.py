@@ -639,7 +639,13 @@ def test_nan_residual_fails_the_suite(monkeypatch, capsys, suite, module, name, 
     report = verify.run_suite(suite, n_max=2, trials=3)
     assert report.passed is False and math.isnan(report.max_residual)
     assert run_cli("oracle-verify", suite, "--n-max", "2", "--trials", "3") == 1
-    assert json.loads(capsys.readouterr().out)["passed"] is False
+    # strict JSON: NaN is written as null, never as the bare token NaN
+    printed = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
+    assert printed["passed"] is False and printed["max_residual"] is None
+
+
+def _refuse_constant(token):
+    raise ValueError(f"{token} is not JSON")
 
 
 @pytest.mark.parametrize("counts", [(1, 1, 1, 0), (1, 1, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 2.0, 1)])

@@ -370,6 +370,31 @@ def _random_even_state(rng, n):
     return rho / np.trace(rho).real
 
 
+def _even_subsets(d):
+    """Every even subset of range(d), as (x >> 1, its indices) for x = Σ 2^p."""
+    for x in range(2**d):
+        idx = [p for p in range(d) if x >> p & 1]
+        if len(idx) % 2 == 0:
+            yield x >> 1, idx
+
+
+class TestPfaffianTable:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_entry_is_the_pfaffian(self, n, rng):
+        # entry x >> 1 is 2^-n Pf(M[x]) for every even subset x, against Parlett-Reid
+        d = 2 * n
+        q = special_orthogonal(rng, d)
+        random = rng.standard_normal((d, d))
+        pure = (q[:, 0::2] * rng.choice([-1.0, 1.0], n)) @ q[:, 1::2].T
+        for name, m in (("random", random - random.T), ("pure", pure - pure.T), ("vacuum", fgs.vacuum_cm(n).mat)):
+            table = oracle._pfaffian_table(m, 2.0**-n)
+            assert table.shape == (2 ** (d - 1),)
+            want = np.zeros_like(table)
+            for entry, idx in _even_subsets(d):
+                want[entry] = 2.0**-n * matalg.pfaffian(m[np.ix_(idx, idx)])
+            assert np.max(np.abs(table - want)) <= 1e-13 * max(1.0, np.max(np.abs(want))), name
+
+
 class TestDenseReference:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_jordan_wigner_matches_kron(self, n):
