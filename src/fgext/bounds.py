@@ -25,7 +25,7 @@ import numpy as np
 
 from . import fgs, matalg
 from .config import is_count
-from .errors import OutOfRangeError
+from .errors import InvalidParameterError
 from .fgs import BipartiteCM, validate_cm
 
 __all__ = [
@@ -54,7 +54,7 @@ def definetti_bounds(n_a: int, n_b: int, k1: int, k2: int) -> DeFinettiReport:
     min(..., sqrt(k1 k2)) term implements exactly.
     """
     if not all(map(is_count, (n_a, n_b, k1, k2))):
-        raise OutOfRangeError("mode counts and extension orders must be positive integers")
+        raise InvalidParameterError("mode counts and extension orders must be positive integers")
     root = math.sqrt(k1 * k2)
     t = 2.0 * min(n_a, n_b, root) / root
     er = 0.5 * (n_a + n_b) * t + fgs.binary_entropy(t / 2.0)
@@ -86,7 +86,7 @@ def lower_bound_two_mode(b: BipartiteCM) -> float:
 
 def _require_family_orders(k1, k2):
     if not (is_count(k1) and is_count(k2)):
-        raise OutOfRangeError("family parameters must be positive integers")
+        raise InvalidParameterError("family parameters must be positive integers")
 
 
 def family_cm(k1: int, k2: int) -> BipartiteCM:
@@ -139,7 +139,7 @@ def epsilon_family(eps: float) -> BipartiteCM:
     bound: the relevant row sum is 1 + ε²/4.
     """
     if not 0.0 < eps <= 2.0:
-        raise OutOfRangeError(f"epsilon {eps} outside (0, 2]")
+        raise InvalidParameterError(f"epsilon {eps} outside (0, 2]")
     a = math.sqrt(1.0 - (eps / 2.0) ** 2)
     x = eps / 2.0
     m = np.array(

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import matalg
 from .config import RunConfig, DEFAULT_CONFIG
-from .errors import DimensionMismatchError, NotAntisymmetricError, NotCPError, OutOfRangeError
+from .errors import DimensionMismatchError, InvalidParameterError, NotAntisymmetricError, NotCPError
 from .extend import ExtendQuery, FeasibilityResult, feasibility, solver_verdict
 from .fgs import _VACUUM_BLOCK, BipartiteCM, CovarianceMatrix, _bipartite, validate_cm
 
@@ -151,7 +151,7 @@ def pure_loss(lam: float) -> GaussianChannel:
     every input with the vacuum.
     """
     if not 0.0 <= lam <= 1.0:
-        raise OutOfRangeError(f"transmissivity {lam} outside [0, 1]")
+        raise InvalidParameterError(f"transmissivity {lam} outside [0, 1]")
     return validate_channel(math.sqrt(lam) * np.eye(2), (1.0 - lam) * _VACUUM_BLOCK)
 
 

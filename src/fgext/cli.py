@@ -24,8 +24,8 @@ from . import fgs, io, matalg, verify
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import (
     FgextError,
+    InvalidParameterError,
     NotBonaFideError,
-    NotCPError,
     ParseError,
     SolverStalledError,
     TooManyModesError,
@@ -43,7 +43,7 @@ def _config_from_args(args) -> RunConfig:
     """RunConfig from the global flags, once --seed is at least 0; ParseError if invalid."""
     try:
         config = RunConfig(args.eps_psd, args.eps_feas, args.max_iters)
-    except ValueError as exc:
+    except InvalidParameterError as exc:
         raise ParseError(f"run configuration: {exc}") from None
     if args.seed < 0:
         raise ParseError(f"run configuration: seed must be an integer >= 0, not {args.seed!r}")
@@ -159,10 +159,14 @@ def _bounds_record(n_a, n_b, k1, k2, cm=None):
 
 def _cmd_bounds(args, config):
     if args.cm:
+        if args.na is not None or args.nb is not None:
+            raise ParseError("--na and --nb cannot be given with --cm, which sets the mode counts")
         b = _load_bipartite(args.cm, config)
         record = _bounds_record(b.n_a, b.n_b, args.k1, args.k2, cm=b)
     else:
-        record = _bounds_record(args.na, args.nb, args.k1, args.k2)
+        n_a = 1 if args.na is None else args.na
+        n_b = 1 if args.nb is None else args.nb
+        record = _bounds_record(n_a, n_b, args.k1, args.k2)
     _emit(record, args)
     return EXIT_OK
 
@@ -255,8 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="finite de Finetti bounds")
     p.add_argument("k1", type=int)
     p.add_argument("k2", type=int)
-    p.add_argument("--na", type=int, default=1)
-    p.add_argument("--nb", type=int, default=1)
+    p.add_argument("--na", type=int, default=None)
+    p.add_argument("--nb", type=int, default=None)
     p.add_argument("--cm", default=None, metavar="PATH")
     p.set_defaults(func=_cmd_bounds)
 
@@ -278,9 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_channel)
 
     p = sub.add_parser("oracle-verify", help="dense-oracle property suites")
-    p.add_argument(
-        "suite", choices=("roundtrip", "wick", "sandwich", "extension")
-    )
+    p.add_argument("suite", choices=tuple(verify._SUITES))
     p.add_argument("--n-max", dest="n_max", type=int, default=3)
     p.add_argument("--trials", type=int, default=50)
     p.set_defaults(func=_cmd_oracle_verify)
@@ -296,7 +298,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (NotBonaFideError, NotCPError) as exc:
+    except NotBonaFideError as exc:
         print(f"not physical: {exc}", file=sys.stderr)
         return EXIT_NOT_BONA_FIDE
     except SolverStalledError as exc:

@@ -10,6 +10,8 @@ import math
 from dataclasses import dataclass
 from numbers import Integral, Real
 
+from .errors import InvalidParameterError
+
 
 def is_count(value, low: int = 1) -> bool:
     """True iff value is an integer of at least low; numpy integers are, bools are not."""
@@ -24,8 +26,8 @@ class RunConfig:
     and channels; eps_feas the slack of the prechecks and of the solver's
     dual bound and ambiguous band; max_iters caps the interior-point
     iterations of one solver run (a run usually takes fewer than 15).
-    ValueError unless the tolerances are finite and positive and max_iters
-    is an integer of at least 1.
+    InvalidParameterError unless the tolerances are finite and positive and
+    max_iters is an integer of at least 1.
     """
 
     eps_psd: float = 1e-9
@@ -36,9 +38,9 @@ class RunConfig:
         for name in ("eps_psd", "eps_feas"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, Real) or not 0 < value < math.inf:
-                raise ValueError(f"{name} must be a finite positive number, not {value!r}")
+                raise InvalidParameterError(f"{name} must be a finite positive number, not {value!r}")
         if not is_count(self.max_iters):
-            raise ValueError(f"max_iters must be an integer >= 1, not {self.max_iters!r}")
+            raise InvalidParameterError(f"max_iters must be an integer >= 1, not {self.max_iters!r}")
 
 
 DEFAULT_CONFIG = RunConfig()

@@ -1,16 +1,12 @@
-"""Exception types raised across the package."""
+"""Exception types: every refusal fgext raises is an FgextError, one class per failure."""
 
 
 class FgextError(Exception):
-    """Base class for all package errors."""
-
-
-class DimensionOddError(FgextError, ValueError):
-    """Matrix dimension is odd where an even (Majorana-paired) one is required."""
+    """Base class for all package errors; all but SolverStalledError are ValueErrors."""
 
 
 class DimensionMismatchError(FgextError, ValueError):
-    """Operands have incompatible shapes."""
+    """Operands have incompatible shapes, or a dimension that must be even is odd."""
 
 
 class NotAntisymmetricError(FgextError, ValueError):
@@ -18,19 +14,22 @@ class NotAntisymmetricError(FgextError, ValueError):
 
 
 class NotBonaFideError(FgextError, ValueError):
-    """Matrix fails the covariance-matrix physicality condition I + iM >= 0."""
+    """A state that is not physical: a covariance matrix failing I + iM >= 0, a
+    dense density matrix failing its checks, or a pair with a negative overlap
+    determinant. violating_eigenvalue, when given, is the spectral radius of iM
+    (for NotCPError, λ_min of I + iN - XXᵀ)."""
 
     def __init__(self, message, violating_eigenvalue=None):
         super().__init__(message)
         self.violating_eigenvalue = violating_eigenvalue
 
 
+class NotCPError(NotBonaFideError):
+    """Channel pair (X, N) fails complete positivity, i.e. its Choi state is not bona fide."""
+
+
 class InvalidParameterError(FgextError, ValueError):
-    """Bad parameter to a standard-state constructor."""
-
-
-class NegativeDeterminantError(FgextError, ValueError):
-    """Overlap determinant is negative beyond numerical tolerance."""
+    """A parameter outside its admissible set: a count, index, scalar, name or result."""
 
 
 class TooManyModesError(FgextError, ValueError):
@@ -38,37 +37,13 @@ class TooManyModesError(FgextError, ValueError):
     solver run whose estimated memory exceeds its byte cap."""
 
 
-class OddSubsetError(FgextError, ValueError):
-    """Majorana index subset has odd size."""
-
-
-class IndexOutOfRangeError(FgextError, IndexError):
-    """Majorana index outside the valid range."""
-
-
 class WrongSplitError(FgextError, ValueError):
     """Mode split that does not add up to the matrix or leaves a side without modes."""
-
-
-class OutOfRangeError(FgextError, ValueError):
-    """Scalar argument outside its admissible interval."""
-
-
-class NotCPError(FgextError, ValueError):
-    """Channel pair (X, N) fails the complete-positivity condition."""
-
-    def __init__(self, message, violating_eigenvalue=None):
-        super().__init__(message)
-        self.violating_eigenvalue = violating_eigenvalue
 
 
 class SolverStalledError(FgextError, RuntimeError):
     """Feasibility solver exhausted its budget in the ambiguous margin band."""
 
 
-class NotFeasibleError(FgextError, ValueError):
-    """Extension construction requires a Feasible result."""
-
-
 class ParseError(FgextError, ValueError):
-    """Malformed covariance-matrix or channel text file."""
+    """Malformed covariance-matrix or channel text file, or command-line argument."""

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import matalg
 from .config import RunConfig, DEFAULT_CONFIG, is_count
-from .errors import InvalidParameterError, NotFeasibleError
+from .errors import InvalidParameterError
 from .fgs import BipartiteCM, CovarianceMatrix, _bipartite, _split, validate_cm
 from .solver import MatrixConstraint, _objective, margin_target, max_margin
 
@@ -314,7 +314,7 @@ def build_extension(
     the witness constraints, so it is checked at eps_psd (plus rounding).
     """
     if not result.feasible:
-        raise NotFeasibleError(f"cannot build an extension from {result.status}")
+        raise InvalidParameterError(f"cannot build an extension from {result.status}")
     m_a, m_b, x = query.b.block_a, query.b.block_b, query.b.block_x
     k1, k2 = query.k1, query.k2
     da, db = m_a.shape[0], m_b.shape[0]

@@ -17,9 +17,7 @@ from .config import DEFAULT_CONFIG, is_count
 from .errors import (
     DimensionMismatchError,
     InvalidParameterError,
-    NegativeDeterminantError,
     NotBonaFideError,
-    OutOfRangeError,
     WrongSplitError,
 )
 
@@ -219,7 +217,7 @@ def overlap(m1: CovarianceMatrix, m2: CovarianceMatrix) -> float:
     """State overlap tr(ρ1 ρ2) = sqrt(det((M1 M2 - I)/2)).
 
     Tiny negative determinants (>= -1e-12) are clamped to zero; anything
-    lower signals an invalid input pair.
+    lower signals a pair that is not bona fide (NotBonaFideError).
     """
     if m1.modes != m2.modes:
         raise DimensionMismatchError(
@@ -228,14 +226,14 @@ def overlap(m1: CovarianceMatrix, m2: CovarianceMatrix) -> float:
     d = 2 * m1.modes
     det = float(np.linalg.det((m1.mat @ m2.mat - np.eye(d)) / 2.0))
     if det < -1e-12:
-        raise NegativeDeterminantError(f"overlap determinant {det:.3e} < -1e-12")
+        raise NotBonaFideError(f"overlap determinant {det:.3e} < -1e-12")
     return math.sqrt(max(det, 0.0))
 
 
 def binary_entropy(x: float) -> float:
     """h(x) = -x log2 x - (1-x) log2 (1-x), with h(0) = h(1) = 0 exactly."""
     if not 0.0 <= x <= 1.0:
-        raise OutOfRangeError(f"binary entropy argument {x} outside [0, 1]")
+        raise InvalidParameterError(f"binary entropy argument {x} outside [0, 1]")
     if x == 0.0 or x == 1.0:
         return 0.0
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)

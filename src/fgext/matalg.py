@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, DimensionOddError, NotAntisymmetricError
+from .errors import DimensionMismatchError, NotAntisymmetricError
 
 __all__ = [
     "AntisymmetricMatrix",
@@ -124,7 +124,7 @@ def _require_even_square(mat: np.ndarray) -> np.ndarray:
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {mat.shape}")
     if mat.shape[0] % 2 != 0:
-        raise DimensionOddError(f"dimension {mat.shape[0]} is odd")
+        raise DimensionMismatchError(f"dimension {mat.shape[0]} is odd")
     return mat
 
 

@@ -60,9 +60,8 @@ from .config import is_count
 from .fgs import CovarianceMatrix, validate_cm
 from .errors import (
     DimensionMismatchError,
-    IndexOutOfRangeError,
     InvalidParameterError,
-    OddSubsetError,
+    NotBonaFideError,
     TooManyModesError,
 )
 
@@ -102,12 +101,12 @@ _STATE_BUILD_MATRICES = 1.55
 class DenseState:
     """An exact density matrix on the 2^n-dimensional Fock space.
 
-    n is read from ρ's dimension. Every ρ is checked: it must be finite and
-    commute with (-1)^N to 1e-10, and its sector blocks Hermitian and of
-    unit trace to 1e-10, with no eigenvalue below -1e-10 up to rounding of
-    order 2^n times the unit roundoff. The stored ρ is read-only and its
-    own: the given sector blocks and exact zeros between the sectors.
-    TooManyModesError for n over MODE_CAP, or when the check's matrices
+    n is read from ρ's dimension. Every ρ is checked (NotBonaFideError): it
+    must be finite and commute with (-1)^N to 1e-10, and its sector blocks
+    Hermitian and of unit trace to 1e-10, with no eigenvalue below -1e-10 up
+    to rounding of order 2^n times the unit roundoff. The stored ρ is
+    read-only and its own: the given sector blocks and exact zeros between
+    the sectors. TooManyModesError for n over MODE_CAP, or when the check's matrices
     would exceed DENSE_BYTES_CAP, before any of them is allocated.
     """
 
@@ -158,11 +157,11 @@ def _sector_blocks(rho: np.ndarray) -> np.ndarray:
         for i in range(0, len(ours), rows):
             slab = rho[ours[i : i + rows]]  # a copy
             if not np.isfinite(slab).all():
-                raise ValueError("density matrix has non-finite entries")
+                raise NotBonaFideError("density matrix has non-finite entries")
             off = max(off, np.max(np.abs(slab[:, theirs])))
     # the largest entry of Pρ - ρP is twice the largest off-sector entry
     if 2.0 * off > 1e-10:
-        raise ValueError("state does not commute with the parity operator")
+        raise NotBonaFideError("state does not commute with the parity operator")
     return rho[_sectors(n)]
 
 
@@ -174,20 +173,20 @@ def _stored(blocks: np.ndarray) -> np.ndarray:
     Algorithms, §10.1); eigvalsh runs only where that fails. The check's
     temporaries, of a block's size each, are freed before ρ is made."""
     if not np.isfinite(blocks).all():
-        raise ValueError("density matrix has non-finite entries")
+        raise NotBonaFideError("density matrix has non-finite entries")
     square = sum(np.vdot(r, r).real for r in (b - b.conj().T for b in blocks))  # ||ρ - ρ^†||²
     if square > 1e-20:
-        raise ValueError("density matrix is not Hermitian")
+        raise NotBonaFideError("density matrix is not Hermitian")
     trace = np.trace(blocks, axis1=1, axis2=2).sum().real
     if abs(trace - 1.0) > 1e-10:
-        raise ValueError(f"trace is {trace!r}, expected 1")
+        raise NotBonaFideError(f"trace is {trace!r}, expected 1")
     for block in blocks:
         try:
             np.linalg.cholesky(block + 1e-10 * np.eye(len(block)))
         except np.linalg.LinAlgError:
             low = float(np.linalg.eigvalsh(block)[0])
             if low < -1e-10:
-                raise ValueError(f"negative eigenvalue {low:.3e}") from None
+                raise NotBonaFideError(f"negative eigenvalue {low:.3e}") from None
     return _full(blocks)
 
 
@@ -458,19 +457,19 @@ def wick_check(state: DenseState, m: CovarianceMatrix, idx) -> tuple:
     """(lhs, rhs) of the moment identity Tr(i^(|x|/2) γ(x) ρ) = Pf(M[x]).
 
     idx must be a strictly increasing, even-sized tuple of Majorana
-    indices; for Gaussian states the two sides agree. M must have the
-    state's mode count (DimensionMismatchError).
+    indices (InvalidParameterError); for Gaussian states the two sides
+    agree. M must have the state's mode count (DimensionMismatchError).
     """
     d = 2 * state.n
     if len(m.mat) != d:
         raise DimensionMismatchError(f"mode mismatch: state {state.n} vs covariance matrix {len(m.mat) // 2}")
     idx = tuple(idx)
     if len(idx) % 2 != 0:
-        raise OddSubsetError(f"index subset {idx} has odd size")
+        raise InvalidParameterError(f"index subset {idx} has odd size")
     if any(not 0 <= i < d for i in idx):
-        raise IndexOutOfRangeError(f"indices {idx} outside [0, {d})")
+        raise InvalidParameterError(f"indices {idx} outside [0, {d})")
     if list(idx) != sorted(set(idx)):
-        raise IndexOutOfRangeError(f"indices {idx} must be strictly increasing")
+        raise InvalidParameterError(f"indices {idx} must be strictly increasing")
     lhs = float(((1j) ** (len(idx) // 2) * _string_trace(state.rho, state.n, idx)).real)
     rhs = matalg.pfaffian(m.mat[np.ix_(idx, idx)])
     return lhs, rhs

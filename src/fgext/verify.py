@@ -142,10 +142,10 @@ _SUITES = {
 
 def run_suite(suite: str, n_max: int = 3, trials: int = 50, seed: int = 0) -> SuiteReport:
     """Run a named property suite and report the worst residual over its trials; a NaN
-    residual is the worst and fails the suite. ValueError for an unknown suite;
-    InvalidParameterError unless n_max, trials >= 1 and seed >= 0 are integers."""
+    residual is the worst and fails the suite. InvalidParameterError for an unknown
+    suite, or unless n_max, trials >= 1 and seed >= 0 are integers."""
     if suite not in _SUITES:
-        raise ValueError(f"unknown suite {suite!r}; choose from {sorted(_SUITES)}")
+        raise InvalidParameterError(f"unknown suite {suite!r}; choose from {sorted(_SUITES)}")
     for name, value, low in (("n_max", n_max, 1), ("trials", trials, 1), ("seed", seed, 0)):
         if not is_count(value, low):
             raise InvalidParameterError(f"{name} must be an integer >= {low}, not {value!r}")

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from fgext import bounds, extend, fgs, matalg, oracle
-from fgext.errors import OutOfRangeError, WrongSplitError
+from fgext.errors import InvalidParameterError, WrongSplitError
 
 #: Every split with n_A + n_B <= 6.
 SPLITS = [(n_a, n_b) for n_a in range(1, 6) for n_b in range(1, 7 - n_a)]
@@ -26,9 +26,9 @@ class TestBinaryEntropy:
         )
 
     def test_out_of_range(self):
-        with pytest.raises(OutOfRangeError):
+        with pytest.raises(InvalidParameterError):
             fgs.binary_entropy(-0.1)
-        with pytest.raises(OutOfRangeError):
+        with pytest.raises(InvalidParameterError):
             fgs.binary_entropy(1.1)
 
 
@@ -68,7 +68,7 @@ class TestDeFinettiBounds:
     def test_counts_and_orders_must_be_positive_integers(self, bad, position):
         args = [1, 1, 2, 2]
         args[position] = bad
-        with pytest.raises(OutOfRangeError):
+        with pytest.raises(InvalidParameterError):
             bounds.definetti_bounds(*args)
 
     def test_numpy_integers_accepted(self):
@@ -193,7 +193,7 @@ class TestFamily:
     )
     @pytest.mark.parametrize("k1, k2", [(0, 2), (2, 0), (2.5, 2), (2, 2.5), (2.0, 2), (True, 2), (2, True)])
     def test_orders_must_be_positive_integers(self, routine, k1, k2):
-        with pytest.raises(OutOfRangeError, match="family parameters must be positive integers"):
+        with pytest.raises(InvalidParameterError, match="family parameters must be positive integers"):
             routine(k1, k2)
 
     def test_numpy_integer_orders_accepted(self):
@@ -231,9 +231,9 @@ class TestEpsilonFamily:
         assert bounds.trace_upper_from_cm(b) == pytest.approx(1e-6)
 
     def test_domain(self):
-        with pytest.raises(OutOfRangeError):
+        with pytest.raises(InvalidParameterError):
             bounds.epsilon_family(0.0)
-        with pytest.raises(OutOfRangeError):
+        with pytest.raises(InvalidParameterError):
             bounds.epsilon_family(2.1)
 
 

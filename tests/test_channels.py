@@ -10,9 +10,9 @@ from fgext.bounds import family_cm
 from fgext.config import DEFAULT_CONFIG
 from fgext.errors import (
     DimensionMismatchError,
+    InvalidParameterError,
     NotAntisymmetricError,
     NotCPError,
-    OutOfRangeError,
     SolverStalledError,
 )
 from fgext.extend import FeasibilityStatus
@@ -355,9 +355,9 @@ class TestPureLoss:
         assert_allclose(repl.n_mat.mat, OMEGA)
 
     def test_domain(self):
-        with pytest.raises(OutOfRangeError):
+        with pytest.raises(InvalidParameterError):
             channels.pure_loss(-0.1)
-        with pytest.raises(OutOfRangeError):
+        with pytest.raises(InvalidParameterError):
             channels.pure_loss(1.1)
 
 

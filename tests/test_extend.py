@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import copies, random_pure, stinespring
+from conftest import bipartite, copies, random_pure, special_orthogonal, stinespring
 from fgext import channels, extend, fgs, matalg, oracle, solver
 from fgext.bounds import epsilon_family, family_cm
 from fgext.config import DEFAULT_CONFIG
-from fgext.errors import InvalidParameterError, NotFeasibleError, SolverStalledError, WrongSplitError
+from fgext.errors import InvalidParameterError, SolverStalledError, WrongSplitError
 from fgext.extend import ExtendQuery, FeasibilityStatus, _theorem_constraints
 from fgext.verify import random_bipartite_cm, twirled_extendible_instance
 
@@ -297,7 +297,7 @@ class TestBuildExtension:
     def test_infeasible_refuses(self):
         q = ExtendQuery(fgs.bell_cm("phi+"), 3, 3)
         result = extend.feasibility(q)
-        with pytest.raises(NotFeasibleError):
+        with pytest.raises(InvalidParameterError, match="cannot build an extension"):
             extend.build_extension(q, result)
 
 
@@ -389,3 +389,121 @@ class TestOneModeStart:
             assert start is None
         if abs(margin) > 1e-6:
             assert extend.solver_verdict(query, DEFAULT_CONFIG).feasible == (margin >= target)
+
+
+def one_mode_margin(b, k1, k2):
+    """The largest margin t of a 1+1 query, by bisection on t, from the last
+    constraint's Schur complement alone (written apart from _one_mode_start).
+
+    With M_A = aJ, M_B = bJ, Δ_A = αJ, Δ_B = βJ, p = k1 a - (k1-1)α and
+    q = k2 b - (k2-1)β, t is feasible iff some |α|, |β| <= u = 1 - t (a side
+    with k = 1 keeps its marginal) makes uI + i[[pJ, sX], [-sXᵀ, qJ]] ⪰ 0,
+    s² = k1 k2. For |p| < u the Schur complement of uI + ipJ is
+    u(I - cXᵀX) + i(q + cpd)J with c = s²/(u² - p²) and d = det X, so p
+    needs c x1² <= 1 (x1 >= x2 the singular values of X) and q the window
+    |q + cpd| <= u sqrt((1 - c x1²)(1 - c x2²)). The window's ends are
+    concave and convex in p, so ternary search finds the p at which it
+    reaches furthest into q's range.
+    """
+    a, m_b, x = b.block_a[0, 1], b.block_b[0, 1], b.block_x
+    d = np.linalg.det(x)
+    x1, x2 = np.linalg.svd(x, compute_uv=False)
+    s2 = k1 * k2
+
+    def span(k, m, u):
+        return (m, m) if k == 1 else (k * m - (k - 1) * u, k * m + (k - 1) * u)
+
+    def feasible(t):
+        u = 1.0 - t
+        if u <= 0.0 or s2 * x1 * x1 >= u * u:
+            return False
+        (p_lo, p_hi), (q_lo, q_hi) = span(k1, a, u), span(k2, m_b, u)
+
+        def reach(p):
+            # >= 0 iff q's window meets [q_lo, q_hi]
+            c = s2 / (u * u - p * p)
+            r = u * np.sqrt(max((1.0 - c * x1 * x1) * (1.0 - c * x2 * x2), 0.0))
+            return min(r - c * p * d - q_lo, r + c * p * d + q_hi)
+
+        w = np.sqrt(u * u - s2 * x1 * x1)
+        lo, hi = max(p_lo, -w), min(p_hi, w)
+        if lo > hi:
+            return False
+        for _ in range(70):
+            left, right = lo + (hi - lo) / 3.0, hi - (hi - lo) / 3.0
+            at_left, at_right = reach(left), reach(right)
+            if max(at_left, at_right) >= 0.0:
+                return True
+            if at_left < at_right:
+                lo = left
+            else:
+                hi = right
+        return reach((lo + hi) / 2.0) >= 0.0
+
+    lo, hi = -1.0, 1.0
+    while not feasible(lo):
+        lo *= 2.0
+    for _ in range(40):
+        mid = (lo + hi) / 2.0
+        lo, hi = (mid, hi) if feasible(mid) else (lo, mid)
+    return lo
+
+
+def eliminates_a_side(query):
+    """True where _theorem_constraints removes a k = 1 side with marginal 0,
+    which changes the margin's scale but not its sign."""
+    b = query.b
+    return (query.k2 == 1 and not b.block_b.any()) or (query.k1 == 1 and not b.block_a.any())
+
+
+class TestOneModeReference:
+    """solver_verdict on 1+1 queries against one_mode_margin."""
+
+    @pytest.mark.parametrize(
+        "own, order",
+        [((2, 2), (3, 3)), ((3, 3), (4, 4)), ((3, 4), (4, 5)), ((2, 4), (3, 5)),
+         ((2, 1), (3, 2)), ((2, 2), (3, 2)), ((1, 1), (1, 2)), ((1, 3), (2, 4))],
+    )
+    def test_family_above_its_order(self, own, order):
+        want = 1.0 - np.sqrt(order[0] * order[1] / (own[0] * own[1]))
+        assert one_mode_margin(family_cm(*own), *order) == pytest.approx(want, abs=1e-9)
+
+    @pytest.mark.parametrize("lam", [0.1, 0.3, 0.45, 0.49, 0.51, 0.55, 0.7, 0.9])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_pure_loss_verdicts(self, lam, k):
+        # k-extendible iff λ <= 1/k (antidegradable at k = 2); the eliminated
+        # input side scales the solver's margin, so only the verdicts are compared
+        query = ExtendQuery(channels.choi_cm(channels.pure_loss(lam)), k, 1)
+        assert eliminates_a_side(query)
+        margin = one_mode_margin(query.b, k, 1)
+        feasible = extend.solver_verdict(query, DEFAULT_CONFIG).feasible
+        if lam < 1.0 / k:
+            assert feasible and abs(margin) < 1e-9  # a single feasible point
+        else:
+            assert not feasible and margin < -2e-5
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_choi_verdicts(self, seed):
+        rng = np.random.default_rng(seed)
+        b = channels.choi_cm(stinespring(rng, 1, 1 + seed % 2, 1))
+        for k in (2, 3, 4):
+            query = ExtendQuery(b, k, 1)
+            assert eliminates_a_side(query)
+            margin = one_mode_margin(b, k, 1)
+            if abs(margin) > 2e-5:
+                assert extend.solver_verdict(query, DEFAULT_CONFIG).feasible == (margin > 0.0)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.integers(0, 2**32 - 1),
+           st.integers(1, 4), st.integers(1, 4))
+    def test_rotated_canonical_forms(self, lam1, lam2, seed, k1, k2):
+        assume(not k1 == k2 == 1)
+        rotation = special_orthogonal(np.random.default_rng(seed), 4)
+        b = bipartite(matalg.CanonicalForm(rotation, np.array([lam1, lam2])).reconstruct(), 1, 1)
+        query = ExtendQuery(b, k1, k2)
+        margin = one_mode_margin(b, k1, k2)
+        assume(abs(margin) > 2e-5)  # outside the solver's ambiguous band
+        result = extend.solver_verdict(query, DEFAULT_CONFIG)
+        assert result.feasible == (margin > 0.0)
+        if not result.feasible and not eliminates_a_side(query):
+            assert result.margin == pytest.approx(margin, abs=2e-8)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 from types import SimpleNamespace
@@ -10,7 +11,7 @@ from conftest import copies, family22_direct_sum, family22_x_scaled
 from fgext import channels, cli, fgs, io, matalg, oracle, verify
 from fgext.bounds import epsilon_family, family_cm
 from fgext.config import RunConfig
-from fgext.errors import DimensionOddError, InvalidParameterError, NotAntisymmetricError, ParseError
+from fgext.errors import DimensionMismatchError, InvalidParameterError, NotAntisymmetricError, ParseError
 
 
 @pytest.fixture
@@ -55,7 +56,7 @@ class TestCmFormat:
     @pytest.mark.parametrize(
         "bare, error",
         [
-            (np.zeros((3, 3)), DimensionOddError),
+            (np.zeros((3, 3)), DimensionMismatchError),
             (np.array([[0.0, 1.0], [1.0, 0.0]]), NotAntisymmetricError),
             (np.array([[0.0, np.nan], [-np.nan, 0.0]]), NotAntisymmetricError),
         ],
@@ -354,6 +355,21 @@ class TestBoundsCmd:
         out = json.loads(capsys.readouterr().out)
         assert out["trace_lower"] == pytest.approx(np.linalg.norm(b.block_x, 2), abs=1e-12)
 
+    @pytest.mark.parametrize("flags", [("--na", "3"), ("--nb", "5"), ("--na", "3", "--nb", "5")])
+    def test_mode_counts_refused_beside_cm(self, family_file, capsys, flags):
+        # the file sets the mode counts; these flags used to be dropped without a word
+        assert run_cli("bounds", "2", "2", "--cm", family_file, *flags) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("parse error: --na and --nb cannot be given with --cm")
+
+    def test_zero_modes_reach_the_bounds_refusal(self, capsys):
+        assert run_cli("bounds", "2", "2", "--na", "0") == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: mode counts and extension orders must be positive integers\n"
+
 
 class TestFamilyCmd:
     def test_single(self, capsys):
@@ -489,6 +505,28 @@ class TestOracleVerifyCmd:
         run_cli("--seed", "7", "oracle-verify", "roundtrip", "--trials", "10")
         assert capsys.readouterr().out == first
 
+    def test_suite_choices_are_the_suite_table(self):
+        commands = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        suite = next(a for a in commands.choices["oracle-verify"]._actions if a.dest == "suite")
+        assert tuple(suite.choices) == tuple(verify._SUITES)
+
+    def test_refused_state_exits_2(self, monkeypatch, capsys):
+        # a canonical value of 1.2 builds a unit-trace Hermitian ρ with a negative
+        # eigenvalue; its refusal is "not physical", not a traceback read as infeasible
+        build = oracle._state_blocks
+
+        def unphysical(rotation, lambdas, n):
+            lambdas = np.array(lambdas, dtype=float)
+            lambdas[-1] = 1.2
+            return build(rotation, lambdas, n)
+
+        monkeypatch.setattr(oracle, "_state_blocks", unphysical)
+        assert run_cli("oracle-verify", "roundtrip", "--trials", "1") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("not physical: negative eigenvalue")
+
 
 class TestBadInputsExit3:
     """Malformed files and out-of-range values: exit 3, one stderr line, no traceback."""
@@ -610,7 +648,7 @@ def test_run_config_accepts_numpy_scalars():
 
 
 def test_run_suite_refuses_an_unknown_suite():
-    with pytest.raises(ValueError, match="unknown suite 'nope'"):
+    with pytest.raises(InvalidParameterError, match="unknown suite 'nope'"):
         verify.run_suite("nope")
 
 

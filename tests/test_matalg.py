@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 
 import fgext
 from fgext import matalg
-from fgext.errors import DimensionMismatchError, DimensionOddError, NotAntisymmetricError
+from fgext.errors import DimensionMismatchError, NotAntisymmetricError
 
 from conftest import random_antisymmetric
 
@@ -49,7 +49,7 @@ class TestAntisymmetrize:
         assert np.all(np.diag(out.mat) == 0.0)
 
     def test_odd_dimension(self):
-        with pytest.raises(DimensionOddError):
+        with pytest.raises(DimensionMismatchError, match="odd"):
             matalg.antisymmetrize(np.zeros((3, 3)))
 
     def test_immutable(self):
