@@ -118,16 +118,18 @@ def _result_payload(result):
 
 
 def _cmd_extendible(args, config):
+    if args.emit_witness == "":
+        raise ParseError("--emit-witness needs a non-empty prefix for its witness files")
     b = _load_bipartite(args.path, config)
     query = extend_mod.ExtendQuery(b, args.k1, args.k2)
     result = extend_mod.feasibility(query, config)
     payload = _result_payload(result)
     payload.update({"k1": args.k1, "k2": args.k2})
     if result.feasible:
-        if args.emit_extension:
+        if args.emit_extension is not None:
             io.save_cm(args.emit_extension, extend_mod.build_extension(query, result, config))
             payload["extension_file"] = args.emit_extension
-        if args.emit_witness:
+        if args.emit_witness is not None:
             io.save_cm(args.emit_witness + ".deltaA.cm", result.delta_a)
             io.save_cm(args.emit_witness + ".deltaB.cm", result.delta_b)
             payload["witness_files"] = [
@@ -158,7 +160,7 @@ def _bounds_record(n_a, n_b, k1, k2, cm=None):
 
 
 def _cmd_bounds(args, config):
-    if args.cm:
+    if args.cm is not None:
         if args.na is not None or args.nb is not None:
             raise ParseError("--na and --nb cannot be given with --cm, which sets the mode counts")
         b = _load_bipartite(args.cm, config)
@@ -186,7 +188,7 @@ def _cmd_family(args, config):
     k1s = range(args.k1, (args.k1_max or args.k1) + 1)
     k2s = range(args.k2, (args.k2_max or args.k2) + 1)
     tuples = [(k1, k2) for k1 in k1s for k2 in k2s]
-    if args.emit:
+    if args.emit is not None:
         if len(tuples) != 1:
             raise ParseError("--emit requires a single (k1, k2) tuple")
         io.save_cm(args.emit, bounds_mod.family_cm(*tuples[0]))
@@ -202,7 +204,7 @@ def _cmd_channel(args, config):
         return EXIT_OK
     if args.action == "choi":
         b = channels_mod.choi_cm(ch)
-        if args.out:
+        if args.out is not None:
             io.save_cm(args.out, b)
         _emit(
             {

@@ -17,9 +17,9 @@ sums of the extended matrix on rows free of unknown blocks.
 The solver starts at the marginals, except for one mode per side: there
 the last constraint reduces to a concave search in one variable, and a
 query whose marginals miss a margin of 0 starts at that search's point
-(_one_mode_start). The one rule that accepts a witness is unchanged:
-margin >= margin_target(config), so a feasible 1+1 query whose start
-meets it needs no interior-point iteration.
+(_one_mode_start), feasible or not. The one rule that accepts a witness
+is margin >= margin_target(config), so a feasible 1+1 query needs no
+interior-point iteration; an infeasible one runs from the widest q-window.
 """
 
 import enum
@@ -33,7 +33,7 @@ from . import matalg
 from .config import RunConfig, DEFAULT_CONFIG, is_count
 from .errors import InvalidParameterError
 from .fgs import BipartiteCM, CovarianceMatrix, _bipartite, _split, validate_cm
-from .solver import MatrixConstraint, _objective, margin_target, max_margin
+from .solver import MatrixConstraint, margin_target, max_margin
 
 __all__ = [
     "ExtendQuery",
@@ -171,7 +171,7 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_STEPS = 75
 
 
-def _one_mode_start(query: ExtendQuery, constraints, config: RunConfig):
+def _one_mode_start(query: ExtendQuery):
     """A start point in closed form for one mode per side and some k > 1, or None.
 
     Write M_A = aJ, M_B = bJ, Δ_A = αJ and Δ_B = βJ with J = [[0, 1], [-1, 0]],
@@ -185,14 +185,14 @@ def _one_mode_start(query: ExtendQuery, constraints, config: RunConfig):
     None when the marginals already have a margin >= 0, tested in scalars:
     the last constraint's skew part K at the marginals has largest |eigenvalue|
     ν with ν² = (S + sqrt(S² - 4P²))/2, S = a² + b² + s²‖X‖²_F and P = Pf K
-    = ab - s² d. Otherwise golden-section search maximises over p the length
-    of the overlap of q's window with q's range, which is concave in p, and
-    takes q at the overlap's middle. None if the overlap is empty, unless
-    the point still meets margin_target(config): at a single feasible point
-    (family_cm(k1, k2) at its own order, pure loss below 1/2 at (2, 1))
-    rounding alone decides the overlap's sign. With k1 = 1 the sides are
-    swapped first (a ↔ b, X → Xᵀ), so a query and its swapped copy compute
-    the same floats. max_margin's warm-start test accepts the start.
+    = ab - s² d; None too when p's range is empty. Otherwise golden-section
+    search maximises over p the length of the overlap of q's window with q's
+    range, which is concave in p, and takes q at the overlap's middle. The
+    point is returned whether or not it is feasible: an empty overlap (a
+    negative length) leaves the point where q's window comes closest to q's
+    range, and max_margin's warm-start test alone decides whether it is a
+    witness. With k1 = 1 the sides are swapped first (a ↔ b, X → Xᵀ), so a
+    query and its swapped copy compute the same floats.
     """
     b, k1, k2 = query.b, query.k1, query.k2
     if b.n_a != 1 or b.n_b != 1 or k1 == k2 == 1:
@@ -213,40 +213,35 @@ def _one_mode_start(query: ExtendQuery, constraints, config: RunConfig):
     if not p_lo <= p_hi or w >= 1.0:
         return None
 
-    def window(p):
+    def overlap(p):
+        # the length and middle of q's window at p clipped to q's range;
         # 1 - c x1² < 0 (s² x1² > 1, or rounding at |p| = w) turns it inside out
         c = s2 / (1.0 - p * p)
         e1, e2 = 1.0 - c * sq1, 1.0 - c * sq2
         r = math.sqrt(e1 * e2) if e1 >= 0.0 else e1
-        return max(-c * p * d - r, q_lo), min(-c * p * d + r, q_hi)
-
-    def overlap(p):
-        low, high = window(p)
-        return high - low
+        low, high = -c * p * d - r, -c * p * d + r
+        low, high = low if low > q_lo else q_lo, high if high < q_hi else q_hi
+        return high - low, (low + high) / 2.0
 
     # golden-section search: each step keeps the bracket around the larger
     # of two inner points and reuses the other inner point
     lo, hi = p_lo, p_hi
     left, right = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
-    at_left, at_right = overlap(left), overlap(right)
+    (at_left, _), (at_right, _) = overlap(left), overlap(right)
     for _ in range(_GOLDEN_STEPS):
         if at_left < at_right:
             lo, left, at_left = left, right, at_right
             right = lo + _GOLDEN * (hi - lo)
-            at_right = overlap(right)
+            at_right, _ = overlap(right)
         else:
             hi, right, at_right = right, left, at_left
             left = hi - _GOLDEN * (hi - lo)
-            at_left = overlap(left)
+            at_left, _ = overlap(left)
     p = (lo + hi) / 2.0
-    low, high = window(p)
     starts = [(k1 * a - p) / (k1 - 1)]
     if k2 > 1:
-        starts.append((k2 * m_b - (low + high) / 2.0) / (k2 - 1))
-    start = [np.array([[0.0, t], [-t, 0.0]]) for t in starts]
-    if low > high and _objective(constraints, start) < margin_target(config):
-        return None
-    return start
+        starts.append((k2 * m_b - overlap(p)[1]) / (k2 - 1))
+    return [np.array([[0.0, t], [-t, 0.0]]) for t in starts]
 
 
 def solver_verdict(query: ExtendQuery, config: RunConfig) -> FeasibilityResult:
@@ -255,14 +250,14 @@ def solver_verdict(query: ExtendQuery, config: RunConfig) -> FeasibilityResult:
     FEASIBLE, carrying the witnesses, iff the margin is at least
     margin_target(config); INFEASIBLE_NUMERICAL otherwise. The witnesses
     are exactly antisymmetric; a side with k = 1 carries its marginal.
-    A query with one mode per side and some k > 1 whose marginals miss a
-    margin of 0 starts at _one_mode_start's point, found in closed form,
-    when there is one; every other query starts at the marginals. Either
-    way max_margin's one rule, margin >= margin_target(config), accepts a
-    witness, and a start that meets it returns after 0 iterations.
+    A 1+1 query with some k > 1, whose marginals miss a margin of 0 and
+    whose p range is not empty, starts at _one_mode_start's point, feasible
+    or not; every other query starts at the marginals. Either way max_margin's
+    one rule, margin >= margin_target(config), accepts a witness, and a start
+    that meets it returns after 0 iterations.
     """
     constraints, warm = _theorem_constraints(query)
-    outcome = max_margin(constraints, _one_mode_start(query, constraints, config) or warm, config)
+    outcome = max_margin(constraints, _one_mode_start(query) or warm, config)
     if outcome.margin < margin_target(config):
         return FeasibilityResult(
             FeasibilityStatus.INFEASIBLE_NUMERICAL, None, None, outcome.margin, None

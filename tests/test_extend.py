@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -374,21 +376,45 @@ class TestOneModeStart:
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(st.sampled_from(["mixed", "pure", "family", "choi"]), st.integers(0, 2**32 - 1),
            st.integers(1, 4), st.integers(1, 4))
-    def test_start_is_a_witness_and_keeps_the_verdict(self, kind, seed, k1, k2):
-        query = ExtendQuery(one_mode_state(kind, seed), k1, k2)
+    def test_start_keeps_the_verdict_and_the_infeasible_margin(self, kind, seed, k1, k2):
+        b = one_mode_state(kind, seed)
+        query = ExtendQuery(b, k1, k2)
         cons, warm = _theorem_constraints(query)
         target = solver.margin_target(DEFAULT_CONFIG)
-        start = extend._one_mode_start(query, cons, DEFAULT_CONFIG)
-        if start is not None:
-            assert solver._objective(cons, start) >= target
+        start = extend._one_mode_start(query)
+        # the search runs iff some k > 1, the marginals miss a margin of 0 and
+        # p's range (on a side with k > 1) is not empty; 1e-9 gaps keep
+        # rounding at either edge out of the test
+        s = np.sqrt(k1 * k2)
+        skew = np.block([[b.block_a, s * b.block_x], [-s * b.block_x.T, b.block_b]])
+        at_marginals = 1.0 - np.abs(np.linalg.eigvalsh(1j * skew)).max()
+        k, m = (k1, b.block_a[0, 1]) if k1 > 1 else (k2, b.block_b[0, 1])
+        w = np.sqrt(max(1.0 - k1 * k2 * np.linalg.norm(b.block_x, 2) ** 2, 0.0))
+        p_range = min(k * m + k - 1, w) - max(k * m - k + 1, -w)
+        if k > 1 and at_marginals < -1e-9 and p_range > 1e-9:
+            assert start is not None
+        if k == 1 or at_marginals > 1e-9 or p_range < -1e-9:
+            assert start is None
         try:
             margin = solver.max_margin(cons, warm).margin
         except SolverStalledError:
             return
-        if margin < -1e-6:
-            assert start is None
+        outcomes = []
+
+        def spy(*args):
+            outcomes.append(solver.max_margin(*args))
+            return outcomes[-1]
+
+        with mock.patch.object(extend, "max_margin", spy):
+            verdict = extend.solver_verdict(query, DEFAULT_CONFIG)
+        # a start that meets the rule is accepted as it is, and a feasible
+        # query has one (or marginals that meet the rule)
+        if margin >= target or start is not None and solver._objective(cons, start) >= target:
+            assert outcomes[0].iterations == 0
         if abs(margin) > 1e-6:
-            assert extend.solver_verdict(query, DEFAULT_CONFIG).feasible == (margin >= target)
+            assert verdict.feasible == (margin >= target)
+        if margin < target:
+            assert abs(verdict.margin - margin) <= 1e-8
 
 
 def one_mode_margin(b, k1, k2):

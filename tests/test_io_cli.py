@@ -532,12 +532,12 @@ class TestBadInputsExit3:
     """Malformed files and out-of-range values: exit 3, one stderr line, no traceback."""
 
     @staticmethod
-    def assert_parse_error(capsys, *argv):
+    def assert_parse_error(capsys, *argv, prefix="parse error: "):
         assert run_cli(*argv) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("parse error: ")
+        assert len(lines) == 1 and lines[0].startswith(prefix)
         return lines[0]
 
     def test_non_integer_modes(self, tmp_path, capsys):
@@ -603,6 +603,30 @@ class TestBadInputsExit3:
         err = self.assert_parse_error(capsys, "family", "1", "1", "--k1-max", "2", "--emit", str(tmp_path / "x.cm"))
         assert "--emit requires a single (k1, k2) tuple" in err
         assert not (tmp_path / "x.cm").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("bounds", "2", "2", "--cm", ""),
+            ("family", "2", "2", "--emit", ""),
+            ("extendible", "{family}", "2", "2", "--emit-extension", ""),
+            ("channel", "{loss}", "choi", "--out", ""),
+        ],
+        ids=["bounds-cm", "family-emit", "extendible-emit-extension", "channel-out"],
+    )
+    def test_empty_path_reaches_the_file_layer(self, tmp_path, capsys, family_file, argv):
+        # an empty path is a path, not an absent flag: opening it fails
+        loss = tmp_path / "loss.ch"
+        io.save_channel(loss, channels.pure_loss(0.4))
+        argv = [arg.format(family=family_file, loss=loss) for arg in argv]
+        self.assert_parse_error(capsys, *argv, prefix="io error: ")
+
+    def test_empty_witness_prefix(self, tmp_path, capsys, family_file, monkeypatch):
+        # an empty prefix would name the hidden files .deltaA.cm and .deltaB.cm
+        monkeypatch.chdir(tmp_path)
+        err = self.assert_parse_error(capsys, "extendible", family_file, "2", "2", "--emit-witness", "")
+        assert "--emit-witness" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["family22.cm"]
 
     @pytest.mark.parametrize("flag", ["--n-max", "--trials"])
     def test_oracle_verify_below_one(self, capsys, flag):

@@ -1,5 +1,7 @@
 import functools
 import itertools
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -641,6 +643,25 @@ class TestMemoryGuard:
             tracemalloc.stop()
         assert state.n == n and not state.rho.flags.writeable
         assert peak < bound * 16 * 4**n
+
+    @pytest.mark.parametrize("n", [10, 11])
+    def test_state_build_resident_growth(self, n):
+        # tracemalloc cannot see heap that glibc keeps resident after a freed
+        # mid-size buffer lifts its mmap threshold; the resident high-water
+        # mark of a fresh process can, and the cap check assumes it grows by
+        # at most _STATE_BUILD_MATRICES matrices (plus a few MiB whatever n)
+        code = (
+            "import resource, numpy as np\n"
+            "from fgext import oracle, verify\n"
+            f"cm = verify.random_bona_fide_cm(np.random.default_rng({n}), {n})\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "state = oracle.state_from_cm(cm)\n"
+            "print(state.n, (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) * 1024)\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        modes, growth = map(int, out.stdout.split())
+        assert modes == n
+        assert growth <= oracle._STATE_BUILD_MATRICES * 16 * 4**n + 8 * 2**20
 
     @pytest.mark.parametrize("n", [8, 9, 10])
     def test_trace_distance_peak(self, n, random_cm_factory):
