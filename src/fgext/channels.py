@@ -92,8 +92,12 @@ def validate_channel(x_mat: np.ndarray, n_mat, eps_psd: float = DEFAULT_CONFIG.e
 
 def _require_cp(x_mat, n_mat, eps_psd):
     """Raise NotCPError, reporting the violating eigenvalue, unless
-    I + iN - X X^T >= -eps_psd."""
-    low = matalg.min_eigenvalue(np.eye(n_mat.dim) - x_mat @ x_mat.T, n_mat.mat)
+    I + iN - X X^T >= -eps_psd: proven by matalg.certified_floor's Cholesky
+    factorisation, or else decided by eigvalsh, which runs only then."""
+    a_sym = np.eye(n_mat.dim) - x_mat @ x_mat.T
+    if matalg.certified_floor(a_sym + 1j * n_mat.mat, eps_psd):
+        return
+    low = matalg.min_eigenvalue(a_sym, n_mat.mat)
     if not low >= -eps_psd:  # a NaN spectrum fails too
         raise NotCPError(
             f"I + iN - XX^T has eigenvalue {low:.6e} < -{eps_psd:.1e}",

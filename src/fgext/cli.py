@@ -94,9 +94,13 @@ def _load_bipartite(path, config):
 
 def _cmd_check_cm(args, config):
     body, split = io.load_cm_raw(args.path)
+    try:  # load_cm's verdict; the spectrum below is only reported
+        fgs.validate_cm(body, config.eps_psd)
+        valid = True
+    except NotBonaFideError:
+        valid = False
     spectrum = matalg.hermitian_spectrum(body)
     low = matalg.min_eigenvalue(np.eye(body.dim), body.mat)
-    valid = low >= -config.eps_psd
     report = {
         "valid": valid,
         "modes": body.modes,

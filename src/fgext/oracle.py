@@ -35,11 +35,13 @@ and multiply no dense Majorana matrices:
   entries, each carrying the sign Φ(r, c) that the (-Z) strings leave on
   it (see _state_blocks). That is O(n 4^n), against n² 4^n for the
   product formula Π_j (I + i λ_j γ̃_{2j} γ̃_{2j+1}) that the tests keep;
-* DenseState checks the sector blocks before it makes ρ of them: each
-  plus 1e-10 I is factorised by Cholesky, a fraction of an eigensolve,
-  and diagonalised only when that fails; trace_distance and entropies
-  diagonalise the blocks, a quarter of the work of one full eigvalsh, and
-  trace_distance subtracts the two states' blocks, not their full ρ;
+* DenseState checks the sector blocks before it makes ρ of them: a
+  Cholesky factorisation, a fraction of an eigensolve, proves each block's
+  floor of -1e-10 with its rounding bounded a priori
+  (matalg.certified_floor), and eigvalsh runs only on a block where it
+  does not; trace_distance and entropies diagonalise the blocks, a quarter
+  of the work of one full eigvalsh, and trace_distance subtracts the two
+  states' blocks, not their full ρ;
 * cm_from_state and wick_check compose strings (XOR of the masks,
   product of the phases) and read one XOR diagonal ρ[x, x ^ m] per
   monomial, O(n² 2^n) for the whole covariance matrix;
@@ -92,9 +94,10 @@ DENSE_BYTES_CAP = 2 * 2**30
 #: the table's index into the blocks, a quarter, is freed before the blocks
 #: are made), 1.25 in the check (the blocks, a shifted block, LAPACK's copy
 #: and the factor), 1.5 once ρ is made of the blocks. A first call in a
-#: fresh process grew peak RSS by 1.64, 1.55 and 1.52 matrices at 10, 11
-#: and 12 modes; the excess over 1.5 is a few MiB whatever n.
-_STATE_BUILD_MATRICES = 1.55
+#: fresh process grew peak RSS by 1.70-1.72, 1.57 and 1.53 matrices at 10,
+#: 11 and 12 modes (random_bona_fide_cm, seeds 1-3): 1.5 matrices plus
+#: 3.3-3.4, 4.5-4.6 and 6.7 MiB. The charge covers the largest of them.
+_STATE_BUILD_MATRICES = 1.72
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,10 +106,11 @@ class DenseState:
 
     n is read from ρ's dimension. Every ρ is checked (NotBonaFideError): it
     must be finite and commute with (-1)^N to 1e-10, and its sector blocks
-    Hermitian and of unit trace to 1e-10, with no eigenvalue below -1e-10 up
-    to rounding of order 2^n times the unit roundoff. The stored ρ is
-    read-only and its own: the given sector blocks and exact zeros between
-    the sectors. TooManyModesError for n over MODE_CAP, or when the check's matrices
+    Hermitian and of unit trace to 1e-10, with no eigenvalue below -1e-10:
+    proven by Cholesky (matalg.certified_floor), or decided by eigvalsh
+    where that proves nothing. The stored ρ is read-only and its own: the
+    given sector blocks and exact zeros between the sectors.
+    TooManyModesError for n over MODE_CAP, or when the check's matrices
     would exceed DENSE_BYTES_CAP, before any of them is allocated.
     """
 
@@ -167,11 +171,11 @@ def _sector_blocks(rho: np.ndarray) -> np.ndarray:
 
 def _stored(blocks: np.ndarray) -> np.ndarray:
     """_full(blocks) once the blocks are finite, Hermitian and of unit trace
-    to 1e-10 and each block + 1e-10 I has a Cholesky factor, which decides
-    that no eigenvalue is below -1e-10 up to rounding of order 2^(n-1) u ||ρ||
-    (u the unit roundoff; Higham, Accuracy and Stability of Numerical
-    Algorithms, §10.1); eigvalsh runs only where that fails. The check's
-    temporaries, of a block's size each, are freed before ρ is made."""
+    to 1e-10 and no block has an eigenvalue below -1e-10. A Cholesky
+    factorisation with its rounding bounded a priori proves that floor
+    (matalg.certified_floor); eigvalsh runs only on a block where it does
+    not, and decides. The check's temporaries, of a block's size each, are
+    freed before ρ is made."""
     if not np.isfinite(blocks).all():
         raise NotBonaFideError("density matrix has non-finite entries")
     square = sum(np.vdot(r, r).real for r in (b - b.conj().T for b in blocks))  # ||ρ - ρ^†||²
@@ -181,12 +185,10 @@ def _stored(blocks: np.ndarray) -> np.ndarray:
     if abs(trace - 1.0) > 1e-10:
         raise NotBonaFideError(f"trace is {trace!r}, expected 1")
     for block in blocks:
-        try:
-            np.linalg.cholesky(block + 1e-10 * np.eye(len(block)))
-        except np.linalg.LinAlgError:
+        if not matalg.certified_floor(block, 1e-10):
             low = float(np.linalg.eigvalsh(block)[0])
             if low < -1e-10:
-                raise NotBonaFideError(f"negative eigenvalue {low:.3e}") from None
+                raise NotBonaFideError(f"negative eigenvalue {low:.3e}")
     return _full(blocks)
 
 

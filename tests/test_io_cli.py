@@ -193,6 +193,25 @@ class TestCheckCm(object):
         out = json.loads(capsys.readouterr().out)
         assert out["valid"] is False
 
+    @pytest.mark.parametrize("lam, valid, code", [("1.0000000005", True, 0), ("1.000000002", False, 2)])
+    def test_either_side_of_the_floor(self, tmp_path, capsys, lam, valid, code):
+        # min eig of I + iM at -eps_psd / 2 and at -2 eps_psd
+        path = tmp_path / "edge.cm"
+        path.write_text(f"modes 1\nmatrix\n0 {lam}\n-{lam} 0\n")
+        assert run_cli("check-cm", str(path)) == code
+        out = json.loads(capsys.readouterr().out)
+        assert out["valid"] is valid
+        assert out["min_eig_I_plus_iM"] == pytest.approx(1.0 - float(lam), abs=1e-15)
+
+    def test_valid_is_the_verdict_of_validate_cm(self, tmp_path, capsys, monkeypatch):
+        # a floor that Cholesky proves decides, whatever eigvalsh reports
+        path = tmp_path / "edge.cm"
+        path.write_text("modes 1\nmatrix\n0 1.000000002\n-1.000000002 0\n")
+        monkeypatch.setattr(matalg, "certified_floor", lambda h, shift: True)
+        assert run_cli("check-cm", str(path)) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["valid"] is True and out["min_eig_I_plus_iM"] < -1e-9
+
     def test_pure_at_the_configured_eps_psd(self, tmp_path, capsys):
         path = tmp_path / "near.cm"
         io.save_cm(path, fgs.single_mode_cm(1.0 - 1e-7))

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import fgext
-from fgext import matalg
-from fgext.errors import DimensionMismatchError, NotAntisymmetricError
+from fgext import channels, fgs, matalg, oracle
+from fgext.config import DEFAULT_CONFIG
+from fgext.errors import DimensionMismatchError, NotAntisymmetricError, NotBonaFideError, NotCPError
+from fgext.verify import random_bona_fide_cm
 
 from conftest import random_antisymmetric
 
@@ -371,6 +374,200 @@ class TestMinEigenvalue:
             low = matalg.min_eigenvalue(sym, k)
             ref = float(np.linalg.eigvalsh(sym + 1j * k)[0])
             assert low == pytest.approx(ref, abs=1e-9)
+
+
+EPS = DEFAULT_CONFIG.eps_psd
+UNIT = 2.0**-53
+
+
+def known_spectrum(rng, lams, complex_):
+    """Q diag(λ) Q^H for a random unitary (or orthogonal) Q."""
+    d = len(lams)
+    z = rng.standard_normal((d, d))
+    if complex_:
+        z = z + 1j * rng.standard_normal((d, d))
+    q, _ = np.linalg.qr(z)
+    return (q * lams) @ q.conj().T
+
+
+def applied_c(monkeypatch, h, shift):
+    """The c that certified_floor takes off the shift for h, read from the
+    diagonal it hands to Cholesky (to within u |h_ii|); no factor is made."""
+    seen = []
+
+    def spy(a):
+        seen.append(a.diagonal().real - h.diagonal().real)
+        raise np.linalg.LinAlgError("spy")
+
+    monkeypatch.setattr(np.linalg, "cholesky", spy)
+    assert matalg.certified_floor(h, shift) is False
+    (added,) = seen
+    return shift - float(added.min())
+
+
+def one_mode(lam):
+    return np.array([[0.0, lam], [-lam, 0.0]])
+
+
+class TestCertifiedFloor:
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("d", [2, 8, 36, 256])
+    @pytest.mark.parametrize("shift", [EPS, 1e-10])
+    def test_known_spectrum_either_side(self, rng, d, complex_, shift):
+        for low, proven in ((-2.0 * shift, False), (-shift / 2.0, True)):
+            lams = rng.uniform(0.0, 1.0, d)
+            lams[rng.integers(d)] = low
+            assert matalg.certified_floor(known_spectrum(rng, lams, complex_), shift) is proven
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("place", ["diagonal", "off-diagonal"])
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_non_finite_entry(self, value, place, complex_):
+        h = np.eye(4, dtype=complex if complex_ else float)
+        if place == "diagonal":
+            h[2, 2] = value
+        else:
+            h[2, 1] = h[1, 2] = value
+        assert matalg.certified_floor(h, EPS) is False
+
+    def test_shift_at_or_below_c_proves_nothing(self):
+        assert matalg.certified_floor(np.eye(3), 0.0) is False
+        assert matalg.certified_floor(np.eye(3), -1.0) is False
+        assert matalg.certified_floor(np.eye(3), 1e-16) is False
+
+    def test_leaves_h_untouched(self, rng):
+        h = known_spectrum(rng, rng.uniform(0.0, 1.0, 6), True)
+        before = h.copy()
+        assert matalg.certified_floor(h, EPS) is True
+        assert np.array_equal(h, before)
+
+    @pytest.mark.parametrize("d", [2, 8, 36, 64])
+    def test_c_for_i_plus_ik(self, monkeypatch, d):
+        k = random_bona_fide_cm(np.random.default_rng(d), d // 2).mat
+        h = np.eye(d) + 1j * k
+        c = applied_c(monkeypatch, h, EPS)
+        assert (d + 1) * UNIT * d <= c <= 1e-11
+
+    @pytest.mark.parametrize("n", [6, 9, 12])
+    def test_c_for_an_oracle_block(self, monkeypatch, n):
+        d = 2 ** (n - 1)
+        h = np.zeros((d, d), dtype=complex)
+        h.reshape(-1)[:: d + 1] = (1.0 + d * 1e-10) / d  # the largest trace a floor can meet
+        c = applied_c(monkeypatch, h, 1e-10)
+        assert (d + 1) * UNIT <= c <= 1e-11
+
+    def test_validate_cm_either_side(self):
+        fgs.validate_cm(one_mode(1.0 + EPS / 2.0))
+        with pytest.raises(NotBonaFideError, match=r"min eig of I\+iM is -2.000e-09") as err:
+            fgs.validate_cm(one_mode(1.0 + 2.0 * EPS))
+        assert err.value.violating_eigenvalue == pytest.approx(1.0 + 2.0 * EPS, abs=1e-15)
+
+    def test_validate_channel_either_side(self):
+        # I + iN - XX^T = (1 - t) I + iν J has eigenvalues 1 - t ± ν
+        x = np.sqrt(0.5) * np.eye(2)
+        channels.validate_channel(x, one_mode(0.5 + EPS / 2.0))
+        with pytest.raises(NotCPError, match="eigenvalue -2.0000") as err:
+            channels.validate_channel(x, one_mode(0.5 + 2.0 * EPS))
+        assert err.value.violating_eigenvalue == pytest.approx(-2.0 * EPS, abs=1e-15)
+
+    def test_validate_cm_refuses_an_unchecked_nan_matrix(self):
+        # matalg._exact without conftest's guard, which refuses NaN itself
+        k = object.__new__(matalg.AntisymmetricMatrix)
+        object.__setattr__(k, "mat", np.array([[0.0, np.nan], [np.nan, 0.0]]))
+        with pytest.raises(NotBonaFideError, match="nan"):
+            fgs.validate_cm(k)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.integers(1, 48), st.booleans(), st.sampled_from([EPS, 1e-10]),
+           st.floats(0.0, 2.0), st.floats(0.01, 4.0), st.integers(0, 2**32 - 1))
+    def test_never_proven_below_the_floor(self, d, complex_, shift, below, top, seed):
+        # the stored h misses the spectrum by about d u top, far under 1e-12
+        rng = np.random.default_rng(seed)
+        lams = rng.uniform(0.0, top, d)
+        lams[0] = -shift - 1e-12 - below * shift
+        assert matalg.certified_floor(known_spectrum(rng, lams, complex_), shift) is False
+
+
+class TestFloorVerdictSweep:
+    """validate_cm, validate_channel and DenseState decide as eigvalsh does,
+    except within 1e-12 of the floor, where Cholesky may prove what
+    eigvalsh's own rounding denies."""
+
+    BAND = 1e-12
+
+    @staticmethod
+    def agree(accepts, low, shift):
+        """The verdict, once it is eigvalsh's; None within the band."""
+        if abs(low + shift) <= TestFloorVerdictSweep.BAND:
+            return None
+        verdict = accepts()
+        assert verdict is bool(low >= -shift)
+        return verdict
+
+    @staticmethod
+    def accepts(call, error):
+        try:
+            call()
+        except error:
+            return False
+        return True
+
+    def cm_verdicts(self, rng):
+        for modes in range(1, 7):
+            for trial in range(100):
+                k = random_bona_fide_cm(rng, modes).mat
+                if trial % 2:  # spectral radius 1 + t eps_psd, t in [-4, 4]
+                    radius = np.abs(np.linalg.eigvalsh(1j * k)).max()
+                    k = k * ((1.0 + rng.uniform(-4.0, 4.0) * EPS) / radius)
+                body = matalg.antisymmetrize(k)
+                low = np.linalg.eigvalsh(np.eye(2 * modes) + 1j * body.mat)[0]
+                yield self.agree(lambda: self.accepts(lambda: fgs.validate_cm(body), NotBonaFideError),
+                                 low, EPS)
+
+    def channel_verdicts(self, rng):
+        for trial in range(300):
+            n_in, n_out = rng.integers(1, 4, size=2)
+            x0 = rng.standard_normal((2 * n_out, 2 * n_in))
+            n = 0.5 * random_bona_fide_cm(rng, n_out).mat
+            d = 2 * n_out
+
+            def low_at(beta):
+                x = beta * x0
+                return np.linalg.eigvalsh(np.eye(d) - x @ x.T + 1j * n)[0]
+
+            # bisect for a CP margin of -t eps_psd, t in [-4, 4]
+            target, lo, hi = -rng.uniform(-4.0, 4.0) * EPS, 0.0, 2.0
+            for _ in range(60):
+                mid = (lo + hi) / 2.0
+                lo, hi = (mid, hi) if low_at(mid) > target else (lo, mid)
+            x = lo * x0
+            yield self.agree(
+                lambda: self.accepts(lambda: channels.validate_channel(x, n), NotCPError), low_at(lo), EPS
+            )
+
+    def block_verdicts(self, rng):
+        for trial in range(200):
+            modes = int(rng.integers(2, 5))
+            blocks = oracle.state_from_cm(random_bona_fide_cm(rng, modes)).rho[oracle._sectors(modes)]
+            side = rng.integers(2)
+            w, v = np.linalg.eigh(blocks[side])
+            target = -rng.uniform(-4.0, 4.0) * 1e-10
+            w[-1] += w[0] - target  # keeps the trace
+            w[0] = target
+            blocks[side] = (v * w) @ v.conj().T
+            low = min(np.linalg.eigvalsh(b)[0] for b in blocks)
+            rho = oracle._full(blocks)
+            yield self.agree(lambda: self.accepts(lambda: oracle.DenseState(rho), NotBonaFideError), low, 1e-10)
+
+    def test_sweep(self, rng):
+        decided = 0
+        for name in ("cm", "channel", "block"):
+            verdicts = list(getattr(self, f"{name}_verdicts")(rng))
+            accepted, refused = verdicts.count(True), verdicts.count(False)
+            assert accepted + refused >= 0.95 * len(verdicts)
+            assert min(accepted, refused) >= 0.1 * len(verdicts), (name, accepted, refused)
+            decided += accepted + refused
+        assert decided >= 1000
 
 
 class TestNorms:

@@ -648,8 +648,9 @@ class TestMemoryGuard:
     def test_state_build_resident_growth(self, n):
         # tracemalloc cannot see heap that glibc keeps resident after a freed
         # mid-size buffer lifts its mmap threshold; the resident high-water
-        # mark of a fresh process can, and the cap check assumes it grows by
-        # at most _STATE_BUILD_MATRICES matrices (plus a few MiB whatever n)
+        # mark of a fresh process can. It grows by the 1.5 matrices of ρ and
+        # the blocks plus a few MiB whatever n (3.4 and 4.6 MiB measured),
+        # which _STATE_BUILD_MATRICES charges
         code = (
             "import resource, numpy as np\n"
             "from fgext import oracle, verify\n"
@@ -661,7 +662,7 @@ class TestMemoryGuard:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
         modes, growth = map(int, out.stdout.split())
         assert modes == n
-        assert growth <= oracle._STATE_BUILD_MATRICES * 16 * 4**n + 8 * 2**20
+        assert growth <= 1.5 * 16 * 4**n + 8 * 2**20
 
     @pytest.mark.parametrize("n", [8, 9, 10])
     def test_trace_distance_peak(self, n, random_cm_factory):
