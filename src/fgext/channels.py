@@ -35,18 +35,18 @@ class GaussianChannel:
     """M -> X M X^T + N; X is 2 n_out x 2 n_in, N is 2 n_out x 2 n_out.
 
     X is kept as a read-only float copy, so the channel never shares it
-    with the caller; a non-finite entry is refused (NotCPError), and so are
-    an N that is not an AntisymmetricMatrix (NotAntisymmetricError), a
-    side without modes and an X that does not fit N (DimensionMismatchError).
+    with the caller; a complex or non-finite entry is refused (NotCPError),
+    and so are an N that is not an AntisymmetricMatrix (NotAntisymmetricError),
+    a side without modes and an X that does not fit N (DimensionMismatchError).
     """
 
     x_mat: np.ndarray
     n_mat: matalg.AntisymmetricMatrix
 
     def __post_init__(self):
-        x_mat = np.array(self.x_mat, dtype=float)
-        if not np.isfinite(x_mat).all():
-            raise NotCPError("X must have finite entries")
+        x_mat, lacks = matalg._finite_real(np.array(self.x_mat))
+        if lacks:
+            raise NotCPError(f"X must have {lacks} entries")
         if not isinstance(self.n_mat, matalg.AntisymmetricMatrix):
             raise NotAntisymmetricError(
                 f"N must be an AntisymmetricMatrix, not {type(self.n_mat).__name__}; "
@@ -78,12 +78,12 @@ def validate_channel(x_mat: np.ndarray, n_mat, eps_psd: float = DEFAULT_CONFIG.e
 
     Raises:
         DimensionMismatchError: X and N do not fit, or either side has no mode.
-        NotCPError: a non-finite entry, or reporting the violating eigenvalue.
+        NotCPError: a complex or non-finite entry, or λ_min below -eps_psd.
     """
     if not isinstance(n_mat, matalg.AntisymmetricMatrix):
-        n_raw = np.asarray(n_mat, dtype=float)
-        if not np.isfinite(n_raw).all():
-            raise NotCPError("N must have finite entries")
+        n_raw, lacks = matalg._finite_real(n_mat)
+        if lacks:
+            raise NotCPError(f"N must have {lacks} entries")
         n_mat = matalg.antisymmetrize(n_raw)
     channel = GaussianChannel(x_mat, n_mat)
     _require_cp(channel.x_mat, channel.n_mat, eps_psd)
@@ -92,13 +92,9 @@ def validate_channel(x_mat: np.ndarray, n_mat, eps_psd: float = DEFAULT_CONFIG.e
 
 def _require_cp(x_mat, n_mat, eps_psd):
     """Raise NotCPError, reporting the violating eigenvalue, unless
-    I + iN - X X^T >= -eps_psd: proven by matalg.certified_floor's Cholesky
-    factorisation, or else decided by eigvalsh, which runs only then."""
-    a_sym = np.eye(n_mat.dim) - x_mat @ x_mat.T
-    if matalg.certified_floor(a_sym + 1j * n_mat.mat, eps_psd):
-        return
-    low = matalg.min_eigenvalue(a_sym, n_mat.mat)
-    if not low >= -eps_psd:  # a NaN spectrum fails too
+    I + iN - X X^T >= -eps_psd, as matalg.floor_violation decides."""
+    low = matalg.floor_violation(np.eye(n_mat.dim) - x_mat @ x_mat.T + 1j * n_mat.mat, eps_psd)
+    if low is not None:
         raise NotCPError(
             f"I + iN - XX^T has eigenvalue {low:.6e} < -{eps_psd:.1e}",
             violating_eigenvalue=low,

@@ -116,35 +116,31 @@ def _split(b) -> BipartiteCM:
 
 
 def validate_cm(k, eps_psd: float = DEFAULT_CONFIG.eps_psd) -> CovarianceMatrix:
-    """Accept K as a covariance matrix iff I + iK >= -eps_psd.
-
-    A Cholesky factorisation proves the floor with its rounding bounded a
-    priori (matalg.certified_floor); eigvalsh runs only where it does not,
-    decides by its smallest eigenvalue and supplies the refusal's message.
+    """Accept K as a covariance matrix iff I + iK >= -eps_psd, as
+    matalg.floor_violation decides.
 
     Raises:
         NotBonaFideError: reporting the violating spectral radius of iK,
-            or a non-finite entry.
+            or a complex or non-finite entry.
         DimensionMismatchError: K has no mode.
     """
     if not isinstance(k, matalg.AntisymmetricMatrix):
-        k = np.asarray(k, dtype=float)
-        if not np.isfinite(k).all():
-            raise NotBonaFideError("covariance matrix has a non-finite entry")
+        k, lacks = matalg._finite_real(k)
+        if lacks:
+            raise NotBonaFideError(f"covariance matrix has a non-{lacks} entry")
         k = matalg.antisymmetrize(k)
     if k.dim == 0:
         raise DimensionMismatchError("a covariance matrix needs at least one mode, got a 0x0 matrix")
     h = np.zeros((k.dim, k.dim), dtype=complex)
     h.imag = k.mat
     h.reshape(-1)[:: k.dim + 1] = 1.0
-    if not matalg.certified_floor(h, eps_psd):
-        low = matalg.min_eigenvalue(np.eye(k.dim), k.mat)
-        if not low >= -eps_psd:  # a NaN spectrum fails too
-            radius = 1.0 - low
-            raise NotBonaFideError(
-                f"spectrum of iM reaches {radius:.12g} > 1 (min eig of I+iM is {low:.3e})",
-                violating_eigenvalue=radius,
-            )
+    low = matalg.floor_violation(h, eps_psd)
+    if low is not None:
+        radius = 1.0 - low
+        raise NotBonaFideError(
+            f"spectrum of iM reaches {radius:.12g} > 1 (min eig of I+iM is {low:.3e})",
+            violating_eigenvalue=radius,
+        )
     return CovarianceMatrix(k)
 
 

@@ -19,12 +19,13 @@ Channel files:
     n_matrix
     <2 n_out rows of 2 n_out decimals>
 
-Each format is a table of its fields in file order, which one reader and
-one writer follow. A header is a line of integers, a mode count one
-integer of at least 1. A matrix is its name, then 2 rows lines of 2 cols
-finite decimals, rows and cols being counts declared above it; `matrix`
-and `n_matrix` must be antisymmetric to the standard tolerance. Blank
-lines and '#' comments are ignored; validation happens on load.
+Each format is a table of its fields in file order, each given at most
+once, which one reader and one writer follow. A header is a line of
+integers, a mode count one integer of at least 1. A matrix is its name,
+then 2 rows lines of 2 cols finite decimals, rows and cols being counts
+declared above it; `matrix` and `n_matrix` must be antisymmetric to the
+standard tolerance. Blank lines and '#' comments are ignored; validation
+happens on load.
 """
 
 import math
@@ -89,6 +90,8 @@ def _read(path, fields, required):
         key, *rest = line.split()
         if key not in fields:
             raise ParseError(f"line {lineno}: unknown field {key!r}")
+        if key in values:
+            raise ParseError(f"line {lineno}: repeated field {key!r}")
         field = fields[key]
         if field.size:
             for count in fields:

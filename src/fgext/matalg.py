@@ -5,10 +5,9 @@ antisymmetric matrix K:
 
 * iK is Hermitian with spectrum symmetric about zero, and every
   constraint A + iB (A symmetric, B antisymmetric) is a complex
-  Hermitian matrix that numpy's eigvalsh takes directly. A yes/no
-  verdict A + iB >= -shift is proven by Cholesky instead
-  (certified_floor, its rounding bounded a priori), and eigvalsh runs
-  only where that proof fails, to decide and explain the refusal;
+  Hermitian matrix that numpy's eigvalsh takes directly. Every yes/no
+  verdict h >= -shift, whether h is I + iK, a channel's CP matrix or a
+  dense state's sector block, is floor_violation's;
 * K = O (⊕_j [[0, λ_j], [-λ_j, 0]]) O^T for some special orthogonal O,
   whose rotation planes are the real and imaginary parts of the
   eigenvectors of iK;
@@ -46,6 +45,7 @@ __all__ = [
     "canonical_form",
     "min_eigenvalue",
     "certified_floor",
+    "floor_violation",
     "norms",
 ]
 
@@ -57,9 +57,9 @@ ANTISYM_RTOL = 1e-8
 class AntisymmetricMatrix:
     """A validated real antisymmetric matrix of even dimension.
 
-    Construction rejects a non-finite entry and asymmetry beyond 1e-12
-    in absolute value, then projects exactly: K/2 - K^T/2 has an exactly
-    zero diagonal, and halving first keeps every finite entry finite.
+    Construction rejects a complex or non-finite entry and asymmetry beyond
+    1e-12 in absolute value, then projects exactly: K/2 - K^T/2 has an
+    exactly zero diagonal, and halving first keeps every finite entry finite.
     The wrapped array is made read-only; instances are safe to share.
     """
 
@@ -67,8 +67,6 @@ class AntisymmetricMatrix:
 
     def __post_init__(self):
         mat = _require_even_square(self.mat)
-        if not np.isfinite(mat).all():
-            raise NotAntisymmetricError("matrix has a non-finite entry")
         half = mat / 2.0
         residue = 2.0 * float(np.max(np.abs(half + half.T), initial=0.0))
         if not residue <= 1e-12:
@@ -124,12 +122,26 @@ class CanonicalForm:
         return o @ self.block_matrix() @ o.T
 
 
+def _finite_real(mat):
+    """(mat as a float array, None), or (None, what an entry is not: 'real'
+    for a nonzero imaginary part, else 'finite'). An imaginary part that is
+    exactly zero is dropped, with no ComplexWarning."""
+    mat = np.asarray(mat)
+    if mat.dtype.kind == "c" and np.any(mat.imag):
+        return None, "real"
+    mat = np.asarray(mat.real, dtype=float)
+    return (mat, None) if np.isfinite(mat).all() else (None, "finite")
+
+
 def _require_even_square(mat: np.ndarray) -> np.ndarray:
-    mat = np.asarray(mat, dtype=float)
+    mat = np.asarray(mat)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {mat.shape}")
     if mat.shape[0] % 2 != 0:
         raise DimensionMismatchError(f"dimension {mat.shape[0]} is odd")
+    mat, lacks = _finite_real(mat)
+    if lacks:
+        raise NotAntisymmetricError(f"matrix has a non-{lacks} entry")
     return mat
 
 
@@ -146,15 +158,14 @@ def _exact(mat: np.ndarray) -> AntisymmetricMatrix:
 def antisymmetrize(raw: np.ndarray) -> AntisymmetricMatrix:
     """Project a nearly antisymmetric matrix onto raw/2 - raw^T/2.
 
-    Rejects a non-finite entry, and input whose symmetric residue exceeds
-    ANTISYM_RTOL relative to max(‖raw‖_F, 1); the diagonal of the result
-    is exactly zero. Both norms are taken on raw scaled by a power of two
-    to a largest entry below 1, which rounds exactly as the unscaled norms
-    would and keeps their squares finite for entries up to the largest float.
+    Rejects a complex or non-finite entry, and input whose symmetric
+    residue exceeds ANTISYM_RTOL relative to max(‖raw‖_F, 1); the diagonal
+    of the result is exactly zero. Both norms are taken on raw scaled by a
+    power of two to a largest entry below 1, which rounds exactly as the
+    unscaled norms would and keeps their squares finite for entries up to
+    the largest float.
     """
     raw = _require_even_square(raw)
-    if not np.isfinite(raw).all():
-        raise NotAntisymmetricError("matrix has a non-finite entry")
     unit = 2.0 ** -max(int(np.frexp(np.max(np.abs(raw), initial=0.0))[1]), 0)
     scaled = raw * unit
     scale = np.linalg.norm(scaled)
@@ -235,6 +246,16 @@ def certified_floor(h: np.ndarray, shift: float) -> bool:
     except np.linalg.LinAlgError:
         return False
     return all(map(math.isfinite, factor.diagonal().real.tolist()))
+
+
+def floor_violation(h: np.ndarray, shift: float) -> float | None:
+    """None if λ_min(h) >= -shift, else eigvalsh's smallest eigenvalue of
+    h, NaN included; certified_floor proves the floor where it can, so
+    eigvalsh runs only to decide and explain what it does not prove."""
+    if certified_floor(h, shift):
+        return None
+    low = float(np.linalg.eigvalsh(h)[0])
+    return None if low >= -shift else low
 
 
 def pfaffian(k) -> float:

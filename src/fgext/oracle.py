@@ -35,21 +35,18 @@ and multiply no dense Majorana matrices:
   entries, each carrying the sign Φ(r, c) that the (-Z) strings leave on
   it (see _state_blocks). That is O(n 4^n), against n² 4^n for the
   product formula Π_j (I + i λ_j γ̃_{2j} γ̃_{2j+1}) that the tests keep;
-* DenseState checks the sector blocks before it makes ρ of them: a
-  Cholesky factorisation, a fraction of an eigensolve, proves each block's
-  floor of -1e-10 with its rounding bounded a priori
-  (matalg.certified_floor), and eigvalsh runs only on a block where it
-  does not; trace_distance and entropies diagonalise the blocks, a quarter
-  of the work of one full eigvalsh, and trace_distance subtracts the two
-  states' blocks, not their full ρ;
+* DenseState checks the sector blocks before it makes ρ of them, each
+  block's floor of -1e-10 by matalg.floor_violation; trace_distance and
+  entropies diagonalise the blocks, a quarter of the work of one full
+  eigvalsh, and trace_distance subtracts the two states' blocks, not ρ;
 * cm_from_state and wick_check compose strings (XOR of the masks,
   product of the phases) and read one XOR diagonal ρ[x, x ^ m] per
   monomial, O(n² 2^n) for the whole covariance matrix;
 * jordan_wigner and parity_operator build their dense matrices anew for
   each caller that asks for them and keep no copy.
 
-Before allocating dense 2^n x 2^n matrices, a routine checks an estimate
-of their bytes against DENSE_BYTES_CAP.
+Every routine refuses more than MODE_CAP modes before it allocates, and
+jordan_wigner also 2n dense matrices whose bytes exceed DENSE_BYTES_CAP.
 """
 
 import functools
@@ -80,24 +77,16 @@ __all__ = [
     "entropies",
 ]
 
-#: Hard cap on dense mode count (4096-dimensional Fock space).
+#: Hard cap on dense mode count (4096-dimensional Fock space), the one bound
+#: on a dense state: a first state_from_cm in a fresh process grew peak RSS
+#: by 1.70-1.72, 1.57 and 1.53 dense 2^n x 2^n complex matrices at 10, 11 and
+#: 12 modes (random_bona_fide_cm, seeds 1-3), 0.43 GiB at 12.
 MODE_CAP = 12
 
-#: Largest estimated size of the dense matrices one call may allocate: a
-#: state at MODE_CAP modes (2^24 complex entries, 0.25 GiB) fits, the
+#: Largest size of the dense matrices jordan_wigner may allocate: two
+#: states at MODE_CAP modes (2^24 complex entries, 0.25 GiB each) fit, the
 #: 6 GiB of dense Majorana matrices at MODE_CAP modes do not.
 DENSE_BYTES_CAP = 2 * 2**30
-
-#: Dense 2^n x 2^n complex matrices alive at once in state_from_cm, and
-#: above the given ρ in DenseState(ρ), which runs the same check: 1.0 in
-#: the build (the sector blocks, the real Pfaffian table and a spare block;
-#: the table's index into the blocks, a quarter, is freed before the blocks
-#: are made), 1.25 in the check (the blocks, a shifted block, LAPACK's copy
-#: and the factor), 1.5 once ρ is made of the blocks. A first call in a
-#: fresh process grew peak RSS by 1.70-1.72, 1.57 and 1.53 matrices at 10,
-#: 11 and 12 modes (random_bona_fide_cm, seeds 1-3): 1.5 matrices plus
-#: 3.3-3.4, 4.5-4.6 and 6.7 MiB. The charge covers the largest of them.
-_STATE_BUILD_MATRICES = 1.72
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,19 +95,17 @@ class DenseState:
 
     n is read from ρ's dimension. Every ρ is checked (NotBonaFideError): it
     must be finite and commute with (-1)^N to 1e-10, and its sector blocks
-    Hermitian and of unit trace to 1e-10, with no eigenvalue below -1e-10:
-    proven by Cholesky (matalg.certified_floor), or decided by eigvalsh
-    where that proves nothing. The stored ρ is read-only and its own: the
+    Hermitian and of unit trace to 1e-10, with no eigenvalue below -1e-10
+    (matalg.floor_violation). The stored ρ is read-only and its own: the
     given sector blocks and exact zeros between the sectors.
-    TooManyModesError for n over MODE_CAP, or when the check's matrices
-    would exceed DENSE_BYTES_CAP, before any of them is allocated.
+    TooManyModesError for n over MODE_CAP, before anything is allocated.
     """
 
     rho: np.ndarray
 
     def __post_init__(self):
         # the given array is only read
-        _require_modes(_modes_of(np.asarray(self.rho)), matrices=_STATE_BUILD_MATRICES)
+        _require_modes(_modes_of(np.asarray(self.rho)))
         object.__setattr__(self, "rho", _stored(_sector_blocks(np.asarray(self.rho, dtype=complex))))
 
     @property
@@ -171,11 +158,9 @@ def _sector_blocks(rho: np.ndarray) -> np.ndarray:
 
 def _stored(blocks: np.ndarray) -> np.ndarray:
     """_full(blocks) once the blocks are finite, Hermitian and of unit trace
-    to 1e-10 and no block has an eigenvalue below -1e-10. A Cholesky
-    factorisation with its rounding bounded a priori proves that floor
-    (matalg.certified_floor); eigvalsh runs only on a block where it does
-    not, and decides. The check's temporaries, of a block's size each, are
-    freed before ρ is made."""
+    to 1e-10 and no block has an eigenvalue below -1e-10, as
+    matalg.floor_violation decides. The check's temporaries, of a block's
+    size each, are freed before ρ is made."""
     if not np.isfinite(blocks).all():
         raise NotBonaFideError("density matrix has non-finite entries")
     square = sum(np.vdot(r, r).real for r in (b - b.conj().T for b in blocks))  # ||ρ - ρ^†||²
@@ -185,10 +170,9 @@ def _stored(blocks: np.ndarray) -> np.ndarray:
     if abs(trace - 1.0) > 1e-10:
         raise NotBonaFideError(f"trace is {trace!r}, expected 1")
     for block in blocks:
-        if not matalg.certified_floor(block, 1e-10):
-            low = float(np.linalg.eigvalsh(block)[0])
-            if low < -1e-10:
-                raise NotBonaFideError(f"negative eigenvalue {low:.3e}")
+        low = matalg.floor_violation(block, 1e-10)
+        if low is not None:
+            raise NotBonaFideError(f"negative eigenvalue {low:.3e}")
     return _full(blocks)
 
 
@@ -218,17 +202,10 @@ def _sectors(n: int) -> tuple:
     return rows[:, :, None], rows[:, None, :]
 
 
-def _require_modes(n: int, matrices: int):
-    """Refuse n outside [1, MODE_CAP], or `matrices` dense 2^n x 2^n
-    complex matrices whose bytes exceed DENSE_BYTES_CAP."""
+def _require_modes(n: int):
+    """Refuse n outside [1, MODE_CAP]."""
     if not 1 <= n <= MODE_CAP:
         raise TooManyModesError(f"mode count {n} outside [1, {MODE_CAP}]")
-    nbytes = matrices * 16 * 4**n
-    if nbytes > DENSE_BYTES_CAP:
-        raise TooManyModesError(
-            f"{n} modes need about {nbytes / 2**30:.2f} GiB of dense matrices, "
-            f"over the {DENSE_BYTES_CAP / 2**30:.2f} GiB cap"
-        )
 
 
 @functools.lru_cache(maxsize=None)
@@ -260,7 +237,13 @@ def _parity_signs(n: int) -> np.ndarray:
 def jordan_wigner(n: int) -> tuple:
     """The 2n Hermitian Majorana operators, {γ_p, γ_q} = 2 δ_pq, as
     read-only dense matrices."""
-    _require_modes(n, matrices=2 * n)
+    _require_modes(n)
+    nbytes = 2 * n * 16 * 4**n
+    if nbytes > DENSE_BYTES_CAP:
+        raise TooManyModesError(
+            f"{n} modes need about {nbytes / 2**30:.2f} GiB of dense matrices, "
+            f"over the {DENSE_BYTES_CAP / 2**30:.2f} GiB cap"
+        )
     masks, phases = _majorana_strings(n)
     x = np.arange(2**n)
     gammas = []
@@ -274,7 +257,7 @@ def jordan_wigner(n: int) -> tuple:
 
 def parity_operator(n: int) -> np.ndarray:
     """(-1)^N as a diagonal matrix in the occupation basis."""
-    _require_modes(n, matrices=1)
+    _require_modes(n)
     p = np.diag(_parity_signs(n).astype(complex))
     p.setflags(write=False)
     return p
@@ -427,7 +410,7 @@ def state_from_cm(m: CovarianceMatrix) -> DenseState:
     boundary states reconstruct to genuinely positive matrices even when
     the covariance matrix carries an eps-sized physicality slack.
     """
-    _require_modes(m.modes, matrices=_STATE_BUILD_MATRICES)
+    _require_modes(m.modes)
     form = matalg.canonical_form(m.body)
     lams = np.clip(form.lambdas, -1.0, 1.0)
     return _adopt(_state_blocks(form.rotation, lams, m.modes))

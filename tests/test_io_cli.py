@@ -600,6 +600,23 @@ class TestBadInputsExit3:
             argv = ("channel", str(path), "validate")
         assert "non-finite entry" in self.assert_parse_error(capsys, *argv)
 
+    @pytest.mark.parametrize(
+        "kind, text, line, key",
+        [
+            ("cm", "modes 1\nmatrix\n0 1\n-1 0\nmatrix\n0 -1\n1 0\n", 5, "matrix"),
+            ("cm", "modes 2\nmatrix\n" + "0 0 0 0\n" * 4 + "modes 1\n", 7, "modes"),
+            ("cm", "modes 2\nsplit 1 1\nsplit 1 1\nmatrix\n" + "0 0 0 0\n" * 4, 3, "split"),
+            ("channel", "n_in 1\nn_out 1\nx_matrix\n1 0\n0 1\nn_matrix\n0 0\n0 0\nn_out 2\n", 9, "n_out"),
+        ],
+        ids=["second-matrix", "modes-after-matrix", "second-split", "trailing-n_out"],
+    )
+    def test_repeated_field(self, tmp_path, capsys, kind, text, line, key):
+        # a second field of the same name would overwrite the first
+        path = tmp_path / f"bad.{kind}"
+        path.write_text(text)
+        argv = ("check-cm", str(path)) if kind == "cm" else ("channel", str(path), "validate")
+        assert self.assert_parse_error(capsys, *argv) == f"parse error: line {line}: repeated field '{key}'"
+
     @pytest.mark.filterwarnings("error")
     def test_huge_symmetric_matrix(self, tmp_path, capsys):
         # both Frobenius norms of a 1e200 matrix overflow unless scaled first

@@ -1,3 +1,5 @@
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -486,6 +488,68 @@ class TestCertifiedFloor:
         lams = rng.uniform(0.0, top, d)
         lams[0] = -shift - 1e-12 - below * shift
         assert matalg.certified_floor(known_spectrum(rng, lams, complex_), shift) is False
+
+
+class TestFloorViolation:
+    """The one PSD rule: None when the floor holds, else eigvalsh's λ_min."""
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("shift", [EPS, 1e-10])
+    def test_either_side(self, rng, complex_, shift):
+        lams = rng.uniform(0.0, 1.0, 8)
+        lams[3] = -shift / 2.0
+        assert matalg.floor_violation(known_spectrum(rng, lams, complex_), shift) is None
+        lams[3] = -2.0 * shift
+        h = known_spectrum(rng, lams, complex_)
+        low = matalg.floor_violation(h, shift)
+        assert low == np.linalg.eigvalsh(h)[0] and low == pytest.approx(-2.0 * shift, abs=1e-14)
+
+    def test_nan_is_a_violation(self):
+        assert np.isnan(matalg.floor_violation(np.full((2, 2), np.nan), EPS))
+
+    def test_a_proven_floor_is_not_diagonalised(self, monkeypatch):
+        # h's λ_min is -1, far below the floor: only certified_floor decides
+        monkeypatch.setattr(matalg, "certified_floor", lambda h, shift: True)
+        monkeypatch.setattr(np.linalg, "eigvalsh", None)
+        assert matalg.floor_violation(-np.eye(3), EPS) is None
+
+    def test_no_other_module_proves_a_floor(self):
+        sources = pathlib.Path(matalg.__file__).parent.glob("*.py")
+        assert [p.name for p in sources if p.name != "matalg.py" and "certified_floor" in p.read_text("utf-8")] == []
+
+
+class TestComplexInputRefused:
+    """A nonzero imaginary part is refused at every gate that casts to float;
+    an exactly zero one is read as the real matrix, with no warning."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "gate",
+        [lambda k: matalg.antisymmetrize(k).mat, lambda k: matalg.AntisymmetricMatrix(k).mat, matalg.hermitian_spectrum],
+        ids=["antisymmetrize", "AntisymmetricMatrix", "hermitian_spectrum"],
+    )
+    def test_matalg(self, gate):
+        for k in (1j * J, J + 1e-300j):
+            with pytest.raises(NotAntisymmetricError, match="matrix has a non-real entry"):
+                gate(k)
+        assert np.array_equal(gate(J + 0j), gate(J))
+
+    @pytest.mark.filterwarnings("error")
+    def test_validate_cm(self):
+        with pytest.raises(NotBonaFideError, match="covariance matrix has a non-real entry"):
+            fgs.validate_cm(1j * J)
+        assert np.array_equal(fgs.validate_cm(VACUUM + 0j).mat, VACUUM)
+
+    @pytest.mark.filterwarnings("error")
+    def test_validate_channel(self):
+        with pytest.raises(NotCPError, match="X must have real entries"):
+            channels.validate_channel((1 + 1j) * np.eye(2), np.zeros((2, 2)))
+        with pytest.raises(NotCPError, match="N must have real entries"):
+            channels.validate_channel(np.eye(2), 0.5j * J)
+        with pytest.raises(NotCPError, match="X must have real entries"):
+            channels.GaussianChannel(1j * np.eye(2), matalg.AntisymmetricMatrix(np.zeros((2, 2))))
+        ch = channels.validate_channel(np.eye(2) + 0j, np.zeros((2, 2)) + 0j)
+        assert ch.x_mat.dtype == float and np.array_equal(ch.x_mat, np.eye(2))
 
 
 class TestFloorVerdictSweep:

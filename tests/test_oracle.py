@@ -650,7 +650,7 @@ class TestMemoryGuard:
         # mid-size buffer lifts its mmap threshold; the resident high-water
         # mark of a fresh process can. It grows by the 1.5 matrices of ρ and
         # the blocks plus a few MiB whatever n (3.4 and 4.6 MiB measured),
-        # which _STATE_BUILD_MATRICES charges
+        # the figures MODE_CAP's comment keeps
         code = (
             "import resource, numpy as np\n"
             "from fgext import oracle, verify\n"
@@ -679,16 +679,13 @@ class TestMemoryGuard:
             tracemalloc.stop()
         assert peak < bound * 16 * 4**n
 
-    def test_every_dense_allocation_checks_the_cap(self, monkeypatch, random_cm_factory):
+    def test_every_dense_allocation_checks_the_cap(self, monkeypatch):
+        # MODE_CAP alone bounds a state (1.5 matrices and a few MiB): whoever
+        # raises it past this line must charge a state's bytes again
+        assert 2 * 16 * 4**oracle.MODE_CAP <= oracle.DENSE_BYTES_CAP
         monkeypatch.setattr(oracle, "DENSE_BYTES_CAP", 2**10)
-        with pytest.raises(TooManyModesError):
-            oracle.state_from_cm(random_cm_factory(3))
-        with pytest.raises(TooManyModesError):
-            oracle.parity_operator(11)
-        with pytest.raises(TooManyModesError):
+        with pytest.raises(TooManyModesError, match="GiB cap"):
             oracle.jordan_wigner(3)
-        with pytest.raises(TooManyModesError):
-            oracle.DenseState(np.eye(8) / 8)
 
 
 def test_pure_state_at_ten_modes(rng):
