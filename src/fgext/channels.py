@@ -92,8 +92,11 @@ def validate_channel(x_mat: np.ndarray, n_mat, eps_psd: float = DEFAULT_CONFIG.e
 
 def _require_cp(x_mat, n_mat, eps_psd):
     """Raise NotCPError, reporting the violating eigenvalue, unless
-    I + iN - X X^T >= -eps_psd, as matalg.floor_violation decides."""
-    low = matalg.floor_violation(np.eye(n_mat.dim) - x_mat @ x_mat.T + 1j * n_mat.mat, eps_psd)
+    I + iN - X X^T >= -eps_psd, as matalg.floor_violation decides. A finite
+    X whose X X^T overflows gives a non-finite matrix, refused with NaN."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = np.eye(n_mat.dim) - x_mat @ x_mat.T + 1j * n_mat.mat
+    low = matalg.floor_violation(h, eps_psd)
     if low is not None:
         raise NotCPError(
             f"I + iN - XX^T has eigenvalue {low:.6e} < -{eps_psd:.1e}",

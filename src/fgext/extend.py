@@ -14,17 +14,28 @@ Two analytic prechecks refute infeasible queries without optimization:
 the cross-correlation bound λ_max(X^T X) <= 4/(k1 k2), and row-square
 sums of the extended matrix on rows free of unknown blocks.
 
+No Δ gives the last constraint a margin above cross_block_bound, 1 -
+sqrt(k1 k2) ‖X‖_op (1 - k ‖X‖²_op where a zero marginal is eliminated),
+since its cross block is sqrt(k1 k2) X: a rank-one dual point in closed
+form.
+
 The solver starts at the marginals, except for one mode per side: there
 the last constraint reduces to a concave search in one variable, and a
 query whose marginals miss a margin of 0 starts at that search's point
 (_one_mode_start), feasible or not. The one rule that accepts a witness
 is margin >= margin_target(config), so a feasible 1+1 query needs no
 interior-point iteration; an infeasible one runs from the widest q-window.
+Other queries with k1, k2 >= 2 whose marginals miss the rule also try
+Δ_j = k_j M_j / (k_j - 1) (_cross_block_start), which zeroes the last
+constraint's diagonal blocks, and the start with the larger margin seeds
+the run. A start whose margin meets cross_block_bound within the solver's
+gap rule ends an infeasible run at 0 iterations.
 """
 
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -41,6 +52,7 @@ __all__ = [
     "FeasibilityResult",
     "precheck_lemma3",
     "precheck_columnsum",
+    "cross_block_bound",
     "feasibility",
     "build_extension",
     "is_separable_gaussian",
@@ -68,6 +80,12 @@ class ExtendQuery:
             if not is_count(k):
                 raise InvalidParameterError("k1 and k2 must be positive integers")
 
+    @cached_property
+    def x_norm(self) -> float:
+        """‖X‖_op, the largest singular value of the cross block: one SVD per
+        query, shared by precheck_lemma3 and cross_block_bound."""
+        return matalg.norms(self.b.block_x)[0]
+
 
 @dataclass(frozen=True)
 class FeasibilityResult:
@@ -87,8 +105,7 @@ def precheck_lemma3(query: ExtendQuery, config: RunConfig = DEFAULT_CONFIG):
 
     Returns a certificate string when violated, else None.
     """
-    x = query.b.block_x
-    top = matalg.norms(x)[0]
+    top = query.x_norm
     bound = 4.0 / (query.k1 * query.k2)
     if top * top > bound + config.eps_feas:
         return (
@@ -128,22 +145,51 @@ def precheck_columnsum(query: ExtendQuery, config: RunConfig = DEFAULT_CONFIG):
     return None
 
 
+def _eliminated_side(query: ExtendQuery):
+    """"B" when k2 = 1 and M_B = 0, else "A" when k1 = 1 and M_A = 0, else
+    None: the side whose block _theorem_constraints eliminates."""
+    if query.k2 == 1 and not query.b.block_b.any():
+        return "B"
+    if query.k1 == 1 and not query.b.block_a.any():
+        return "A"
+    return None
+
+
+def cross_block_bound(query: ExtendQuery) -> float:
+    """An upper bound on the margin of every Δ: 1 - sqrt(k1 k2) ‖X‖_op, or
+    1 - k ‖X‖²_op, k the kept side's order, where _theorem_constraints
+    eliminates a zero marginal. It holds at every (k1, k2).
+
+    Its dual point lies on the last constraint alone (Boyd & Vandenberghe,
+    Convex Optimization, §5.9): W = v vᴴ with v = (e ⊕ i f)/√2, (e, f) the
+    top singular pair of X, or W = e eᵀ for a top eigenvector e of X Xᵀ
+    (Xᵀ X when the A side goes) after the elimination. W's diagonal blocks
+    are real, so Re tr(B_θ W) = 0 for every Δ entry, and Re tr(F(0) W) is
+    the bound.
+    """
+    side = _eliminated_side(query)
+    if side is None:
+        return 1.0 - math.sqrt(query.k1 * query.k2) * query.x_norm
+    return 1.0 - (query.k1 if side == "B" else query.k2) * query.x_norm**2
+
+
 def _theorem_constraints(query: ExtendQuery):
     """Constraint list and warm start of the (possibly reduced) variables.
 
     Variables with vanishing coefficient (k = 1 on that side) are frozen
     at the marginal itself, matching the trivial choice Z = 0 / Y = 0. A
-    frozen side with marginal exactly 0 is the block I of the last matrix;
-    its Schur complement keeps the feasible set and leaves I - k X X^T
-    (X^T X for the A side) beside the other side's block: for a Choi
-    state at (2, 1), the paper's antidegradability SDP.
+    frozen side with marginal exactly 0 (_eliminated_side) is the block I
+    of the last matrix; its Schur complement keeps the feasible set and
+    leaves I - k X X^T (X^T X for the A side) beside the other side's
+    block: for a Choi state at (2, 1), the paper's antidegradability SDP.
     """
     m_a, m_b, x = query.b.block_a, query.b.block_b, query.b.block_x
     k1, k2 = query.k1, query.k2
     da, db = m_a.shape[0], m_b.shape[0]
-    if k2 == 1 and not m_b.any():
+    side = _eliminated_side(query)
+    if side == "B":
         sides, sym, s = ((k1, m_a, 0),), np.eye(da) - k1 * x @ x.T, k1 * m_a
-    elif k1 == 1 and not m_a.any():
+    elif side == "A":
         sides, sym, s = ((k2, m_b, 0),), np.eye(db) - k2 * x.T @ x, k2 * m_b
     else:
         sides, sym = ((k1, m_a, 0), (k2, m_b, da)), np.eye(da + db)
@@ -244,6 +290,22 @@ def _one_mode_start(query: ExtendQuery):
     return [np.array([[0.0, t], [-t, 0.0]]) for t in starts]
 
 
+def _cross_block_start(query: ExtendQuery):
+    """Δ_j = k_j M_j / (k_j - 1) when k1, k2 >= 2 and some side has more
+    than one mode, else None.
+
+    They zero the diagonal blocks of the last constraint's K, so its margin
+    is cross_block_bound itself, and the point's margin is the smaller of
+    that and 1 - k_j ‖M_j‖_op / (k_j - 1) from I + iΔ_j. Unclipped: scaled
+    into the unit ball, a point whose ‖M_j‖_op lies below ‖X‖_op falls off
+    the bound. 1+1 queries use _one_mode_start instead.
+    """
+    b, k1, k2 = query.b, query.k1, query.k2
+    if k1 == 1 or k2 == 1 or b.n_a == b.n_b == 1:
+        return None
+    return [k * m / (k - 1) for k, m in ((k1, b.block_a), (k2, b.block_b))]
+
+
 def solver_verdict(query: ExtendQuery, config: RunConfig) -> FeasibilityResult:
     """Decide a query by max_margin alone, without the prechecks.
 
@@ -254,13 +316,21 @@ def solver_verdict(query: ExtendQuery, config: RunConfig) -> FeasibilityResult:
     whose p range is not empty, starts at _one_mode_start's point, feasible
     or not; every other query starts at the marginals. Either way max_margin's
     one rule, margin >= margin_target(config), accepts a witness, and a start
-    that meets it returns after 0 iterations.
+    that meets it returns after 0 iterations. Only a start that misses it
+    reads _cross_block_start, the second start, and cross_block_bound, the
+    second dual bound of max_margin's gap rule. An infeasible verdict whose
+    gap that bound closed carries it as its certificate.
     """
     constraints, warm = _theorem_constraints(query)
-    outcome = max_margin(constraints, _one_mode_start(query) or warm, config)
+    outcome = max_margin(
+        constraints, _one_mode_start(query) or warm, config,
+        closed_form=lambda: (_cross_block_start(query), cross_block_bound(query)),
+    )
     if outcome.margin < margin_target(config):
+        upper = cross_block_bound(query)
+        cert = f"cross-block bound: margin <= {upper:.10g}" if outcome.bound == upper else None
         return FeasibilityResult(
-            FeasibilityStatus.INFEASIBLE_NUMERICAL, None, None, outcome.margin, None
+            FeasibilityStatus.INFEASIBLE_NUMERICAL, None, None, outcome.margin, cert
         )
     deltas = list(outcome.deltas)
     delta_a = deltas.pop(0) if query.k1 > 1 else query.b.block_a

@@ -250,8 +250,11 @@ def certified_floor(h: np.ndarray, shift: float) -> bool:
 
 def floor_violation(h: np.ndarray, shift: float) -> float | None:
     """None if λ_min(h) >= -shift, else eigvalsh's smallest eigenvalue of
-    h, NaN included; certified_floor proves the floor where it can, so
-    eigvalsh runs only to decide and explain what it does not prove."""
+    h; certified_floor proves the floor where it can, so eigvalsh runs only
+    to decide and explain what it does not prove. A non-finite h is
+    refused with NaN before either runs: LAPACK may hide its NaN or fail."""
+    if not np.isfinite(h).all():
+        return math.nan
     if certified_floor(h, shift):
         return None
     low = float(np.linalg.eigvalsh(h)[0])

@@ -61,16 +61,23 @@ The reported margin is always the true f(θ) = min_c λ_min(F_c(θ)), never
 t. One rule accepts a witness: f(θ) >= -min(eps_feas, eps_psd), so that
 its extension passes the eps_psd physicality check. A warm start that
 meets it returns after 0 steps, as does a problem without variables.
-Otherwise the run stops at the first θ_k that meets it, or once the dual
-bound Re tr(F(0) X) is below -eps_feas within 1e-8 · max(1, |bound|) of
+A caller may pass closed_form: a second start and a second dual bound,
+both in closed form. It is read only when the warm start misses the
+rule; the start with the larger margin seeds the run, and where the
+closed-form bound already closes the gap with it, the run returns after
+0 steps, before the layout is built. Otherwise the run stops at the first θ_k that meets
+the rule, or once the dual bound, the smaller of Re tr(F(0) X) and the
+closed-form one, is below -eps_feas within 1e-8 · max(1, |bound|) of
 f(θ_k), or within 1e-6 · max(1, |bound|) at a breakdown (X, Z or the
-Schur matrix no longer numerically definite). A returned margin is thus
+Schur matrix no longer numerically definite, or μ no longer positive and
+finite). A returned margin is thus
 accepted or below -100 eps_feas: one in the band between or NaN, any other
 breakdown and max_iters iterations raise SolverStalledError. A run over
 SOLVER_BYTES_CAP (estimated) raises TooManyModesError before allocating.
 """
 
 import itertools
+import math
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -371,14 +378,17 @@ def _newton_step(stack, x, z, rhs):
     with Δy = L⁻ᵀ (L⁻¹ r). ΔX is masked to 0 on the pad.
 
     Raises LinAlgError when X, Z or the Schur matrix is no longer
-    numerically positive definite.
+    numerically positive definite, or when μ = (⟨X, Z⟩ - pad) / N is not
+    positive and finite, so that σ never divides by it.
     """
     n = len(x)
+    mu = (np.real(np.vdot(x, z)) - stack.pad) / stack.size
+    if not 0.0 < mu < math.inf:
+        raise np.linalg.LinAlgError(f"duality measure {mu:.3e} is not positive and finite")
     l_inv = np.linalg.inv(np.linalg.cholesky(np.concatenate([x, z])))
     l_inv_h = _adjoint(l_inv)
     z_inv = l_inv_h[n:] @ l_inv[n:]
     schur_l_inv = _lower_inverse(np.linalg.cholesky(stack.schur(x, z_inv)))
-    mu = (np.real(np.vdot(x, z)) - stack.pad) / stack.size
 
     def direction(r, sigma_mu, cross):
         dy = schur_l_inv.T @ (schur_l_inv @ r)
@@ -453,7 +463,7 @@ def _checked(outcome, eps, target):
     return outcome
 
 
-def max_margin(constraints, warm_start, config: RunConfig = DEFAULT_CONFIG):
+def max_margin(constraints, warm_start, config: RunConfig = DEFAULT_CONFIG, closed_form=None):
     """Best achievable margin and witnesses for a list of matrix constraints.
 
     Args:
@@ -462,6 +472,10 @@ def max_margin(constraints, warm_start, config: RunConfig = DEFAULT_CONFIG):
             state marginals); their shapes fix the variable dimensions.
         config: eps_feas and eps_psd set the stopping rules, max_iters
             caps the interior-point iterations.
+        closed_form: None, or a callable of no arguments returning
+            (start, upper): a second start shaped like warm_start, or None,
+            and an upper bound on the best margin. It is called at most
+            once, and only when warm_start misses margin_target(config).
 
     Raises:
         InvalidParameterError: the constraint list is empty, a term names a
@@ -478,12 +492,21 @@ def max_margin(constraints, warm_start, config: RunConfig = DEFAULT_CONFIG):
     _check_terms(constraints, var_dims)
     eps, target = config.eps_feas, margin_target(config)
     margin = _objective(constraints, warm_start)
+    upper = math.inf
+    if margin < target and warm_start and closed_form is not None:
+        start, upper = closed_form()
+        if start is not None:
+            other = _objective(constraints, start)
+            if other > margin:
+                warm_start, margin = start, other
     size = sum(c.dim for c in constraints)
     if margin >= target or not warm_start:
         # X = I/N is dual feasible; without variables the margin is the optimum
         traces = sum(float(np.trace(c.sym_part)) for c in constraints)
         bound = traces / size if warm_start else margin
         return _checked(SolverOutcome(margin, tuple(warm_start), 0, bound), eps, target)
+    if _gap_closed(upper, margin, eps, GAP_TOL):
+        return _checked(SolverOutcome(margin, tuple(warm_start), 0, upper), eps, target)
 
     stack = _layout(constraints, var_dims)
     consts = stack.consts(constraints)
@@ -501,7 +524,7 @@ def max_margin(constraints, warm_start, config: RunConfig = DEFAULT_CONFIG):
         f = consts + stack.scatter(y)
         if it:
             margin = float(np.linalg.eigvalsh(f)[:, 0].min())
-        bound = float(np.real(np.vdot(consts, x))) - stack.pad
+        bound = min(float(np.real(np.vdot(consts, x))) - stack.pad, upper)
         if margin >= target or _gap_closed(bound, margin, eps, GAP_TOL):
             return outcome(it)
         if it == config.max_iters:

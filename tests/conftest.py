@@ -85,13 +85,29 @@ def copies(b, rng):
     return rotated, swapped
 
 
-def family22_direct_sum(n, rng):
-    """n copies of family_cm(2, 2), A mode j paired with B mode j, under a random O_A ⊕ O_B."""
+def direct_sum(part, n, rng):
+    """n copies of a 1+1 state, A mode j paired with B mode j, under a random O_A ⊕ O_B."""
     m = np.zeros((4 * n, 4 * n))
     for j in range(n):
         idx = [2 * j, 2 * j + 1, 2 * n + 2 * j, 2 * n + 2 * j + 1]
-        m[np.ix_(idx, idx)] = family_cm(2, 2).mat
+        m[np.ix_(idx, idx)] = part.mat
     return copies(bipartite(m, n, n), rng)[0]
+
+
+def family22_direct_sum(n, rng):
+    """n copies of family_cm(2, 2) in direct sum (see direct_sum)."""
+    return direct_sum(family_cm(2, 2), n, rng)
+
+
+def stray_one_mode():
+    """A 1+1 state whose ‖X‖_op lies 7.8e-10 above 1/3: at (3, 3) the duality
+    measure μ reaches 0 before the gap closes."""
+    return bipartite(np.array([
+        [0.0, -0.11874970482246644, -0.32269394582930694, 0.0727403195238589],
+        [0.11874970482246644, 0.0, 0.06358441600845094, 0.10748556194520498],
+        [0.32269394582930694, -0.06358441600845094, 0.0, -0.02349005148728555],
+        [-0.0727403195238589, -0.10748556194520498, 0.02349005148728555, 0.0],
+    ]), 1, 1)
 
 
 def family22_x_scaled(scale):

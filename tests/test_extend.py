@@ -1,3 +1,4 @@
+import math
 from unittest import mock
 
 import numpy as np
@@ -5,7 +6,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import bipartite, copies, random_pure, special_orthogonal, stinespring
+from conftest import (
+    bipartite, copies, family22_direct_sum, random_antisymmetric, random_pure, special_orthogonal, stinespring,
+)
 from fgext import channels, extend, fgs, matalg, oracle, solver
 from fgext.bounds import epsilon_family, family_cm
 from fgext.config import DEFAULT_CONFIG
@@ -20,7 +23,8 @@ def family_query(k1, k2, q1=None, q2=None):
 
 class TestPrechecks:
     def test_lemma3_boundary_family(self):
-        # family at its own parameters sits exactly on the bound
+        # at its own order the family has λ_max(X^T X) = 1/(k1 k2), exactly on
+        # the cross-block bound and a quarter of the precheck's 4/(k1 k2)
         assert extend.precheck_lemma3(family_query(2, 2)) is None
 
     def test_lemma3_bell_at_21(self):
@@ -401,8 +405,8 @@ class TestOneModeStart:
             return
         outcomes = []
 
-        def spy(*args):
-            outcomes.append(solver.max_margin(*args))
+        def spy(*args, **kwargs):
+            outcomes.append(solver.max_margin(*args, **kwargs))
             return outcomes[-1]
 
         with mock.patch.object(extend, "max_margin", spy):
@@ -533,3 +537,148 @@ class TestOneModeReference:
         assert result.feasible == (margin > 0.0)
         if not result.feasible and not eliminates_a_side(query):
             assert result.margin == pytest.approx(margin, abs=2e-8)
+
+
+def cross_block_query(kind, seed, n_a, n_b, k1, k2):
+    """A random n_a+n_b query: mixed, pure, or a channel's Choi state at (k1, 1)
+    (at (2, 1) for even seeds) or, swapped, at (1, k2)."""
+    rng = np.random.default_rng(seed)
+    if kind == "mixed":
+        return ExtendQuery(random_bipartite_cm(rng, n_a, n_b, rng.uniform(0.2, 1.0)), k1, k2)
+    if kind == "pure":
+        return ExtendQuery(random_pure(rng, n_a, n_b), k1, k2)
+    b = channels.choi_cm(stinespring(rng, n_b, int(rng.integers(1, 3)), n_a))
+    if kind == "choi":
+        return ExtendQuery(b, 2 if seed % 2 == 0 else k1, 1)
+    return ExtendQuery(copies(b, rng)[1], 1, k2)
+
+
+query_draws = st.builds(
+    cross_block_query, st.sampled_from(["mixed", "pure", "choi", "choi-swapped"]),
+    st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 3), st.integers(1, 4), st.integers(1, 4),
+)
+
+
+def dual_point(query):
+    """The rank-one W of cross_block_bound, from numpy's SVD of X alone: e eᵀ
+    on I - k X Xᵀ (Xᵀ X) where a zero marginal goes, else v vᴴ with
+    v = (e ⊕ i f)/√2 for the top singular pair (e, f)."""
+    u, _, vt = np.linalg.svd(query.b.block_x)
+    if eliminates_a_side(query):
+        e = u[:, 0] if query.k2 == 1 and not query.b.block_b.any() else vt[0]
+        return np.outer(e, e).astype(complex)
+    v = np.concatenate([u[:, 0], 1j * vt[0]]) / np.sqrt(2.0)
+    return np.outer(v, v.conj())
+
+
+def dense_f(constraint, deltas):
+    """F_c(Δ) = A_c + i (S_c + Σ coeff · embed(Δ_j)), written from the MatrixConstraint's fields."""
+    k = constraint.skew_const.astype(float)
+    for coeff, var, off in constraint.terms:
+        d = len(deltas[var])
+        k[off : off + d, off : off + d] += coeff * deltas[var]
+    return constraint.sym_part + 1j * k
+
+
+class TestCrossBlockBound:
+    """No Δ has a margin above cross_block_bound, which the second start attains."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(query_draws)
+    def test_no_margin_exceeds_the_bound(self, query):
+        cons, warm = _theorem_constraints(query)
+        try:
+            outcome = solver.max_margin(cons, warm)
+        except SolverStalledError:
+            return
+        assert outcome.margin <= extend.cross_block_bound(query) + 1e-9
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(query_draws, st.integers(0, 2**32 - 1))
+    def test_the_rank_one_dual_point_gives_the_bound_at_every_delta(self, query, seed):
+        rng = np.random.default_rng(seed)
+        cons, warm = _theorem_constraints(query)
+        w = dual_point(query)
+        assert np.trace(w).real == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.eigvalsh(w)[0] >= -1e-12
+        bound = extend.cross_block_bound(query)
+        # W sits on the last constraint alone, so only its F counts
+        for scale in (0.0, 0.5, 3.0):
+            deltas = [random_antisymmetric(rng, len(d), scale) for d in warm]
+            value = np.trace(w @ dense_f(cons[-1], deltas)).real
+            assert value == pytest.approx(bound, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("k1, k2", [(3, 3), (2, 3), (3, 2)])
+    def test_direct_sums_start_on_the_bound(self, n, k1, k2):
+        # rotated family_cm(2, 2) sums: Δ = kM/(k-1) has margin 1 - sqrt(k1 k2)/2
+        b = family22_direct_sum(n, np.random.default_rng(n))
+        query = ExtendQuery(b, k1, k2)
+        bound = extend.cross_block_bound(query)
+        assert bound == pytest.approx(1.0 - math.sqrt(k1 * k2) / 2.0, abs=1e-12)
+        cons, _ = _theorem_constraints(query)
+        assert solver._objective(cons, extend._cross_block_start(query)) == pytest.approx(bound, abs=1e-12)
+        outcomes = []
+
+        def spy(*args, **kwargs):
+            outcomes.append(solver.max_margin(*args, **kwargs))
+            return outcomes[-1]
+
+        with mock.patch.object(extend, "max_margin", spy):
+            result = extend.feasibility(query)
+        assert result.status is FeasibilityStatus.INFEASIBLE_NUMERICAL
+        assert outcomes[0].iterations == 0 and outcomes[0].bound == bound
+        assert result.certificate == f"cross-block bound: margin <= {bound:.10g}"
+
+    def test_the_unclipped_start_attains_the_bound(self):
+        # ‖M_A‖ = 0.645 and ‖M_B‖ = 0.525 lie below ‖X‖ = 0.663, so Δ = 2M is
+        # on the bound, -0.3258, though outside the unit ball; scaled to norm
+        # 0.999 it falls to -0.3405
+        query = ExtendQuery(random_bipartite_cm(np.random.default_rng(0), 2, 2), 2, 2)
+        cons, _ = _theorem_constraints(query)
+        start = extend._cross_block_start(query)
+        assert max(np.linalg.norm(d, 2) for d in start) > 1.0
+        bound = extend.cross_block_bound(query)
+        assert solver._objective(cons, start) == pytest.approx(bound, abs=1e-12)
+        clipped = [d * min(1.0, 0.999 / np.linalg.norm(d, 2)) for d in start]
+        assert solver._objective(cons, clipped) < bound - 1e-2
+        assert extend.feasibility(query).margin == pytest.approx(bound, abs=1e-12)
+
+    @pytest.mark.parametrize("n_a, n_b, k1, k2", [(2, 1, 2, 2), (1, 2, 3, 2), (2, 2, 2, 2), (1, 1, 2, 2)])
+    def test_a_start_that_meets_the_target_reads_neither(self, monkeypatch, n_a, n_b, k1, k2):
+        b, _ = twirled_extendible_instance(np.random.default_rng(n_a + 2 * n_b), n_a, n_b, k1, k2)
+        query = ExtendQuery(b, k1, k2)
+        cons, warm = _theorem_constraints(query)
+        assert solver._objective(cons, warm) >= 0.0
+
+        def refuse(*args):
+            raise AssertionError("read on a start that meets the target")
+
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return eigvalsh(*args, **kwargs)
+
+        monkeypatch.setattr(extend, "cross_block_bound", refuse)
+        monkeypatch.setattr(extend, "_cross_block_start", refuse)
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        result = extend.solver_verdict(query, DEFAULT_CONFIG)
+        assert result.feasible
+        # one eigensolve per constraint, the start's own margin, and no other
+        assert len(calls) == len(cons)
+
+    def test_one_svd_per_query(self, monkeypatch):
+        # precheck_lemma3 and the bound share ‖X‖_op
+        svd, calls = np.linalg.svd, []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        result = extend.feasibility(ExtendQuery(family_cm(2, 2), 3, 3))
+        assert result.certificate == "cross-block bound: margin <= -0.5"
+        assert len(calls) == 1

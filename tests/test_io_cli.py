@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import copies, family22_direct_sum, family22_x_scaled
+from conftest import bipartite, copies, direct_sum, family22_direct_sum, family22_x_scaled, stray_one_mode
 from fgext import channels, cli, fgs, io, matalg, oracle, verify
 from fgext.bounds import epsilon_family, family_cm
 from fgext.config import RunConfig
@@ -329,12 +329,27 @@ class TestExtensionReadsBack:
 
 class TestTooLargeExit5:
     def test_refused_solver_size(self, tmp_path, capsys):
+        # 40 copies of a 1+1 state with M_A = M_B = 0.8 J and X = 0.1 I: both
+        # starts miss the margin target (-0.1 at the marginals, -0.2 at
+        # Δ = 3M/2) and the cross-block bound 0.7, so the solver must run
+        j = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        part = bipartite(np.block([[0.8 * j, 0.1 * np.eye(2)], [-0.1 * np.eye(2), 0.8 * j]]), 1, 1)
         path = str(tmp_path / "big.cm")
-        io.save_cm(path, family22_direct_sum(40, np.random.default_rng(40)))
+        io.save_cm(path, direct_sum(part, 40, np.random.default_rng(40)))
         assert run_cli("extendible", path, "3", "3") == 5
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("too large: 6320 variables on blocks of size up to 160")
+
+    def test_direct_sum_on_the_bound_is_decided_without_the_solver(self, tmp_path, capsys):
+        # Δ = 3M/2 sits on the cross-block bound 1 - 3/2: exit 1 at 0 iterations
+        path = str(tmp_path / "big.cm")
+        io.save_cm(path, family22_direct_sum(40, np.random.default_rng(40)))
+        assert run_cli("extendible", path, "3", "3") == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["status"] == "infeasible-numerical"
+        assert out["margin"] == pytest.approx(-0.5, abs=1e-12)
+        assert out["certificate"] == "cross-block bound: margin <= -0.5"
 
 
 class TestBoundsCmd:
@@ -502,6 +517,30 @@ class TestEpsPsdFlag:
         # ||X||_1 of the loose file is 2 (1 + 2e-8), above any trace distance
         assert run_cli("--eps-psd", "1e-6", "bounds", "2", "2", "--cm", near_files["cm"]) == 0
         assert json.loads(capsys.readouterr().out)["trace_upper_cm"] == 2.0
+
+
+class TestOverflowExits:
+    """Inputs whose checks overflow or divide 0 by 0 end in a documented exit
+    code under warnings-as-errors, not in a traceback that reads as exit 1."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("action", ["validate", "antidegradable"])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_a_channel_whose_x_x_t_overflows_is_not_physical(self, tmp_path, capsys, n, action):
+        huge = channels.GaussianChannel(np.diag([1e200] * (2 * n)), matalg.AntisymmetricMatrix(np.zeros((2 * n, 2 * n))))
+        path = str(tmp_path / "huge.ch")
+        io.save_channel(path, huge)
+        assert run_cli("channel", path, action) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("not physical: I + iN - XX^T has eigenvalue nan")
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_vanishing_duality_measure_exits_4(self, tmp_path, capsys):
+        path = str(tmp_path / "stray.cm")
+        io.save_cm(path, stray_one_mode())
+        assert run_cli("extendible", path, "3", "3") == 4
+        assert capsys.readouterr().err.startswith("solver stalled: factorization broke down")
 
 
 class TestOracleVerifyCmd:

@@ -507,6 +507,16 @@ class TestFloorViolation:
     def test_nan_is_a_violation(self):
         assert np.isnan(matalg.floor_violation(np.full((2, 2), np.nan), EPS))
 
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_non_finite_h_is_refused_before_lapack(self, monkeypatch, dtype, bad):
+        # eigvalsh reads [[nan, 0], [0, 1]] as [0, -0]: neither Cholesky nor
+        # eigvalsh may see it
+        h = np.array([[bad, 0.0], [0.0, 1.0]], dtype=dtype)
+        monkeypatch.setattr(matalg, "certified_floor", None)
+        monkeypatch.setattr(np.linalg, "eigvalsh", None)
+        assert np.isnan(matalg.floor_violation(h, EPS))
+
     def test_a_proven_floor_is_not_diagonalised(self, monkeypatch):
         # h's λ_min is -1, far below the floor: only certified_floor decides
         monkeypatch.setattr(matalg, "certified_floor", lambda h, shift: True)

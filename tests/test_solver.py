@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import copies, family22_direct_sum, family22_x_scaled, random_pure
+from conftest import copies, family22_direct_sum, family22_x_scaled, random_pure, stray_one_mode
 from fgext import channels, extend, fgs, matalg, solver, verify
 from fgext.bounds import family_cm
 from fgext.config import RunConfig
@@ -94,9 +94,9 @@ def loss_constraints(lam, monkeypatch):
     """The constraint list and warm start channels.antidegradable solves."""
     seen = []
 
-    def spy(constraints, warm, config):
+    def spy(constraints, warm, config, **kwargs):
         seen.append((constraints, warm))
-        return solver.max_margin(constraints, warm, config)
+        return solver.max_margin(constraints, warm, config, **kwargs)
 
     monkeypatch.setattr(extend, "max_margin", spy)
     channels.antidegradable(channels.pure_loss(lam))
@@ -383,6 +383,24 @@ class TestStallExits:
         gap = abs(outcome.bound - outcome.margin) / max(1.0, abs(outcome.bound))
         assert solver.GAP_TOL < gap <= solver.BREAKDOWN_GAP_TOL
         assert decide(b, 3, 2).status is FeasibilityStatus.INFEASIBLE_NUMERICAL
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_vanishing_duality_measure_is_a_breakdown(self):
+        # ‖X‖_op lies 7.8e-10 above 1/3: μ reaches 0 near the optimum, where
+        # σ = (μ_aff/μ)³ once divided 0 by 0 with a RuntimeWarning
+        with pytest.raises(SolverStalledError, match="^factorization broke down at iteration"):
+            decide(stray_one_mode(), 3, 3)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("mu", [0.0, -1.0, math.nan])
+    def test_newton_step_refuses_a_mu_that_is_not_positive(self, mu):
+        cons, warm = _theorem_constraints(ExtendQuery(family_cm(2, 2), 3, 3))
+        stack = solver._layout(cons, [len(w) for w in warm])
+        z = (stack.pad_eye + stack.identity).astype(complex)
+        # ⟨X, Z⟩ off the pad is mu · N, so the duality measure is mu
+        x = stack.pad_eye + mu * stack.identity
+        with pytest.raises(np.linalg.LinAlgError, match="duality measure"):
+            solver._newton_step(stack, x, z, stack.rhs)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
