@@ -29,7 +29,8 @@ Other queries with k1, k2 >= 2 whose marginals miss the rule also try
 Δ_j = k_j M_j / (k_j - 1) (_cross_block_start), which zeroes the last
 constraint's diagonal blocks, and the start with the larger margin seeds
 the run. A start whose margin meets cross_block_bound within the solver's
-gap rule ends an infeasible run at 0 iterations.
+gap rule ends an infeasible run at 0 iterations, and a run that stalls
+where that bound is below margin_target(config) is infeasible all the same.
 """
 
 import enum
@@ -42,7 +43,7 @@ import numpy as np
 
 from . import matalg
 from .config import RunConfig, DEFAULT_CONFIG, is_count
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, SolverStalledError
 from .fgs import BipartiteCM, CovarianceMatrix, _bipartite, _split, validate_cm
 from .solver import MatrixConstraint, margin_target, max_margin
 
@@ -320,12 +321,25 @@ def solver_verdict(query: ExtendQuery, config: RunConfig) -> FeasibilityResult:
     reads _cross_block_start, the second start, and cross_block_bound, the
     second dual bound of max_margin's gap rule. An infeasible verdict whose
     gap that bound closed carries it as its certificate.
+
+    A stalled run (SolverStalledError: a breakdown or an ambiguous-band
+    exit) is still INFEASIBLE_NUMERICAL, with no margin and the bound as
+    its certificate, when cross_block_bound is below margin_target(config):
+    no Δ reaches the target. Otherwise the error propagates.
     """
     constraints, warm = _theorem_constraints(query)
-    outcome = max_margin(
-        constraints, _one_mode_start(query) or warm, config,
-        closed_form=lambda: (_cross_block_start(query), cross_block_bound(query)),
-    )
+    try:
+        outcome = max_margin(
+            constraints, _one_mode_start(query) or warm, config,
+            closed_form=lambda: (_cross_block_start(query), cross_block_bound(query)),
+        )
+    except SolverStalledError:
+        upper = cross_block_bound(query)
+        if upper >= margin_target(config):
+            raise
+        return FeasibilityResult(
+            FeasibilityStatus.INFEASIBLE_NUMERICAL, None, None, None, f"cross-block bound: margin <= {upper:.10g}"
+        )
     if outcome.margin < margin_target(config):
         upper = cross_block_bound(query)
         cert = f"cross-block bound: margin <= {upper:.10g}" if outcome.bound == upper else None
@@ -343,7 +357,8 @@ def feasibility(query: ExtendQuery, config: RunConfig = DEFAULT_CONFIG) -> Feasi
     """Decide (k1, k2)-extendibility; analytic prechecks run first.
 
     Feasible results carry witnesses with margin >= margin_target(config);
-    numerical infeasibility requires a converged optimum below -100 eps_feas.
+    numerical infeasibility requires a converged optimum below -100 eps_feas,
+    or a cross-block bound below margin_target(config) (solver_verdict).
 
     Raises:
         SolverStalledError: neither verdict could be reached in budget.

@@ -30,11 +30,12 @@ and multiply no dense Majorana matrices:
 * state_from_cm builds the sector blocks from ρ's Majorana moments, the
   Pfaffians of M's principal submatrices (Wick's theorem): one table of
   the 2^(2n-1) even ones (the odd ones vanish), n(2n-1) vectorised
-  multiply-adds, gathered straight into the two blocks, whose entries
-  they number exactly; then one 2 x 2 butterfly per mode turns them into
-  entries, each carrying the sign Φ(r, c) that the (-Z) strings leave on
-  it (see _state_blocks). That is O(n 4^n), against n² 4^n for the
-  product formula Π_j (I + i λ_j γ̃_{2j} γ̃_{2j+1}) that the tests keep;
+  multiply-adds, as many as the blocks have entries. Gathered by row and
+  by p = row ⊕ column, they turn into entries under one Sylvester-Hadamard
+  transform H^⊗n between phases that are all ±1 or ±i: two real matrix
+  products on BLAS, O(2^(n/2) 4^n), then one scatter into the blocks
+  (see _state_blocks). The product formula Π_j (I + i λ_j γ̃_{2j}
+  γ̃_{2j+1}) that the tests keep costs n² 4^n;
 * DenseState checks the sector blocks before it makes ρ of them, each
   block's floor of -1e-10 by matalg.floor_violation; trace_distance and
   entropies diagonalise the blocks, a quarter of the work of one full
@@ -51,6 +52,7 @@ jordan_wigner also 2n dense matrices whose bytes exceed DENSE_BYTES_CAP.
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -314,20 +316,75 @@ def _pfaffian_table(m: np.ndarray, scale: float) -> np.ndarray:
     return table
 
 
-def _block_index(n: int) -> np.ndarray:
-    """_pfaffian_table's index of every entry of the (2, 2^(n-1), 2^(n-1))
-    stack of sector blocks, as _state_blocks lays them out: x >> 1 for x
-    with bit 2j+1 = r_j and bit 2j = c_j, r_{n-1} the block and c_{n-1} the
-    bit that makes x even."""
-    bits = np.arange(2 ** (n - 1))[:, None] >> np.arange(n - 2, -1, -1) & 1  # column j: mode j's bit
-    step = 4 ** np.arange(n - 1)
-    rows, cols = bits @ (2 * step), bits @ step
+def _bits(k: int) -> np.ndarray:
+    """(2^k, k): row x holds the k bits of x, the most significant first."""
+    return np.arange(2**k)[:, None] >> np.arange(k - 1, -1, -1) & 1
+
+
+#: (-i)^e for e = 0 … 3: every phase of the build is the conjugate of one of
+#: _hadamard_plan's i^e, exactly.
+_CONJUGATE_UNITS = np.array([1.0, -1.0j, -1.0, 1.0j])
+
+
+class _Half(NamedTuple):
+    """_state_blocks' tables for a run of modes, over (u, p): the run's bits
+    of the transform's input u (of its output c for phase_out) and of p, in
+    the occupation index's order. Each entry is a sum over the run's modes."""
+
+    hadamard: np.ndarray  # (-1)^(u·c), the run's factor of H^⊗n
+    index: np.ndarray  # _pfaffian_table's index x >> 1: Σ_j u_j 4^j // 2 + (u_j ⊕ p_j) 4^j
+    phase_in: np.ndarray  # exponent of i in In: Σ_j 2 u_j (1 - p_j) + p_j (1 - u_j)
+    phase_out: np.ndarray  # exponent of i in Out: Σ_j 2 c_j (p_j ⊕ … ⊕ p_(n-1))
+
+
+@functools.lru_cache(maxsize=None)
+def _sylvester(k: int) -> np.ndarray:
+    """The 2^k x 2^k Sylvester-Hadamard matrix (-1)^(x·y), read-only."""
+    bits = _bits(k)
+    h = np.where(bits @ bits.T & 1, -1.0, 1.0)
+    h.setflags(write=False)
+    return h
+
+
+@functools.lru_cache(maxsize=None)
+def _hadamard_plan(n: int) -> tuple:
+    """(first, rest, rest_p, p_phase, row_label, row_start): the tables, of
+    O(2^n) entries each, that _state_blocks combines at n modes.
+
+    first and rest are the _Half tables of the first n // 2 modes and of the
+    others. The array's p >> 1 is (p_first, p_mid), and the last mode's bit
+    of p is the parity of both, so the rest's p is rest_p[p_first, p_mid].
+    p_phase[p >> 1] is the exponent of i in i^(|p|/2) (-1)^(Σ_j j p_j). Row
+    r of the array's two halves, in order, is row label r >> 1 of block
+    parity(r), which starts at row_start in the stack of blocks.
+    """
+    half = n // 2
+    halves = []
+    # |p| is even, so the modes after the first run carry that run's parity of p
+    for modes, later in ((np.arange(half), 1), (np.arange(half, n), 0)):
+        bits = _bits(len(modes))
+        u, p = bits[:, None, :], bits[None, :, :]
+        suffix = np.cumsum(p[..., ::-1], axis=-1)[..., ::-1] + later * np.sum(p, axis=-1, keepdims=True)
+        halves.append(
+            _Half(
+                _sylvester(len(modes)),
+                np.sum(u * (4**modes // 2) + (u ^ p) * 4**modes, axis=-1),
+                (np.sum(2 * u * (1 - p) + p * (1 - u), axis=-1) % 4).astype(np.uint8),
+                (np.sum(2 * u * suffix, axis=-1) % 4).astype(np.uint8),
+            )
+        )
     odd = _parity_signs(n - 1) < 0
-    # c_{n-1}, below r_{n-1}, is r_{n-1} ⊕ parity(row label) ⊕ parity(column label):
-    # the rows and the columns each carry their share, and the XOR joins them
-    last = 1 << (2 * n - 2)
-    rows = np.array([rows | odd * last, rows | ~odd * last | 2 * last])
-    return np.bitwise_xor.outer(rows >> 1, (cols | odd * last) >> 1)
+    mid = 2 ** (n - 1 - half)
+    rest_p = 2 * np.arange(mid) + np.not_equal.outer(odd[::mid], odd[:mid])
+    p = np.column_stack([_bits(n - 1), odd])
+    p_phase = ((np.sum(p, axis=1) // 2 + 2 * (p @ np.arange(n))) % 4).astype(np.uint8)
+    r = np.arange(2**n).reshape(2**half, 2, mid).swapaxes(0, 1).ravel()
+    row_label = r >> 1
+    row_start = (np.where(_parity_signs(n)[r] < 0, 2 ** (n - 1), 0) + row_label) << (n - 1)
+    tables = (*halves[0][1:], *halves[1][1:], rest_p, p_phase, row_label, row_start)
+    for array in tables:
+        array.setflags(write=False)
+    return (*halves, rest_p, p_phase, row_label, row_start)
 
 
 def _state_blocks(rotation: np.ndarray, lambdas, n: int) -> np.ndarray:
@@ -335,72 +392,61 @@ def _state_blocks(rotation: np.ndarray, lambdas, n: int) -> np.ndarray:
     γ_{x_k} for M = R (⊕_j λ_j [[0, 1], [-1, 0]]) R^T: by Wick's theorem
     the Pfaffians are the Majorana moments of the Gaussian state.
 
-    Entry by entry, ρ[r, c] = 2^-n Φ(r, c) Σ_x i^(|x|/2) Pf(M[x])
-    Π_j σ_{s_j}[r_j, c_j], with σ = (I, X, Y, XY) for s_j = (bit 2j,
-    bit 2j+1) of x and r_j, c_j the bits of mode j. A mode k with
-    r_k ≠ c_k holds one Majorana, whose (-Z)^{⊗k} acts on the modes before
-    it, and (-Z)[c, c] = -(-1)^c; hence
-    Φ(r, c) = (-1)^{Σ_k (k + Σ_{j<k} c_j)(r_k ⊕ c_k)}.
+    Index entry ρ[r, c] by c and p = r ⊕ c. On mode j the string γ(x) acts
+    as X^(u_j) Y^(u_j ⊕ p_j), u_j the bit 2j of x, times the (-Z) of every
+    later Majorana, and (-Z)[c, c] = -(-1)^c. Taking i per XY and e^{iπ/4}
+    per X or Y out of i^(|x|/2) gives
 
-    The table's entries are gathered with bit 2j+1 of x at r_j and bit 2j
-    at c_j. One 2 x 2 butterfly per mode then turns each (r_j, c_j) quartet
-    into entries: i·XY = -Z on the diagonal pair, e^{iπ/4}(X, Y) on the
-    off-diagonal pair. Splitting i^(|x|/2) into i per XY and e^{iπ/4} per
-    X or Y keeps it a product over modes; mode j's factor of Φ depends on
-    c_0 … c_{j-1} only, final by then, and rides on its e^{iπ/4}.
+        ρ[r, c] = Out(p, c) Σ_u (-1)^(u·c) In(p, u) table[x(p, u) >> 1],
 
-    Only the nonzero half, |r| + |c| even, is built: block i holds its
-    entries with r_{n-1} = i, labelled as in _sector_rows, so the table's
-    entries are exactly the blocks'. Modes 0 … n-2 flip a label bit of r
-    and c, so their butterflies stay in each block; the last pairs the
-    blocks, and the rows with odd labels trade blocks as it writes them.
+    where In(p, u) = Π_j f(p_j, u_j) with f = 1, -1, i, 1 at (0, 0), (0, 1),
+    (1, 0), (1, 1), and Out(p, c) = Π_{j: p_j = 1} (-1)^j e^{iπ/4} (-1)^(c_0
+    ⊕ … ⊕ c_j) = i^(|p|/2) (-1)^(Σ_j j p_j + Σ_j c_j (p_j ⊕ … ⊕ p_(n-1))).
+    |p| is even, so every phase is ±1 or ±i, exactly. The sum over u is the
+    Sylvester-Hadamard matrix H^⊗n = H_first ⊗ H_rest, over the first
+    n // 2 modes and the others: two real products on the float view.
+
+    The table and H are real and ρ is Hermitian, so the same sum with every
+    phase conjugated is ρ[c, r]. The build therefore makes the transform's
+    output the row: its (r, p >> 1) array, of the nonzero half |p| even
+    only, holds in row r a row of a block, row label r >> 1 of block
+    parity(r), whose column label is (r >> 1) ⊕ (p >> 1). Every index and
+    phase is a broadcast sum of _hadamard_plan's tables over the two runs of
+    modes. The array is kept as its two halves in r_rest, beside one buffer
+    of the blocks' size, which is the products' other operand and then the
+    blocks: no buffer of that size is freed, whose release would lift
+    glibc's mmap threshold above DenseState's temporaries (see
+    _pfaffian_table).
     """
+    first, rest, rest_p, p_phase, row_label, row_start = _hadamard_plan(n)
     m = (rotation[:, 0::2] * np.asarray(lambdas, dtype=float)) @ rotation[:, 1::2].T
     table = _pfaffian_table(m - m.T, 2.0**-n)
-    dim = 2 ** (n - 1)
-    # the blocks' real entries are gathered into `spare`, which the last mode reuses;
+    h, k = len(first.hadamard), len(rest.hadamard)
+    shape = (h, k, h, k // 2)  # (u_first, u_rest, p_first, p_mid), then r for u
+    index = np.empty(shape, dtype=np.intp)
+    np.add(first.index[:, None, :, None], rest.index[:, rest_p], out=index)
     # np.take's mode "clip" (every index is in range) writes into `out` unbuffered
-    spare = np.empty((dim, dim), dtype=complex)
-    entries = np.take(table, _block_index(n), out=spare.view(float).reshape(2, dim, dim), mode="clip")
-    blocks = entries.astype(complex)
-    # the table becomes the butterflies' scratch; a + d is written into d, a view
-    # numpy proves disjoint from a, so it makes no hidden copy
-    scratch = table.view(complex)
-    # e^{iπ/4} (-1)^{c_0 + … + c_{k-1}} over the first 2^k entries, for mode k
-    signs = _parity_signs(n - 1)
-    phases = np.exp(0.25j * np.pi) * signs
-    for k in range(n - 1):
-        shape = (2, 2**k, 2, 2 ** (n - 2 - k), 2**k, 2, 2 ** (n - 2 - k))
-        a, b, c, d = (blocks.reshape(shape)[:, :, i, :, :, j] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
-        t1, t2 = scratch.reshape((2,) + a.shape)
-        np.subtract(a, d, out=t1)
-        np.add(a, d, out=d)
-        np.copyto(a, t1)
-        phase = (-1) ** k * phases[: 2**k, None]
-        np.multiply(b, phase, out=t1)
-        np.multiply(c, 1j * phase, out=t2)
-        np.subtract(t1, t2, out=b)
-        np.add(t1, t2, out=c)
-    # last mode: the blocks u, v pair at equal labels, as (a, d) where the labels'
-    # parities agree and as (b, c) where they differ. A row of even label keeps
-    # (u', v') = (α u - β v, α u + β v), with (α, β) = (1, 1) for (a, d) and the
-    # mode's (phase, i phase) for (b, c); a row of odd label trades them, which
-    # negating its β does. Both coefficients are rows picked by the row's parity.
-    odd = signs < 0
-    phase = (-1) ** (n - 1) * phases
-    same = np.equal.outer([False, True], odd)
-    alpha = np.where(same, 1.0, phase)
-    beta = np.where(same, 1.0, 1j * phase) * [[1.0], [-1.0]]
-    t1, t2 = scratch.reshape(dim, dim), spare
-    parity = odd.astype(np.intp)
-    np.take(alpha, parity, axis=0, out=t1, mode="clip")
-    np.take(beta, parity, axis=0, out=t2, mode="clip")
-    u, v = blocks
-    np.multiply(u, t1, out=t1)  # u first: numpy's complex product is not bitwise commutative
-    np.multiply(v, t2, out=t2)
-    np.subtract(t1, t2, out=u)
-    np.add(t1, t2, out=v)
-    return blocks
+    blocks = np.empty(shape, dtype=complex)
+    entries = np.take(table, index, out=blocks.view(float).reshape(-1)[: table.size].reshape(shape), mode="clip")
+    del table  # before the halves: the peak is the blocks' buffer, the halves and one index
+    halves = (slice(None, k // 2), slice(k // 2, None))
+    parts = [np.multiply(entries[:, rows], _CONJUGATE_UNITS[first.phase_in][:, None, :, None]) for rows in halves]
+    for rows, part in zip(halves, parts):
+        np.matmul(first.hadamard, part.view(float).reshape(h, -1), out=blocks[:, rows].view(float).reshape(h, -1))
+    # H_first has acted: the first run's output phases and the rest's input phases
+    blocks *= _CONJUGATE_UNITS[first.phase_out][:, None, :, None]
+    blocks *= _CONJUGATE_UNITS[rest.phase_in[:, rest_p]]
+    phase_out = _CONJUGATE_UNITS[(rest.phase_out[:, rest_p] + p_phase.reshape(h, k // 2)) % 4]
+    for rows, part in zip(halves, parts):
+        np.matmul(rest.hadamard[rows], blocks.view(float).reshape(h, k, -1), out=part.view(float).reshape(h, k // 2, -1))
+        part *= phase_out[rows]
+    dim = 2 ** (n - 1)
+    index = index.reshape(2**n, dim)
+    np.bitwise_xor.outer(row_label, np.arange(dim), out=index)
+    index += row_start[:, None]
+    for target, part in zip(index.reshape(2, -1), parts):
+        np.put(blocks, target, part, mode="clip")
+    return blocks.reshape(2, dim, dim)
 
 
 def state_from_cm(m: CovarianceMatrix) -> DenseState:

@@ -12,7 +12,7 @@ from conftest import (
 from fgext import channels, extend, fgs, matalg, oracle, solver
 from fgext.bounds import epsilon_family, family_cm
 from fgext.config import DEFAULT_CONFIG
-from fgext.errors import InvalidParameterError, SolverStalledError, WrongSplitError
+from fgext.errors import InvalidParameterError, NotBonaFideError, SolverStalledError, WrongSplitError
 from fgext.extend import ExtendQuery, FeasibilityStatus, _theorem_constraints
 from fgext.verify import random_bipartite_cm, twirled_extendible_instance
 
@@ -553,6 +553,23 @@ def cross_block_query(kind, seed, n_a, n_b, k1, k2):
     return ExtendQuery(copies(b, rng)[1], 1, k2)
 
 
+def marginal_bounded_query(seed, n_a, n_b, k1, k2, t_a, t_b, r):
+    """An n_a+n_b query at (k1, k2) with ‖M_A‖_op = t_a (1 - 1/k1), ‖M_B‖_op =
+    t_b (1 - 1/k2) and sqrt(k1 k2) ‖X‖_op = r, or None where validate_cm
+    refuses the state."""
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for n, k, t in ((n_a, k1, t_a), (n_b, k2, t_b)):
+        m = random_antisymmetric(rng, 2 * n)
+        blocks.append(t * (1.0 - 1.0 / k) * m / np.linalg.norm(m, 2))
+    x = rng.standard_normal((2 * n_a, 2 * n_b))
+    x *= r / (math.sqrt(k1 * k2) * np.linalg.norm(x, 2))
+    try:
+        return ExtendQuery(bipartite(np.block([[blocks[0], x], [-x.T, blocks[1]]]), n_a, n_b), k1, k2)
+    except NotBonaFideError:
+        return None
+
+
 query_draws = st.builds(
     cross_block_query, st.sampled_from(["mixed", "pure", "choi", "choi-swapped"]),
     st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 3), st.integers(1, 4), st.integers(1, 4),
@@ -607,6 +624,19 @@ class TestCrossBlockBound:
             deltas = [random_antisymmetric(rng, len(d), scale) for d in warm]
             value = np.trace(w @ dense_f(cons[-1], deltas)).real
             assert value == pytest.approx(bound, abs=1e-12)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 3), st.integers(2, 4), st.integers(2, 4),
+        st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+        st.one_of(st.floats(0.0, 0.999, exclude_max=True), st.floats(1.001, 1.5, exclude_min=True)),
+    )
+    def test_marginals_inside_the_witness_ball_decide_by_x_alone(self, seed, n_a, n_b, k1, k2, t_a, t_b, r):
+        # with ‖M_j‖_op <= 1 - 1/k_j, Δ_j = k_j M_j/(k_j - 1) is a witness iff
+        # sqrt(k1 k2) ‖X‖_op <= 1, and the cross-block bound refutes the rest
+        query = marginal_bounded_query(seed, n_a, n_b, k1, k2, t_a, t_b, r)
+        assume(query is not None)
+        assert extend.feasibility(query).feasible is (r <= 1.0)
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("k1, k2", [(3, 3), (2, 3), (3, 2)])

@@ -319,12 +319,15 @@ class TestExtensionReadsBack:
             assert margins[0] == margins[1]
 
     @pytest.mark.parametrize("scale", [1.0 + 1e-8, 1.0 + 5e-9])
-    def test_band_reproducer_stalls_and_writes_nothing(self, tmp_path, capsys, scale):
-        # margins -1e-8 and -5e-9 fall between -eps_feas and -eps_psd
+    def test_band_reproducer_refuted_writes_nothing(self, tmp_path, capsys, scale):
+        # margins -1e-8 and -5e-9 fall between -eps_feas and -eps_psd, where the
+        # solver breaks down; the cross-block bound 1 - 2‖X‖_op decides them
         code, ext = self.emit(tmp_path, family22_x_scaled(scale), 2, 2)
-        assert code == 4
+        assert code == 1
         assert not ext.exists()
-        assert capsys.readouterr().err.startswith("solver stalled: factorization broke down")
+        out = json.loads(capsys.readouterr().out)
+        assert out["status"] == "infeasible-numerical" and out["margin"] is None
+        assert out["certificate"].startswith("cross-block bound: margin <= -")
 
 
 class TestTooLargeExit5:
@@ -536,11 +539,17 @@ class TestOverflowExits:
         assert captured.err.startswith("not physical: I + iN - XX^T has eigenvalue nan")
 
     @pytest.mark.filterwarnings("error")
-    def test_a_vanishing_duality_measure_exits_4(self, tmp_path, capsys):
+    def test_a_vanishing_duality_measure_exits_1(self, tmp_path, capsys):
+        # the solver breaks down where μ reaches 0, and 1 - 3‖X‖_op = -2.3e-9
+        # lies below margin_target
         path = str(tmp_path / "stray.cm")
         io.save_cm(path, stray_one_mode())
-        assert run_cli("extendible", path, "3", "3") == 4
-        assert capsys.readouterr().err.startswith("solver stalled: factorization broke down")
+        assert run_cli("extendible", path, "3", "3") == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        out = json.loads(captured.out)
+        assert out["status"] == "infeasible-numerical" and out["margin"] is None
+        assert out["certificate"] == "cross-block bound: margin <= -2.349158867e-09"
 
 
 class TestOracleVerifyCmd:

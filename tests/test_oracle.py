@@ -313,7 +313,7 @@ def test_state_from_cm_mode_cap():
 # from their Majorana moments; these are the dense Jordan-Wigner kron products
 # and matrix products it replaced, kept as the reference both are pinned to.
 # _ref_state is the product formula 2^-n Π_j (I + i λ_j γ̃_{2j} γ̃_{2j+1}),
-# which shares no code with the Pfaffian table and butterflies of the build.
+# which shares no code with the Pfaffian table and Hadamard transform of the build.
 
 _X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -418,16 +418,34 @@ class TestDenseReference:
                 got = oracle._full(oracle._state_blocks(o, lams, n))
                 assert np.max(np.abs(got - _ref_state(o, lams, n))) < 1e-12
 
-    def test_state_from_cm_at_eight_modes(self, rng, random_cm_factory):
+    @staticmethod
+    def _one_state_and_one_reflection(n, rng, random_cm_factory):
         # one state, and one reflection with canonical values outside [-1, 1]
-        cm = random_cm_factory(8)
+        cm = random_cm_factory(n)
         form = matalg.canonical_form(cm.body)
-        want = _ref_state(form.rotation, np.clip(form.lambdas, -1.0, 1.0), 8)
+        want = _ref_state(form.rotation, np.clip(form.lambdas, -1.0, 1.0), n)
         assert np.max(np.abs(oracle.state_from_cm(cm).rho - want)) < 1e-12
-        reflection = special_orthogonal(rng, 16) * np.where(np.arange(16) == 0, -1.0, 1.0)
-        lams = rng.uniform(-1.15, 1.15, size=8)
-        got = oracle._full(oracle._state_blocks(reflection, lams, 8))
-        assert np.max(np.abs(got - _ref_state(reflection, lams, 8))) < 1e-12
+        reflection = special_orthogonal(rng, 2 * n) * np.where(np.arange(2 * n) == 0, -1.0, 1.0)
+        lams = rng.uniform(-1.15, 1.15, size=n)
+        got = oracle._full(oracle._state_blocks(reflection, lams, n))
+        assert np.max(np.abs(got - _ref_state(reflection, lams, n))) < 1e-12
+
+    def test_state_from_cm_at_eight_modes(self, rng, random_cm_factory):
+        self._one_state_and_one_reflection(8, rng, random_cm_factory)
+
+    def test_state_from_cm_at_nine_modes(self, rng, random_cm_factory):
+        # the build's two Hadamard factors differ in size: 2^4 and 2^5
+        self._one_state_and_one_reflection(9, rng, random_cm_factory)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_signed_permutations_are_built_exactly(self, n, rng):
+        # M's entries are 0 and ±1, so every Pfaffian and every sum is a dyadic
+        # rational; the build multiplies in no phase but ±1 and ±i
+        for _ in range(10):
+            rotation = np.eye(2 * n)[rng.permutation(2 * n)] * rng.choice([-1.0, 1.0], size=2 * n)
+            lams = rng.choice([-1.0, 0.0, 1.0], size=n)
+            got = oracle._full(oracle._state_blocks(rotation, lams, n))
+            assert np.array_equal(got, _ref_state(rotation, lams, n))
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_built_state_is_exactly_parity_even_and_hermitian(self, n, rng):

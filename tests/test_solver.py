@@ -337,7 +337,34 @@ class TestStallExits:
         for scale, margin in ((1.0 + 1e-8, "-1.000e-08"), (1.0 + 5e-9, "-5.000e-09")):
             pattern = f"^factorization broke down at iteration \\d+ with margin {margin}"
             with pytest.raises(SolverStalledError, match=pattern):
-                decide(family22_x_scaled(scale), 2, 2)
+                solve(ExtendQuery(family22_x_scaled(scale), 2, 2))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "b, k",
+        [(family22_x_scaled(1.0 + 1e-8), 2), (family22_x_scaled(1.0 + 5e-9), 2), (stray_one_mode(), 3)],
+        ids=["family-1e-8", "family-5e-9", "stray"],
+    )
+    def test_a_stall_below_the_cross_block_bound_is_infeasible(self, b, k):
+        # the solver breaks down on each, but no Δ reaches margin_target: the
+        # cross-block bound 1 - k ‖X‖_op lies below it
+        upper = extend.cross_block_bound(ExtendQuery(b, k, k))
+        assert upper < solver.margin_target(RunConfig())
+        result = decide(b, k, k)
+        assert result.status is FeasibilityStatus.INFEASIBLE_NUMERICAL
+        assert result.margin is None and result.delta_a is None and result.delta_b is None
+        assert result.certificate == f"cross-block bound: margin <= {upper:.10g}"
+
+    def test_a_stall_above_the_cross_block_bound_still_raises(self):
+        # pure loss 0.4 with X scaled by 1 + 1.25e-7, at eps_psd 1e-6: its
+        # antidegradability optimum -1e-7 lies in the ambiguous band, and the
+        # bound 1 - 2‖X‖²_op of its Choi state at (2, 1) is about 0.2
+        loss = channels.pure_loss(0.4)
+        config = RunConfig(eps_psd=1e-6)
+        edge = channels.validate_channel(loss.x_mat * (1 + 1.25e-7), loss.n_mat, eps_psd=1e-6)
+        assert extend.cross_block_bound(channels._choi_query(edge, 2, config)) > 0.19
+        with pytest.raises(SolverStalledError, match="^converged margin -1.000e-07 lies in the ambiguous band"):
+            channels.antidegradable(edge, config)
 
     def test_margin_without_variables_meets_the_same_band(self):
         # at (1, 1) nothing is optimised, and the state's own margin -1e-6 lies
@@ -389,7 +416,7 @@ class TestStallExits:
         # ‖X‖_op lies 7.8e-10 above 1/3: μ reaches 0 near the optimum, where
         # σ = (μ_aff/μ)³ once divided 0 by 0 with a RuntimeWarning
         with pytest.raises(SolverStalledError, match="^factorization broke down at iteration"):
-            decide(stray_one_mode(), 3, 3)
+            solve(ExtendQuery(stray_one_mode(), 3, 3))
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("mu", [0.0, -1.0, math.nan])
