@@ -99,18 +99,17 @@ def _cmd_check_cm(args, config):
         valid = True
     except NotBonaFideError:
         valid = False
-    spectrum = matalg.hermitian_spectrum(body)
-    low = matalg.min_eigenvalue(np.eye(body.dim), body.mat)
+    # one eigendecomposition of iM; I + iM's spectrum is 1 plus iM's
+    spectrum, vectors = np.linalg.eigh(1j * body.mat)
     report = {
         "valid": valid,
         "modes": body.modes,
         "split": list(split) if split else None,
         "spectrum": [float(v) for v in spectrum],
-        "min_eig_I_plus_iM": low,
+        "min_eig_I_plus_iM": 1.0 + float(spectrum[0]),
     }
     if valid:
-        form = matalg.canonical_form(body)
-        lams = [float(v) for v in form.lambdas]
+        lams = [float(v) for v in matalg._form_from_vectors(body.mat, vectors).lambdas]
         report["lambdas"] = lams
         report["pure"] = bool(min(abs(v) for v in lams) >= 1.0 - config.eps_psd)
     _emit(report, args)

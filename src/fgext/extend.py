@@ -20,11 +20,12 @@ since its cross block is sqrt(k1 k2) X: a rank-one dual point in closed
 form.
 
 The solver starts at the marginals, except for one mode per side: there
-the last constraint reduces to a concave search in one variable, and a
-query whose marginals miss a margin of 0 starts at that search's point
-(_one_mode_start), feasible or not. The one rule that accepts a witness
-is margin >= margin_target(config), so a feasible 1+1 query needs no
-interior-point iteration; an infeasible one runs from the widest q-window.
+the last constraint's top eigenvalue is a convex function of two scalars,
+and a query whose marginals miss a margin of 0 starts at the best of a
+few closed-form points (_one_mode_start), feasible or not. The one rule
+that accepts a witness is margin >= margin_target(config), and that start
+meets it iff the query is feasible, so a feasible 1+1 query needs no
+interior-point iteration.
 Other queries with k1, k2 >= 2 whose marginals miss the rule also try
 Δ_j = k_j M_j / (k_j - 1) (_cross_block_start), which zeroes the last
 constraint's diagonal blocks, and the start with the larger margin seeds
@@ -128,7 +129,7 @@ def precheck_columnsum(query: ExtendQuery, config: RunConfig = DEFAULT_CONFIG):
     turn some numerical verdicts into certified ones, a change left to the
     Gram-block precheck of ROADMAP item 3, which subsumes this bound.
     """
-    x2 = np.square(query.b.block_x)
+    x = query.b.block_x
     sides = (
         (query.k1, query.k2, query.b.block_a, 1, "A", "X"),
         (query.k2, query.k1, query.b.block_b, 0, "B", "X^T"),
@@ -136,7 +137,7 @@ def precheck_columnsum(query: ExtendQuery, config: RunConfig = DEFAULT_CONFIG):
     for k, copies, marg, x_axis, side, cross in sides:
         if k != 1:
             continue
-        sums = np.sum(marg * marg, axis=1) + copies * np.sum(x2, axis=x_axis)
+        sums = np.sum(marg * marg, axis=1) + copies * np.sum(x * x, axis=x_axis)
         worst = int(np.argmax(sums))
         if sums[worst] > 1.0 + config.eps_feas:
             return (
@@ -212,82 +213,69 @@ def _theorem_constraints(query: ExtendQuery):
     return constraints, warm
 
 
-#: Golden-section steps of _one_mode_start: they shrink a p range of
-#: width at most 2 to 2 · 0.618⁷⁵ < 5e-16.
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_GOLDEN_STEPS = 75
-
-
 def _one_mode_start(query: ExtendQuery):
     """A start point in closed form for one mode per side and some k > 1, or None.
 
     Write M_A = aJ, M_B = bJ, Δ_A = αJ and Δ_B = βJ with J = [[0, 1], [-1, 0]],
-    p = k1 a - (k1-1) α, q = k2 b - (k2-1) β, s² = k1 k2, d = det X and
-    x1 >= x2 the singular values of X. For |p| < 1 the Schur complement of
-    I + ipJ in the last constraint (Boyd & Vandenberghe, App. A.5.5; XᵀJX = dJ)
-    leaves |q + c p d| <= r, c = s²/(1 - p²), r = sqrt((1 - c x1²)(1 - c x2²)),
-    which needs |p| <= w = sqrt(1 - s² x1²). |α|, |β| <= 1 bound p and q to
-    [k a - (k-1), k a + (k-1)]; a side with k = 1 stays at its marginal.
+    p = k1 a - (k1-1) α, q = k2 b - (k2-1) β and s² = k1 k2. The eigenvalues of
+    iK, K = [[pJ, sX], [-sXᵀ, qJ]] the last constraint's skew part, are ±ν1, ±ν2
+    with ν1² + ν2² = S = p² + q² + s²‖X‖²_F and ν1ν2 = |Pf K|, and S ± 2 Pf K =
+    (p ± q)² + A² or B², A = s hypot(x00 - x11, x01 + x10) and B = s hypot(x00 +
+    x11, x01 - x10). So λ_max(iK) = h/2, h = hypot(p + q, A) + hypot(p - q, B),
+    and a point's margin is min(1 - |α|, 1 - |β|, 1 - h/2): |α|, |β| <= 1 is a
+    box in (p, q), and a side with k = 1 keeps its marginal and has no term.
 
-    None when the marginals already have a margin >= 0, tested in scalars:
-    the last constraint's skew part K at the marginals has largest |eigenvalue|
-    ν with ν² = (S + sqrt(S² - 4P²))/2, S = a² + b² + s²‖X‖²_F and P = Pf K
-    = ab - s² d; None too when p's range is empty. Otherwise golden-section
-    search maximises over p the length of the overlap of q's window with q's
-    range, which is concave in p, and takes q at the overlap's middle. The
-    point is returned whether or not it is feasible: an empty overlap (a
-    negative length) leaves the point where q's window comes closest to q's
-    range, and max_margin's warm-start test alone decides whether it is a
-    witness. With k1 = 1 the sides are swapped first (a ↔ b, X → Xᵀ), so a
-    query and its swapped copy compute the same floats.
+    None when the marginals, (p, q) = (a, b), have h <= 2. Otherwise the start
+    is the candidate with the largest margin. h is convex; its minimum A + B =
+    2 s ‖X‖_op, the cross-block bound's, lies at the origin, and on the box
+    edge p = e at q = ce, c = (A - B)/(A + B) (p = ce on q = e). The origin
+    clipped into the box and the four edge points clipped hold the box minimum
+    of h, so the start meets a margin of 0 iff the query is feasible. The
+    origin unclipped starts a query X refutes on the bound; the marginals are
+    the best where a marginal lies just outside the unit disc (within
+    eps_psd). Each point adds one step toward the marginals, to where the
+    chords of its two terms, both concave there, cross: it moves a witness
+    off the box edge. With k1 = 1 the sides are swapped first (a ↔ b; h is
+    symmetric), so a query and its swapped copy compute the same floats.
     """
     b, k1, k2 = query.b, query.k1, query.k2
     if b.n_a != 1 or b.n_b != 1 or k1 == k2 == 1:
         return None
     (_, a, x00, x01), (_, _, x10, x11), (_, _, _, m_b), _ = b.mat.tolist()
     if k1 == 1:
-        k1, k2, a, m_b, x01, x10 = k2, k1, m_b, a, x10, x01
-    s2 = k1 * k2
-    f, d = x00 * x00 + x01 * x01 + x10 * x10 + x11 * x11, x00 * x11 - x01 * x10
-    big, pf = a * a + m_b * m_b + s2 * f, a * m_b - s2 * d
-    if big + math.sqrt(max(big * big - 4.0 * pf * pf, 0.0)) <= 2.0:
-        return None
-    sq1 = (f + math.sqrt(max(f * f - 4.0 * d * d, 0.0))) / 2.0
-    sq2 = max(f - sq1, 0.0)
-    w = math.sqrt(max(1.0 - s2 * sq1, 0.0))
-    p_lo, p_hi = max(k1 * a - (k1 - 1), -w), min(k1 * a + (k1 - 1), w)
-    q_lo, q_hi = k2 * m_b - (k2 - 1), k2 * m_b + (k2 - 1)
-    if not p_lo <= p_hi or w >= 1.0:
-        return None
+        k1, k2, a, m_b = k2, k1, m_b, a
+    s = math.sqrt(k1 * k2)
+    big_a, big_b = s * math.hypot(x00 - x11, x01 + x10), s * math.hypot(x00 + x11, x01 - x10)
 
-    def overlap(p):
-        # the length and middle of q's window at p clipped to q's range;
-        # 1 - c x1² < 0 (s² x1² > 1, or rounding at |p| = w) turns it inside out
-        c = s2 / (1.0 - p * p)
-        e1, e2 = 1.0 - c * sq1, 1.0 - c * sq2
-        r = math.sqrt(e1 * e2) if e1 >= 0.0 else e1
-        low, high = -c * p * d - r, -c * p * d + r
-        low, high = low if low > q_lo else q_lo, high if high < q_hi else q_hi
-        return high - low, (low + high) / 2.0
+    def terms(p, q):
+        # the margins of I + iΔ_A and I + iΔ_B (the box), and of the last constraint
+        box = 1.0 - abs(k1 * a - p) / (k1 - 1)
+        if k2 > 1:
+            box = min(box, 1.0 - abs(k2 * m_b - q) / (k2 - 1))
+        return box, 1.0 - (math.hypot(p + q, big_a) + math.hypot(p - q, big_b)) / 2.0
 
-    # golden-section search: each step keeps the bracket around the larger
-    # of two inner points and reuses the other inner point
-    lo, hi = p_lo, p_hi
-    left, right = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
-    (at_left, _), (at_right, _) = overlap(left), overlap(right)
-    for _ in range(_GOLDEN_STEPS):
-        if at_left < at_right:
-            lo, left, at_left = left, right, at_right
-            right = lo + _GOLDEN * (hi - lo)
-            at_right, _ = overlap(right)
-        else:
-            hi, right, at_right = right, left, at_left
-            left = hi - _GOLDEN * (hi - lo)
-            at_left, _ = overlap(left)
-    p = (lo + hi) / 2.0
+    box1, top1 = terms(a, m_b)
+    if top1 >= 0.0:
+        return None
+    p_lo, p_hi = k1 * a - (k1 - 1), k1 * a + (k1 - 1)
+    q_lo, q_hi = (k2 * m_b - (k2 - 1), k2 * m_b + (k2 - 1)) if k2 > 1 else (m_b, m_b)
+    c = (big_a - big_b) / (big_a + big_b) if big_a + big_b > 0.0 else 0.0
+    points = [(0.0, 0.0 if k2 > 1 else m_b), (min(max(0.0, p_lo), p_hi), min(max(0.0, q_lo), q_hi))]
+    points += [(e, min(max(c * e, q_lo), q_hi)) for e in (p_lo, p_hi)]
+    points += [(min(max(c * e, p_lo), p_hi), e) for e in (q_lo, q_hi)] + [(a, m_b)]
+
+    def balanced(p, q):
+        box, top = terms(p, q)
+        if not (box < top and box1 > top1):
+            return p, q
+        t = (top - box) / (top - box + box1 - top1)
+        return p + t * (a - p), q + t * (m_b - q)
+
+    points += [balanced(*pq) for pq in points]
+    p, q = max(points, key=lambda pq: min(terms(*pq)))
     starts = [(k1 * a - p) / (k1 - 1)]
     if k2 > 1:
-        starts.append((k2 * m_b - overlap(p)[1]) / (k2 - 1))
+        starts.append((k2 * m_b - q) / (k2 - 1))
     return [np.array([[0.0, t], [-t, 0.0]]) for t in starts]
 
 
@@ -313,11 +301,11 @@ def solver_verdict(query: ExtendQuery, config: RunConfig) -> FeasibilityResult:
     FEASIBLE, carrying the witnesses, iff the margin is at least
     margin_target(config); INFEASIBLE_NUMERICAL otherwise. The witnesses
     are exactly antisymmetric; a side with k = 1 carries its marginal.
-    A 1+1 query with some k > 1, whose marginals miss a margin of 0 and
-    whose p range is not empty, starts at _one_mode_start's point, feasible
-    or not; every other query starts at the marginals. Either way max_margin's
-    one rule, margin >= margin_target(config), accepts a witness, and a start
-    that meets it returns after 0 iterations. Only a start that misses it
+    A 1+1 query with some k > 1 whose marginals miss a margin of 0 starts
+    at _one_mode_start's point, feasible or not; every other query starts
+    at the marginals. Either way max_margin's one rule, margin >=
+    margin_target(config), accepts a witness, and a start that meets it
+    returns after 0 iterations. Only a start that misses it
     reads _cross_block_start, the second start, and cross_block_bound, the
     second dual bound of max_margin's gap rule. An infeasible verdict whose
     gap that bound closed carries it as its certificate.

@@ -305,9 +305,13 @@ def canonical_form(k) -> CanonicalForm:
     orthogonal).
     """
     mat = _as_mat(k)
+    return _form_from_vectors(mat, np.linalg.eigh(1j * mat)[1])
+
+
+def _form_from_vectors(mat: np.ndarray, vecs: np.ndarray) -> CanonicalForm:
+    """canonical_form of mat from eigh's eigenvectors of i·mat, in ascending order."""
     d = mat.shape[0]
     n = d // 2
-    _, vecs = np.linalg.eigh(1j * mat)
     top = vecs[:, ::-1][:, :n]
     planes = np.empty((d, d))
     planes[:, 0::2] = top.imag

@@ -16,6 +16,8 @@ from fgext.errors import InvalidParameterError, NotBonaFideError, SolverStalledE
 from fgext.extend import ExtendQuery, FeasibilityStatus, _theorem_constraints
 from fgext.verify import random_bipartite_cm, twirled_extendible_instance
 
+J = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
 
 def family_query(k1, k2, q1=None, q2=None):
     return ExtendQuery(family_cm(k1, k2), q1 or k1, q2 or k2)
@@ -386,18 +388,14 @@ class TestOneModeStart:
         cons, warm = _theorem_constraints(query)
         target = solver.margin_target(DEFAULT_CONFIG)
         start = extend._one_mode_start(query)
-        # the search runs iff some k > 1, the marginals miss a margin of 0 and
-        # p's range (on a side with k > 1) is not empty; 1e-9 gaps keep
-        # rounding at either edge out of the test
+        # a start comes iff some k > 1 and the marginals miss a margin of 0;
+        # a 1e-9 gap keeps rounding at the edge out of the test
         s = np.sqrt(k1 * k2)
         skew = np.block([[b.block_a, s * b.block_x], [-s * b.block_x.T, b.block_b]])
         at_marginals = 1.0 - np.abs(np.linalg.eigvalsh(1j * skew)).max()
-        k, m = (k1, b.block_a[0, 1]) if k1 > 1 else (k2, b.block_b[0, 1])
-        w = np.sqrt(max(1.0 - k1 * k2 * np.linalg.norm(b.block_x, 2) ** 2, 0.0))
-        p_range = min(k * m + k - 1, w) - max(k * m - k + 1, -w)
-        if k > 1 and at_marginals < -1e-9 and p_range > 1e-9:
+        if max(k1, k2) > 1 and at_marginals < -1e-9:
             assert start is not None
-        if k == 1 or at_marginals > 1e-9 or p_range < -1e-9:
+        if k1 == k2 == 1 or at_marginals > 1e-9:
             assert start is None
         try:
             margin = solver.max_margin(cons, warm).margin
@@ -419,6 +417,55 @@ class TestOneModeStart:
             assert verdict.feasible == (margin >= target)
         if margin < target:
             assert abs(verdict.margin - margin) <= 1e-8
+
+    def test_top_eigenvalue_in_closed_form(self, rng):
+        # λ_max(iK) = (hypot(p + q, A) + hypot(p - q, B))/2 for K = [[pJ, sX], [-sXᵀ, qJ]]
+        for _ in range(2000):
+            p, q, s = rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0), rng.uniform(0.0, 3.0)
+            (x00, x01), (x10, x11) = x = rng.standard_normal((2, 2))
+            skew = np.block([[p * J, s * x], [-s * x.T, q * J]])
+            a, b = s * math.hypot(x00 - x11, x01 + x10), s * math.hypot(x00 + x11, x01 - x10)
+            top = np.linalg.eigvalsh(1j * skew)[-1]
+            assert (math.hypot(p + q, a) + math.hypot(p - q, b)) / 2.0 == pytest.approx(top, rel=1e-13)
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(st.sampled_from(["mixed", "pure", "family", "choi"]), st.integers(0, 2**32 - 1),
+           st.integers(1, 4), st.integers(1, 4))
+    def test_start_meets_the_target_iff_the_query_is_feasible(self, kind, seed, k1, k2):
+        b = one_mode_state(kind, seed)
+        query = ExtendQuery(b, k1, k2)
+        want = one_mode_margin(b, k1, k2)
+        if abs(want) <= 1e-9:
+            return
+        cons, warm = _theorem_constraints(query)
+        start = extend._one_mode_start(query)
+        meets = solver._objective(cons, warm if start is None else start) >= solver.margin_target(DEFAULT_CONFIG)
+        assert meets == (want > 0.0)
+
+    @pytest.mark.parametrize("a", [0.0, 0.6, 1.0, 1.0 + DEFAULT_CONFIG.eps_psd / 2.0])
+    @pytest.mark.parametrize("k1, k2", [(2, 1), (1, 2), (2, 2), (3, 2), (4, 4)])
+    def test_product_states_start_feasible(self, a, k1, k2):
+        # X = 0: A = B = 0, so h = 2 max(|p|, |q|); a marginal just outside the
+        # unit disc (within eps_psd) fails the pretest and still gets a witness
+        b = bipartite(np.block([[a * J, np.zeros((2, 2))], [np.zeros((2, 2)), -0.3 * J]]), 1, 1)
+        query = ExtendQuery(b, k1, k2)
+        cons, warm = _theorem_constraints(query)
+        start = extend._one_mode_start(query)
+        assert (start is None) == (a <= 1.0)
+        assert solver._objective(cons, warm if start is None else start) >= solver.margin_target(DEFAULT_CONFIG)
+        assert extend.solver_verdict(query, DEFAULT_CONFIG).feasible
+
+    @pytest.mark.parametrize("kind", ["mixed", "pure", "family", "choi"])
+    def test_swapped_queries_start_at_the_same_floats(self, kind):
+        for seed in range(20):
+            b = one_mode_state(kind, seed)
+            swapped = bipartite(b.mat[np.ix_([2, 3, 0, 1], [2, 3, 0, 1])], 1, 1)
+            for k in (2, 3, 4):
+                ours = extend._one_mode_start(ExtendQuery(b, 1, k))
+                theirs = extend._one_mode_start(ExtendQuery(swapped, k, 1))
+                assert (ours is None) == (theirs is None)
+                if ours is not None:
+                    assert [t.tolist() for t in ours] == [t.tolist() for t in theirs]
 
 
 def one_mode_margin(b, k1, k2):

@@ -668,14 +668,19 @@ class TestMemoryGuard:
         # mid-size buffer lifts its mmap threshold; the resident high-water
         # mark of a fresh process can. It grows by the 1.5 matrices of ρ and
         # the blocks plus a few MiB whatever n (3.4 and 4.6 MiB measured),
-        # the figures MODE_CAP's comment keeps
+        # the figures MODE_CAP's comment keeps. The child reads its own VmHWM,
+        # which exec starts afresh: ru_maxrss would start at the peak of the
+        # process that started it, and a whole test session hides the growth
         code = (
-            "import resource, numpy as np\n"
+            "import numpy as np\n"
             "from fgext import oracle, verify\n"
+            "def peak():\n"
+            "    with open('/proc/self/status') as status:\n"
+            "        return next(int(line.split()[1]) for line in status if line.startswith('VmHWM:'))\n"
             f"cm = verify.random_bona_fide_cm(np.random.default_rng({n}), {n})\n"
-            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "before = peak()\n"
             "state = oracle.state_from_cm(cm)\n"
-            "print(state.n, (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) * 1024)\n"
+            "print(state.n, (peak() - before) * 1024)\n"
         )
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
         modes, growth = map(int, out.stdout.split())
